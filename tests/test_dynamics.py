@@ -209,6 +209,21 @@ def test_reduced_fixed_point_matches_scalar_oracle():
     assert fp.w.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("name, eta, w0, max_iter, iterations, converged", [
+    ("parallel3", 0.5, None, 10 ** 5, 47, True),
+    ("pigou", 0.25, (0.5, 0.5), 10 ** 5, 11, True),
+    ("pigou", 0.25, (0.5, 0.5), 2, 2, False),
+])
+def test_reduced_fixed_point_iteration_counts(name, eta, w0, max_iter, iterations,
+                                              converged):
+    # exact counts pin the damping rule shared with the full-state solver
+    g, _ = get_scenario(name).build_game()
+    sys = gd.aggregate_dynamics(g, gd.logit_protocol(eta))
+    w0 = gd.uniform_configuration(g).sum(axis=1) if w0 is None else np.array(w0)
+    fp = sys.fixed_point(w0, max_iter=max_iter)
+    assert fp.iterations == iterations and fp.converged is converged
+
+
 def test_recover_configuration_limit_roundtrip():
     g, _ = get_scenario("parallel3").build_game()
     pr = gd.logit_protocol(0.5)

@@ -135,6 +135,14 @@ def test_fixed_point_result_invariants():
     assert float(np.abs(F - r.x).sum()) <= 5e-10
 
 
+@pytest.mark.parametrize("eta, iterations", [(0.2, 411), (0.01, 10202)])
+def test_fixed_point_iteration_counts(eta, iterations):
+    # exact counts pin the damping rule; eta=0.01 crosses the 250-step refresh
+    g, _ = get_scenario("wheatstone").build_game()
+    r = gd.fixed_point(g, eta, gd.uniform_configuration(g))
+    assert r.converged and r.iterations == iterations
+
+
 def test_fixed_point_reports_nonconvergence(caplog):
     g, _ = get_scenario("wheatstone").build_game()
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
