@@ -297,14 +297,7 @@ def homogeneous_aggregate_potential(game: PopulationGame):
     field = game.costs
     if not isinstance(field, AggregateCostField):
         raise CapabilityError("need per-action aggregate costs given as curves")
-    for row in field.fns:
-        if any(f != row[0] for f in row[1:]):
-            raise CapabilityError("cost curves differ across populations; "
-                                  "no shared potential")
-    fns = [row[0] for row in field.fns]
-
-    def V(x):
-        w = np.asarray(x, dtype=float).sum(axis=1)
-        return float(sum(f.integral(float(wi)) for f, wi in zip(fns, w)))
-
-    return V
+    if not field.curves.is_homogeneous():
+        raise CapabilityError("cost curves differ across populations; "
+                              "no shared potential")
+    return lambda x: field.curves.shared_integral(np.asarray(x, dtype=float).sum(axis=1))

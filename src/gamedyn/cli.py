@@ -155,9 +155,7 @@ def _sweep_seeds(game: PopulationGame) -> list[np.ndarray]:
 
 def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
-    eta_hi = scn.run_float("eta_hi", 2.0)
-    eta_lo = scn.run_float("eta_lo", 1e-3)
-    steps = scn.run_int("steps", 60)
+    eta_hi, eta_lo, steps = scn.noise_bracket(steps=60)
     try:
         curves = continuation_sweep(game, eta_hi, eta_lo, steps, _sweep_seeds(game))
     except ValueError as e:
@@ -173,11 +171,12 @@ def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
 
 def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
-    grid = np.geomspace(scn.run_float("eta_hi", 2.0),
-                        scn.run_float("eta_lo", 1e-3),
-                        scn.run_int("steps", 25))
-    sweep = bifurcation_scan(game, grid, multistart=scn.run_int("multistart", 8),
-                             rng=_derive_rng(seed, 1))
+    grid = np.geomspace(*scn.noise_bracket(steps=25))
+    multistart = scn.run_int("multistart", 8)
+    if multistart < 4:
+        raise ScenarioError(f"{scn.path}: [run] multistart must be at least 4, "
+                            f"got {multistart}")
+    sweep = bifurcation_scan(game, grid, multistart=multistart, rng=_derive_rng(seed, 1))
     path = out / "bifurcation.csv"
     write_bifurcation_csv(path, sweep)
     if not quiet:
@@ -269,6 +268,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
 def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
                               quiet: bool) -> int:
     game, rgame = scn.build_game()
+    bracket = scn.noise_bracket(steps=60)
     if rgame is None:
         raise ScenarioError("reproduce-wheatstone needs a routing scenario")
     rs = rgame.route_set
@@ -290,9 +290,7 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
     seeds = [vertex_configuration(game, rs.names[ia]),
              vertex_configuration(game, rs.names[ib]),
              uniform_configuration(game)]
-    curves = continuation_sweep(game, scn.run_float("eta_hi", 2.0),
-                                scn.run_float("eta_lo", 1e-3),
-                                scn.run_int("steps", 60), seeds)
+    curves = continuation_sweep(game, *bracket, seeds)
     write_sweep_csv(out / "wheatstone_sweep.csv", curves, game)
     y_limit = link_flow(rs, curves[0].terminal_limit)
     if not quiet:

@@ -95,8 +95,7 @@ def exact_target_check(protocol: RevisionProtocol, game: PopulationGame,
 
 
 def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
-                       samples: int = 10, fd_step: float = 1e-6,
-                       rng: np.random.Generator | None = None,
+                       samples: int = 10, rng: np.random.Generator | None = None,
                        tol: float = 1e-7) -> tuple[bool, list]:
     """Finite-difference sign test of the target's cost sensitivities.
 
@@ -108,17 +107,18 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
         raise CapabilityError(f"protocol {protocol.name!r} is not cost-based; "
                               "monotonicity is defined on cost matrices")
     rng = rng if rng is not None else np.random.default_rng(0)
+    h = 1e-6
     violations = []
     for _ in range(samples):
         x = sample_configuration(game, rng)
         c = evaluate_costs(game, x)
         for (j, q) in game.valid_pairs:
             cp = c.copy()
-            cp[j, q] += fd_step
+            cp[j, q] += h
             cm = c.copy()
-            cm[j, q] -= fd_step
+            cm[j, q] -= h
             dG = (protocol.target_from_costs(game, cp)
-                  - protocol.target_from_costs(game, cm)) / (2 * fd_step)
+                  - protocol.target_from_costs(game, cm)) / (2 * h)
             for (i, p) in game.valid_pairs:
                 v = float(dG[i, p])
                 if p == q and i == j:
@@ -274,13 +274,20 @@ class ReducedSystem:
     def field(self, w: np.ndarray) -> np.ndarray:
         return self.target(w).sum(axis=1) - np.asarray(w, dtype=float)
 
+    def _start(self, w0) -> np.ndarray:
+        """w0 as a fresh float array, checked for shape and finiteness."""
+        w = np.array(w0, dtype=float)
+        if w.shape != (self.game.n_actions,):
+            raise ValueError(f"w0 must have shape ({self.game.n_actions},), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"w0 has a non-finite entry: {w.tolist()!r}")
+        return w
+
     def integrate(self, w0, horizon: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """RK4 on the reduced field; returns (times, flows (T, S))."""
         if dt <= 0 or horizon < dt:
             raise ValueError("need dt > 0 and horizon >= dt")
-        w = np.asarray(w0, dtype=float).copy()
-        if w.shape != (self.game.n_actions,):
-            raise ValueError(f"w0 must have shape ({self.game.n_actions},)")
+        w = self._start(w0)
         n = int(round(horizon / dt))
         return dt * np.arange(n + 1), _rk4(lambda v, k: self.field(v), w, n, dt)
 
@@ -293,14 +300,15 @@ class ReducedSystem:
         """
         w, r, it, converged = damped_iteration(
             lambda v: self.target(v).sum(axis=1),
-            np.asarray(w0, dtype=float).copy(),
+            self._start(w0),
             lambda v: float(np.abs(self.jacobian_fd(v) + np.eye(self.game.n_actions)
                                    ).sum(axis=0).max()),
             lambda v: tol, max_iter=max_iter)
         return ReducedFixedPoint(w=w, residual=r, iterations=it, converged=converged)
 
-    def jacobian_fd(self, w, h: float = 1e-6) -> np.ndarray:
-        """Central finite differences of the reduced field."""
+    def jacobian_fd(self, w) -> np.ndarray:
+        """Central finite differences of the reduced field, step 1e-6."""
+        h = 1e-6
         w = np.asarray(w, dtype=float)
         S = self.game.n_actions
         J = np.empty((S, S))

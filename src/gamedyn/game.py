@@ -149,6 +149,49 @@ class ScalarFn:
 
 
 # ---------------------------------------------------------------------------
+# Curve grids
+
+
+class CurveGrid:
+    """Grid of scalar curves f_kp, one per (row, population).
+
+    Row k is evaluated at the k-th entry of a flow vector: per-action totals
+    for explicit games, link flows for routing games. All-affine grids take
+    a vectorized fast path.
+    """
+
+    def __init__(self, fns):
+        self.fns = [list(row) for row in fns]
+        self._affine = all(f.kind == "affine" for row in self.fns for f in row)
+        if self._affine:
+            self._a = np.array([[f.a for f in row] for row in self.fns])
+            self._b = np.array([[f.b for f in row] for row in self.fns])
+            self._a.setflags(write=False)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """(rows, populations) curve values at flows y."""
+        y = np.asarray(y, dtype=float)
+        if self._affine:
+            return self._a * y[:, None] + self._b
+        return np.array([[f(v) for f in row] for row, v in zip(self.fns, y)])
+
+    def slopes(self, y: np.ndarray) -> np.ndarray:
+        """(rows, populations) curve derivatives at flows y."""
+        if self._affine:
+            return self._a
+        y = np.asarray(y, dtype=float)
+        return np.array([[f.deriv(v) for f in row] for row, v in zip(self.fns, y)])
+
+    def is_homogeneous(self) -> bool:
+        """Every row holds one curve shared by all populations."""
+        return all(all(f == row[0] for f in row) for row in self.fns)
+
+    def shared_integral(self, y: np.ndarray) -> float:
+        """sum_k integral_0^{y_k} of the first population's curve in row k."""
+        return float(sum(row[0].integral(float(v)) for row, v in zip(self.fns, y)))
+
+
+# ---------------------------------------------------------------------------
 # Cost fields
 
 
@@ -179,35 +222,18 @@ class AggregateCostField(CostField):
     per_action_aggregate = True
 
     def __init__(self, fns):
-        fns = [list(row) for row in fns]
-        self.fns = [[f if f is not None else ScalarFn.constant(0.0) for f in row] for row in fns]
-        self.n_actions = len(self.fns)
-        self.n_pops = len(self.fns[0]) if self.fns else 0
-        self._affine = all(f.kind == "affine" for row in self.fns for f in row)
-        if self._affine:
-            self._a = np.array([[f.a for f in row] for row in self.fns])
-            self._b = np.array([[f.b for f in row] for row in self.fns])
+        self.curves = CurveGrid([[f if f is not None else ScalarFn.constant(0.0)
+                                  for f in row] for row in fns])
 
     def __call__(self, x):
         return self.aggregate_cost(np.asarray(x, dtype=float).sum(axis=1))
 
     def aggregate_cost(self, w):
-        w = np.asarray(w, dtype=float)
-        if self._affine:
-            return self._a * w[:, None] + self._b
-        c = np.empty((self.n_actions, self.n_pops))
-        for i, row in enumerate(self.fns):
-            for p, f in enumerate(row):
-                c[i, p] = f(w[i])
-        return c
+        return self.curves(w)
 
     def jacobian(self, x):
-        w = np.asarray(x, dtype=float).sum(axis=1)
-        S, P = self.n_actions, self.n_pops
-        if self._affine:
-            slopes = self._a
-        else:
-            slopes = np.array([[f.deriv(w[i]) for f in row] for i, row in enumerate(self.fns)])
+        slopes = self.curves.slopes(np.asarray(x, dtype=float).sum(axis=1))
+        S, P = slopes.shape
         D = np.zeros((S, P, S, P))
         for i in range(S):
             D[i, :, i, :] = slopes[i][:, None]  # d c_ip / d x_iq for every q
@@ -215,25 +241,13 @@ class AggregateCostField(CostField):
 
 
 class CallableCostField(CostField):
-    """Wraps an arbitrary evaluator, with optional analytic partials."""
+    """Wraps an arbitrary evaluator; its partials are finite differences."""
 
-    def __init__(self, func: Callable[[np.ndarray], np.ndarray], jac=None,
-                 per_action_aggregate=False, aggregate_fn=None):
+    def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
         self._func = func
-        self._jac = jac
-        self.per_action_aggregate = per_action_aggregate
-        self._aggregate_fn = aggregate_fn
 
     def __call__(self, x):
         return np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian(self, x):
-        return None if self._jac is None else np.asarray(self._jac(x), dtype=float)
-
-    def aggregate_cost(self, w):
-        if self._aggregate_fn is None:
-            raise CapabilityError("cost field does not factor through per-action aggregates")
-        return np.asarray(self._aggregate_fn(np.asarray(w, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +346,15 @@ def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
 
 
 def validate_configuration(game: PopulationGame, x, *, tol: float = 1e-9) -> np.ndarray:
-    """Check nonnegativity, support, and column sums; returns x as float array."""
+    """Check finiteness, nonnegativity, support, and column sums; returns x as float array."""
     x = np.asarray(x, dtype=float)
     if x.shape != (game.n_actions, game.n_pops):
         raise ConfigurationError(f"configuration has shape {x.shape}, "
                                  f"expected {(game.n_actions, game.n_pops)}")
+    if not np.all(np.isfinite(x)):
+        i, p = np.argwhere(~np.isfinite(x))[0]
+        raise ConfigurationError(f"non-finite mass {float(x[i, p])} at "
+                                 f"({game.actions[i]}, {game.populations[p]})")
     scale = np.maximum(1.0, game.masses)
     if np.any(x < -tol * scale):
         i, p = np.argwhere(x < -tol * scale)[0]
@@ -567,8 +585,7 @@ def isolation_probe(game: PopulationGame, x_star, radius: float,
 # Cost-field differentiation and the potential-game symmetry test
 
 
-def cost_jacobian(game: PopulationGame, x, fd_step: float | None = None,
-                  force_fd: bool = False) -> np.ndarray:
+def cost_jacobian(game: PopulationGame, x, force_fd: bool = False) -> np.ndarray:
     """Partials d c_ip / d x_jq as an (S,P,S,P) tensor.
 
     Uses the field's analytic partials when present, otherwise central
@@ -582,7 +599,7 @@ def cost_jacobian(game: PopulationGame, x, fd_step: float | None = None,
     S, P = game.n_actions, game.n_pops
     D = np.zeros((S, P, S, P))
     for (j, q) in game.valid_pairs:
-        h = fd_step if fd_step is not None else 1e-6 * max(1.0, game.masses[q])
+        h = 1e-6 * max(1.0, game.masses[q])
         xp = x.copy()
         xp[j, q] += h
         xm = x.copy()
@@ -591,8 +608,7 @@ def cost_jacobian(game: PopulationGame, x, fd_step: float | None = None,
     return D
 
 
-def potential_symmetry_check(game: PopulationGame, samples: int = 10,
-                             fd_step: float | None = None, tol: float = 1e-6,
+def potential_symmetry_check(game: PopulationGame, samples: int = 10, tol: float = 1e-6,
                              rng: np.random.Generator | None = None
                              ) -> tuple[bool, float]:
     """Test d c_ip / d x_jq == d c_jq / d x_ip at sampled interior points.
@@ -607,7 +623,7 @@ def potential_symmetry_check(game: PopulationGame, samples: int = 10,
     worst = 0.0
     for _ in range(samples):
         x = sample_configuration(game, rng)
-        D = cost_jacobian(game, x, fd_step=fd_step, force_fd=True)
+        D = cost_jacobian(game, x, force_fd=True)
         for a, (i, p) in enumerate(pairs):
             for (j, q) in pairs[a + 1:]:
                 worst = max(worst, abs(D[i, p, j, q] - D[j, q, i, p]))

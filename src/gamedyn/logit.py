@@ -25,19 +25,27 @@ from .game import (
 log = logging.getLogger(__name__)
 
 
-def softmax_target(game: PopulationGame, c: np.ndarray, eta: float) -> np.ndarray:
-    """Mass-weighted per-population softmax of -c/eta.
+def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
+    """exp(-(c - cmin_p)/eta) on valid entries (0 elsewhere), and its column sums.
 
-    Exponentials are shifted by the per-population minimum cost, so the map
-    stays finite for eta down to 1e-4 with costs of any magnitude. This sits
-    in the innermost loop of every solver; keep it free of Python-level
-    population loops.
+    The per-population minimum cost cmin_p keeps every exponent at or below
+    zero, so nothing overflows for eta down to 1e-4 with costs of any
+    magnitude.
     """
     m = game.mask
     cmin = np.min(np.where(m, c, np.inf), axis=0)
-    z = np.where(m, (cmin - c) / eta, -np.inf)
-    e = np.exp(z)
-    return game.masses * e / e.sum(axis=0)
+    e = np.exp(np.where(m, (cmin - c) / eta, -np.inf))
+    return e, e.sum(axis=0)
+
+
+def softmax_target(game: PopulationGame, c: np.ndarray, eta: float) -> np.ndarray:
+    """Mass-weighted per-population softmax of -c/eta.
+
+    This sits in the innermost loop of every solver; keep it free of
+    Python-level population loops.
+    """
+    e, total = _shifted_exp(game, c, eta)
+    return game.masses * e / total
 
 
 def logit_map(game: PopulationGame, x, eta: float) -> np.ndarray:
@@ -58,11 +66,6 @@ class LogitJacobian:
 
     matrix: np.ndarray
     pairs: tuple
-    eta: float
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def pair_index(self, i: int, p: int) -> int:
         return self.pairs.index((i, p))
@@ -78,24 +81,17 @@ def logit_jacobian(game: PopulationGame, x, eta: float) -> LogitJacobian:
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
-    c = evaluate_costs(game, x)
-    D = cost_jacobian(game, x)
-    pairs = game.valid_pairs
-    n = len(pairs)
-    # stack cost partials as (S, P, n) with columns ordered like pairs
-    Dcols = np.stack([D[:, :, j, q] for (j, q) in pairs], axis=-1)
-    J = np.zeros((n, n))
-    row_of = {pair: k for k, pair in enumerate(pairs)}
-    for p in range(game.n_pops):
-        s = game.action_set(p)
-        z = -(c[s, p] - c[s, p].min()) / eta
-        e = np.exp(z)
-        pi = e / e.sum()
-        block = Dcols[s, p, :]              # (|S_p|, n)
-        avg = pi @ block                    # (n,)
-        rows = np.array([row_of[(i, p)] for i in s])
-        J[rows, :] = (game.masses[p] / eta) * pi[:, None] * (avg[None, :] - block)
-    return LogitJacobian(matrix=J, pairs=pairs, eta=float(eta))
+    e, total = _shifted_exp(game, evaluate_costs(game, x), eta)
+    qs, js = np.nonzero(game.mask.T)        # valid pairs, population-major
+    # pi (P,S), partials (P,S,n) with pair-ordered columns, zero off the mask;
+    # C-contiguous, so the stacked product makes one BLAS call per population
+    # and rounds like a per-population loop (strided operands do not)
+    pi = np.ascontiguousarray((e / total).T)
+    D = np.where(game.mask[:, :, None], cost_jacobian(game, x)[:, :, js, qs], 0.0)
+    D = np.ascontiguousarray(D.transpose(1, 0, 2))
+    avg = pi[:, None, :] @ D                # (P, 1, n)
+    J = ((game.masses / eta)[:, None] * pi)[:, :, None] * (avg - D)
+    return LogitJacobian(matrix=J[qs, js], pairs=game.valid_pairs)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .game import (
     PopulationGame,
     CostField,
     CapabilityError,
-    ScalarFn,
+    CurveGrid,
     classify_equilibrium,
     EquilibriumReport,
     validate_configuration,
@@ -160,18 +160,20 @@ def enumerate_routes(graph: Multigraph, origin: str, destination: str) -> RouteS
 # Link costs
 
 
-class LinkCostMatrix:
+class LinkCostMatrix(CurveGrid):
     """Non-decreasing scalar cost curve per (link, population).
 
+    Called at link flows y it gives the (links, populations) cost matrix.
     An optional toll decomposition tau_ep(y) = tau_e(y) + alpha_p * omega_e
     (common congestion curve plus population-scaled static toll) unlocks the
-    potential-function machinery.
+    potential-function machinery; ``common`` is then the one-column grid of
+    the tau_e.
     """
 
     def __init__(self, link_ids, pop_ids, fns, *, common=None, omega=None, alpha=None):
+        super().__init__(fns)
         self.link_ids = tuple(link_ids)
         self.pop_ids = tuple(pop_ids)
-        self.fns = [list(row) for row in fns]
         E, P = len(self.link_ids), len(self.pop_ids)
         if len(self.fns) != E or any(len(row) != P for row in self.fns):
             raise ValueError(f"need a {E}x{P} grid of cost curves")
@@ -180,19 +182,13 @@ class LinkCostMatrix:
                 if not f.is_nondecreasing():
                     raise ValueError(f"link cost for ({self.link_ids[e]}, "
                                      f"{self.pop_ids[p]}) is decreasing")
-        self.common = tuple(common) if common is not None else None
+        self.common = CurveGrid([[f] for f in common]) if common is not None else None
         self.omega = np.asarray(omega, dtype=float) if omega is not None else None
         self.alpha = np.asarray(alpha, dtype=float) if alpha is not None else None
-        self._affine = all(f.kind == "affine" for row in self.fns for f in row)
-        if self._affine:
-            self._a = np.array([[f.a for f in row] for row in self.fns])
-            self._b = np.array([[f.b for f in row] for row in self.fns])
 
     @staticmethod
     def from_tolls(link_ids, pop_ids, common, omega, alpha) -> "LinkCostMatrix":
         common = list(common)
-        omega = np.asarray(omega, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
         fns = [[common[e].shifted(float(alpha[p] * omega[e]))
                 for p in range(len(pop_ids))] for e in range(len(link_ids))]
         return LinkCostMatrix(link_ids, pop_ids, fns,
@@ -202,35 +198,11 @@ class LinkCostMatrix:
     def has_tolls(self) -> bool:
         return self.common is not None
 
-    def is_homogeneous(self) -> bool:
-        return all(all(f == row[0] for f in row) for row in self.fns)
-
-    def tau(self, y: np.ndarray) -> np.ndarray:
-        """(links, populations) cost matrix at link flows y."""
-        y = np.asarray(y, dtype=float)
-        if self._affine:
-            return self._a * y[:, None] + self._b
-        out = np.empty((len(self.link_ids), len(self.pop_ids)))
-        for e, row in enumerate(self.fns):
-            for p, f in enumerate(row):
-                out[e, p] = f(y[e])
-        return out
-
-    def slopes(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self._affine:
-            return self._a * np.ones_like(y)[:, None]
-        out = np.empty((len(self.link_ids), len(self.pop_ids)))
-        for e, row in enumerate(self.fns):
-            for p, f in enumerate(row):
-                out[e, p] = f.deriv(y[e])
-        return out
-
     def restrict(self, link_ids) -> "LinkCostMatrix":
         """Sub-matrix over a link subset, toll decomposition preserved."""
         idx = [self.link_ids.index(lid) for lid in link_ids]
         fns = [self.fns[e] for e in idx]
-        common = [self.common[e] for e in idx] if self.has_tolls else None
+        common = [self.common.fns[e][0] for e in idx] if self.has_tolls else None
         omega = self.omega[idx] if self.has_tolls else None
         return LinkCostMatrix(link_ids, self.pop_ids, fns,
                               common=common, omega=omega, alpha=self.alpha)
@@ -251,23 +223,21 @@ class RoutingCostField(CostField):
 
     def __call__(self, x):
         y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
-        return self.A.T @ self.link_costs.tau(y)
+        return self.A.T @ self.link_costs(y)
 
     def aggregate_cost(self, w):
         if not self.per_action_aggregate:
             raise CapabilityError("routes share links; costs do not factor "
                                   "through per-action aggregates")
         y = self.A @ np.asarray(w, dtype=float)
-        return self.A.T @ self.link_costs.tau(y)
+        return self.A.T @ self.link_costs(y)
 
     def jacobian(self, x):
         y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
         T = self.link_costs.slopes(y)                       # (E, P)
         core = np.einsum("ei,ej,ep->ipj", self.A, self.A, T)
-        R, P = core.shape[0], core.shape[1]
-        D = np.empty((R, P, R, P))
-        D[...] = core[:, :, :, None]
-        return D
+        # d c_ip / d x_jq does not depend on q: a read-only view, not a copy
+        return np.broadcast_to(core[..., None], core.shape + (core.shape[1],))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +386,7 @@ def route_costs(rgame: RoutingGame, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("link flows must be nonnegative")
-    return rgame.incidence.T @ rgame.link_costs.tau(y)
+    return rgame.incidence.T @ rgame.link_costs(y)
 
 
 @dataclass(frozen=True)
@@ -574,7 +544,7 @@ def toll_sensitivity_potential(rgame: RoutingGame, x) -> float:
     x = np.asarray(x, dtype=float)
     A = rgame.incidence
     y = A @ x.sum(axis=1)
-    V = sum(lc.common[e].integral(float(y[e])) for e in range(len(lc.link_ids)))
+    V = lc.common.shared_integral(y)
     y_per_pop = A @ x                                      # (E, P)
     V += float(np.sum(lc.alpha[None, :] * lc.omega[:, None] * y_per_pop))
     return float(V)
@@ -591,13 +561,6 @@ def routing_potential(rgame: RoutingGame):
     if lc.has_tolls:
         return lambda x: toll_sensitivity_potential(rgame, x)
     if lc.is_homogeneous():
-        A = rgame.incidence
-        fns = [row[0] for row in lc.fns]
-
-        def V(x):
-            y = A @ np.asarray(x, dtype=float).sum(axis=1)
-            return float(sum(f.integral(float(ye)) for f, ye in zip(fns, y)))
-
-        return V
+        return lambda x: lc.shared_integral(link_flow(rgame.route_set, x))
     raise CapabilityError("no potential structure: need a toll decomposition "
                           "or homogeneous link costs")

@@ -68,27 +68,51 @@ class Scenario:
         if name != "logit":
             raise ScenarioError(f"{self.path}: unsupported protocol {name!r} "
                                 "(only 'logit' ships)")
-        try:
-            eta = float(self.dynamics["eta"])
-        except KeyError:
-            raise ScenarioError(f"{self.path}: [dynamics] needs eta") from None
-        if eta <= 0:
-            raise ScenarioError(f"{self.path}: eta must be positive")
-        return logit_protocol(eta)
+        return logit_protocol(self.eta())
 
     def eta(self) -> float:
-        return float(self.dynamics["eta"])
+        if "eta" not in self.dynamics:
+            raise ScenarioError(f"{self.path}: [dynamics] needs eta")
+        try:
+            eta = float(self.dynamics["eta"])
+        except ValueError:
+            raise ScenarioError(f"{self.path}: [dynamics] eta = "
+                                f"{self.dynamics['eta']!r} is not a number") from None
+        if not 0 < eta < np.inf:
+            raise ScenarioError(f"{self.path}: eta must be positive and finite")
+        return eta
 
     # -- run section accessors ------------------------------------------------
 
     def run_float(self, key: str, default: float) -> float:
-        return float(self.run.get(key, default))
+        v = self._run_value(key, default, float)
+        if not np.isfinite(v):
+            raise ScenarioError(f"{self.path}: [run] {key} must be finite, got {v!r}")
+        return v
 
     def run_int(self, key: str, default: int) -> int:
-        return int(self.run.get(key, default))
+        return self._run_value(key, default, int)
+
+    def _run_value(self, key, default, kind):
+        raw = self.run.get(key, default)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ScenarioError(f"{self.path}: [run] {key} = {raw!r} is not "
+                                f"a valid {kind.__name__}") from None
+
+    def noise_bracket(self, steps: int) -> tuple[float, float, int]:
+        """(eta_hi, eta_lo, steps) of a decreasing noise grid; eta defaults 2 and 1e-3."""
+        eta_hi = self.run_float("eta_hi", 2.0)
+        eta_lo = self.run_float("eta_lo", 1e-3)
+        steps = self.run_int("steps", steps)
+        if not (eta_hi > eta_lo > 0 and steps >= 2):
+            raise ScenarioError(f"{self.path}: [run] needs eta_hi > eta_lo > 0 and steps >= 2, "
+                                f"got eta_hi = {eta_hi:g}, eta_lo = {eta_lo:g}, steps = {steps}")
+        return eta_hi, eta_lo, steps
 
     def seed(self) -> int:
-        return int(self.run.get("seed", 0))
+        return self.run_int("seed", 0)
 
     def initial_configuration(self, game: PopulationGame,
                               rng: np.random.Generator) -> np.ndarray:

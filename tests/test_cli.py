@@ -1,7 +1,11 @@
 """End-to-end CLI checks: CSV layout, byte-level determinism, exit codes."""
 
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,17 @@ def short_pigou(tmp_path, x0="vertex:r2", horizon="1"):
     p = tmp_path / "pigou_short.scn"
     p.write_text(text)
     return gd.load_scenario(p), p
+
+
+def scenario_file(tmp_path, name, **values):
+    """Bundled scenario with some key = value lines replaced, written under tmp_path."""
+    text = (SCENARIO_DIR / f"{name}.scn").read_text()
+    for key, value in values.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    p = tmp_path / f"{name}.scn"
+    p.write_text(text)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +207,29 @@ def test_main_exit_2_when_no_sweep_branch_converges(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, name, values, cause", [
+    ("sweep", "pigou", {"eta_lo": "3"}, "needs eta_hi > eta_lo > 0"),
+    ("bifurcation", "pigou", {"eta_lo": "3"}, "needs eta_hi > eta_lo > 0"),
+    ("reproduce-wheatstone", "wheatstone", {"eta_lo": "3"}, "needs eta_hi > eta_lo > 0"),
+    ("sweep", "pigou", {"steps": "abc"}, "steps = 'abc' is not a valid int"),
+    ("bifurcation", "pigou", {"steps": "abc"}, "steps = 'abc' is not a valid int"),
+    ("sweep", "pigou", {"steps": "1"}, "steps >= 2, got eta_hi = 2, eta_lo = 0.001, steps = 1"),
+    ("simulate", "pigou", {"dt": "nan"}, "dt must be finite"),
+    ("bifurcation", "pigou", {"multistart": "2"}, "multistart must be at least 4"),
+    ("simulate", "pigou", {"x0": "explicit: nan; 1"}, "non-finite mass nan at (r1, p1)"),
+    ("fixed-point", "pigou", {"eta": "abc"}, "eta = 'abc' is not a number"),
+    ("fixed-point", "pigou", {"eta": "inf"}, "eta must be positive and finite"),
+])
+def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, values,
+                                            cause):
+    path = scenario_file(tmp_path, name, **values)
+    code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and cause in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # reproduce-wheatstone and the console script
 
@@ -211,13 +249,24 @@ def test_reproduce_wheatstone_smoke(tmp_path):
     assert header.endswith("y_e1,y_e2,y_e3,y_e4,y_e5")
 
 
-@pytest.mark.skipif(shutil.which("gamedyn") is None,
-                    reason="console script not on PATH")
 def test_console_script(tmp_path):
+    # the installed entry point when present, else the module with src importable
+    exe = shutil.which("gamedyn")
+    cmd = [exe] if exe else [sys.executable, "-m", "gamedyn.cli"]
+    src = str(Path(gd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     _, scn_path = short_pigou(tmp_path)
     proc = subprocess.run(
-        ["gamedyn", "simulate", "--scenario", str(scn_path),
-         "--out", str(tmp_path), "--quiet"],
-        capture_output=True, text=True, timeout=120)
+        cmd + ["simulate", "--scenario", str(scn_path), "--out", str(tmp_path), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "trajectory.csv").is_file()
+
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[whatever]\nz\n")
+    proc = subprocess.run(
+        cmd + ["simulate", "--scenario", str(bad), "--out", str(tmp_path), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr

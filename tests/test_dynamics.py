@@ -252,6 +252,18 @@ def test_reduced_integrate_validates_input():
         sys.integrate(np.zeros(2), 1.0, -0.1)
 
 
+@pytest.mark.parametrize("method", ["integrate", "fixed_point"])
+def test_reduced_start_is_checked(method):
+    g, _ = get_scenario("pigou").build_game()
+    sys = gd.aggregate_dynamics(g, gd.logit_protocol(0.25))
+    run = (lambda w0: sys.integrate(w0, 1.0, 0.01)) if method == "integrate" \
+        else sys.fixed_point
+    with pytest.raises(ValueError, match=r"w0 must have shape \(2,\), got \(3,\)"):
+        run(np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        run([np.nan, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # Contraction-rate fits
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 import gamedyn as gd
 from gamedyn.game import lipschitz_probe
 
-from conftest import get_scenario
+from conftest import ALL_SCENARIOS, get_scenario
 
 
 def make_game(fns, masses=(1.0,), mask=None, actions=None):
@@ -161,6 +161,13 @@ def test_validate_configuration_errors_name_entries():
         gd.validate_configuration(g, np.array([[0.6], [0.6]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_configuration_rejects_non_finite_entries(bad):
+    g, _ = get_scenario("pigou").build_game()
+    with pytest.raises(gd.ConfigurationError, match=r"non-finite.*r1.*p1"):
+        gd.validate_configuration(g, np.array([[bad], [1.0]]))
+
+
 def test_validate_configuration_support_check():
     aff = gd.ScalarFn.affine(1.0, 0.0)
     g = make_game([[aff, aff], [aff, aff]], masses=(1.0, 1.0),
@@ -277,11 +284,35 @@ def test_isolation_probe_input_checks(rng):
 
 
 def test_cost_jacobian_analytic_matches_fd(rng):
-    g, _ = get_scenario("parallel3").build_game()
-    x = gd.sample_configuration(g, rng)
-    D = gd.cost_jacobian(g, x)
-    D_fd = gd.cost_jacobian(g, x, force_fd=True)
-    np.testing.assert_allclose(D, D_fd, atol=1e-6)
+    for name in ALL_SCENARIOS:
+        g, _ = get_scenario(name).build_game()
+        x = gd.sample_configuration(g, rng)
+        D = gd.cost_jacobian(g, x)
+        D_fd = gd.cost_jacobian(g, x, force_fd=True)
+        np.testing.assert_allclose(D, D_fd, atol=1e-6, err_msg=name)
+
+
+def test_callable_cost_field_partials_are_finite_differences(rng):
+    # the wrapped field is pigou's: c = (w1, 1), so dc_1/dx_1 = 1, all else 0
+    field = gd.CallableCostField(
+        lambda x: np.array([[x.sum(axis=1)[0]], [1.0]]))
+    g = gd.PopulationGame(populations=("p1",), masses=np.array([1.0]),
+                          actions=("a1", "a2"), mask=np.ones((2, 1), dtype=bool),
+                          costs=field)
+    D = gd.cost_jacobian(g, gd.sample_configuration(g, rng))
+    np.testing.assert_allclose(D.reshape(2, 2), [[1.0, 0.0], [0.0, 0.0]], atol=1e-9)
+
+
+def test_curve_grid_table_path_matches_curves():
+    tab = gd.ScalarFn.table([(0.0, 1.0), (1.0, 3.0), (2.0, 4.0)])
+    aff = gd.ScalarFn.affine(2.0, 0.5)
+    grid = gd.CurveGrid([[tab, aff], [aff, tab]])
+    y = np.array([0.5, 1.5])
+    np.testing.assert_array_equal(grid(y), [[tab(0.5), aff(0.5)], [aff(1.5), tab(1.5)]])
+    np.testing.assert_array_equal(grid.slopes(y), [[2.0, 2.0], [2.0, 1.0]])
+    assert grid.shared_integral(y) == tab.integral(0.5) + aff.integral(1.5)
+    assert not grid.is_homogeneous()
+    assert gd.CurveGrid([[tab, tab], [aff, aff]]).is_homogeneous()
 
 
 def test_potential_symmetry_check_symmetric_and_not(rng):

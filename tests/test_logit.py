@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import gamedyn as gd
 from gamedyn.logit import residual_floor, softmax_target
 
-from conftest import get_scenario
+from conftest import ALL_SCENARIOS, get_scenario
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -38,15 +38,20 @@ def test_logit_map_mass_and_support(rng):
         assert F.min() >= 0.0
 
 
-def test_logit_map_masked_entries_stay_zero():
+def masked_game():
+    """a1 is unavailable to p2; p3 has zero mass."""
     aff = gd.ScalarFn.affine(1.0, 0.0)
-    g = gd.PopulationGame(
-        populations=("p1", "p2"), masses=np.array([1.0, 2.0]),
-        actions=("a1", "a2"), mask=np.array([[True, False], [True, True]]),
-        costs=gd.AggregateCostField([[aff, aff], [aff, aff]]))
+    return gd.PopulationGame(
+        populations=("p1", "p2", "p3"), masses=np.array([1.0, 2.0, 0.0]),
+        actions=("a1", "a2"), mask=np.array([[True, False, True], [True, True, True]]),
+        costs=gd.AggregateCostField([[aff, aff, aff], [aff, aff, aff]]))
+
+
+def test_logit_map_masked_entries_stay_zero():
+    g = masked_game()
     F = gd.logit_map(g, gd.uniform_configuration(g), 0.5)
     assert F[0, 1] == 0.0
-    np.testing.assert_allclose(F.sum(axis=0), [1.0, 2.0])
+    np.testing.assert_allclose(F.sum(axis=0), [1.0, 2.0, 0.0])
 
 
 def test_logit_map_saturates_at_tiny_eta():
@@ -84,9 +89,9 @@ def fd_map_jacobian(game, x, eta, h=1e-7):
 
 
 @pytest.mark.parametrize("name,eta", [("pigou", 0.25), ("wheatstone", 0.5),
-                                      ("parallel3", 0.2)])
+                                      ("parallel3", 0.2), ("masked", 0.3)])
 def test_logit_jacobian_matches_fd(name, eta, rng):
-    g, _ = get_scenario(name).build_game()
+    g = masked_game() if name == "masked" else get_scenario(name).build_game()[0]
     x = gd.sample_configuration(g, rng)
     J = gd.logit_jacobian(g, x, eta)
     np.testing.assert_allclose(J.matrix, fd_map_jacobian(g, x, eta),
@@ -94,6 +99,36 @@ def test_logit_jacobian_matches_fd(name, eta, rng):
     n = len(g.valid_pairs)
     assert J.matrix.shape == (n, n)
     assert J.pair_index(*g.valid_pairs[-1]) == n - 1
+
+
+def loop_jacobian(game, x, eta):
+    """Per-population loop over explicitly stacked cost partials (reference)."""
+    c = gd.evaluate_costs(game, x)
+    D = gd.cost_jacobian(game, x)
+    pairs = game.valid_pairs
+    Dcols = np.stack([D[:, :, j, q] for (j, q) in pairs], axis=-1)
+    J = np.zeros((len(pairs), len(pairs)))
+    row_of = {pair: k for k, pair in enumerate(pairs)}
+    for p in range(game.n_pops):
+        s = game.action_set(p)
+        e = np.exp(-(c[s, p] - c[s, p].min()) / eta)
+        pi = e / e.sum()
+        block = Dcols[s, p, :]
+        avg = pi @ block
+        rows = [row_of[(i, p)] for i in s]
+        J[rows, :] = (game.masses[p] / eta) * pi[:, None] * (avg[None, :] - block)
+    return J
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_logit_jacobian_equals_per_population_loop(name):
+    g, _ = get_scenario(name).build_game()
+    rng = np.random.default_rng(7)
+    points = [gd.sample_configuration(g, rng) for _ in range(20)]
+    for x in points + gd.monomorphic_vertices(g):
+        for eta in np.geomspace(1e-3, 3.0, 7):
+            np.testing.assert_array_equal(gd.logit_jacobian(g, x, eta).matrix,
+                                          loop_jacobian(g, x, eta))
 
 
 def test_jacobian_columns_sum_to_zero(rng):
