@@ -13,8 +13,6 @@ import numpy as np
 
 from .game import (
     PopulationGame,
-    AggregateCostField,
-    CapabilityError,
     classify_equilibrium,
     monomorphic_vertices,
     sample_configuration,
@@ -286,18 +284,3 @@ def lyapunov_check(game: PopulationGame, trajectory: Trajectory, eta: float,
     ok = bool(np.all(steps <= allowed))
     max_uphill = float(max(0.0, steps.max())) if len(steps) else 0.0
     return LyapunovReport(ok=ok, max_uphill=max_uphill, values=vals)
-
-
-def homogeneous_aggregate_potential(game: PopulationGame):
-    """Potential for per-action-aggregate costs shared by all populations.
-
-    V(x) = sum_i integral_0^{w_i} cbar_i. Single-population games qualify
-    automatically; multi-population ones need identical cost columns.
-    """
-    field = game.costs
-    if not isinstance(field, AggregateCostField):
-        raise CapabilityError("need per-action aggregate costs given as curves")
-    if not field.curves.is_homogeneous():
-        raise CapabilityError("cost curves differ across populations; "
-                              "no shared potential")
-    return lambda x: field.curves.shared_integral(np.asarray(x, dtype=float).sum(axis=1))

@@ -123,8 +123,7 @@ def _cmd_simulate(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
     protocol = scn.build_protocol()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
-    traj = integrate(game, protocol, x0,
-                     scn.run_float("horizon", 50.0), scn.run_float("dt", 0.01))
+    traj = integrate(game, protocol, x0, *scn.time_grid())
     path = out / "trajectory.csv"
     write_trajectory_csv(path, traj, game, rgame)
     if not quiet:
@@ -153,16 +152,22 @@ def _sweep_seeds(game: PopulationGame) -> list[np.ndarray]:
     return monomorphic_vertices(game) + [uniform_configuration(game)]
 
 
+def _sweep_to_csv(path: Path, game: PopulationGame, bracket, seeds) -> list:
+    """Continuation branches from seeds over the noise bracket, written to path."""
+    try:
+        curves = continuation_sweep(game, *bracket, seeds)
+    except ValueError as e:
+        raise NumericalFailure(f"no continuation branch converged "
+                               f"at eta_hi={bracket[0]}") from e
+    write_sweep_csv(path, curves, game)
+    return curves
+
+
 def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
     eta_hi, eta_lo, steps = scn.noise_bracket(steps=60)
-    try:
-        curves = continuation_sweep(game, eta_hi, eta_lo, steps, _sweep_seeds(game))
-    except ValueError as e:
-        raise NumericalFailure(f"no continuation branch converged "
-                               f"at eta_hi={eta_hi}") from e
     path = out / "sweep.csv"
-    write_sweep_csv(path, curves, game)
+    curves = _sweep_to_csv(path, game, (eta_hi, eta_lo, steps), _sweep_seeds(game))
     if not quiet:
         print(f"wrote {path} ({len(curves)} branch(es), "
               f"eta {eta_hi:g} down to {eta_lo:g})")
@@ -233,7 +238,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
                  f"max_violation={worst:.3e}")
 
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
-    traj = integrate(game, protocol, x0, horizon=2.0, dt=scn.run_float("dt", 0.01))
+    traj = integrate(game, protocol, x0, *scn.time_grid(horizon=2.0))
     ok = traj.mass_drift <= 1e-7 and traj.min_entry >= -1e-9
     required_ok &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} trajectory_validity "
@@ -290,8 +295,7 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
     seeds = [vertex_configuration(game, rs.names[ia]),
              vertex_configuration(game, rs.names[ib]),
              uniform_configuration(game)]
-    curves = continuation_sweep(game, *bracket, seeds)
-    write_sweep_csv(out / "wheatstone_sweep.csv", curves, game)
+    curves = _sweep_to_csv(out / "wheatstone_sweep.csv", game, bracket, seeds)
     y_limit = link_flow(rs, curves[0].terminal_limit)
     if not quiet:
         print(f"terminal l1 gap between the two runs: {gap:.3e}")

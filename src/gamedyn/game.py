@@ -135,12 +135,22 @@ class ScalarFn:
             return self.a >= 0.0
         return bool(np.all(np.diff(self.ys) >= -1e-12))
 
-    def __eq__(self, other):
-        if not isinstance(other, ScalarFn) or self.kind != other.kind:
-            return NotImplemented if not isinstance(other, ScalarFn) else False
+    def offset_from(self, other: "ScalarFn") -> float | None:
+        """The constant k with self = other + k everywhere, or None.
+
+        Affine curves need equal slopes; tables need equal breakpoints and a
+        constant gap in values, both within a relative 1e-12.
+        """
+        if self.kind != other.kind:
+            return None
         if self.kind == "affine":
-            return self.a == other.a and self.b == other.b
-        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
+            same = abs(self.a - other.a) <= 1e-12 * max(abs(self.a), abs(other.a))
+            return self.b - other.b if same else None
+        if not np.array_equal(self.xs, other.xs):
+            return None
+        gap = self.ys - other.ys
+        scale = max(np.abs(self.ys).max(), np.abs(other.ys).max())
+        return float(gap[0]) if np.ptp(gap) <= 1e-12 * scale else None
 
     def __repr__(self):
         if self.kind == "affine":
@@ -182,9 +192,12 @@ class CurveGrid:
         y = np.asarray(y, dtype=float)
         return np.array([[f.deriv(v) for f in row] for row, v in zip(self.fns, y)])
 
-    def is_homogeneous(self) -> bool:
-        """Every row holds one curve shared by all populations."""
-        return all(all(f == row[0] for f in row) for row in self.fns)
+    def offsets(self) -> np.ndarray | None:
+        """(rows, populations) kappa with f_kp = f_k0 + kappa_kp, or None."""
+        kappa = [[f.offset_from(row[0]) for f in row] for row in self.fns]
+        if any(k is None for row in kappa for k in row):
+            return None
+        return np.array(kappa)
 
     def shared_integral(self, y: np.ndarray) -> float:
         """sum_k integral_0^{y_k} of the first population's curve in row k."""
@@ -227,6 +240,10 @@ class AggregateCostField(CostField):
 
     def __call__(self, x):
         return self.aggregate_cost(np.asarray(x, dtype=float).sum(axis=1))
+
+    def flows(self, x):
+        """(actions, populations) flow of each population through each curve row."""
+        return np.asarray(x, dtype=float)
 
     def aggregate_cost(self, w):
         return self.curves(w)
@@ -582,7 +599,7 @@ def isolation_probe(game: PopulationGame, x_star, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# Cost-field differentiation and the potential-game symmetry test
+# Cost-field differentiation, the potential-game symmetry test, the potential
 
 
 def cost_jacobian(game: PopulationGame, x, force_fd: bool = False) -> np.ndarray:
@@ -628,6 +645,32 @@ def potential_symmetry_check(game: PopulationGame, samples: int = 10, tol: float
             for (j, q) in pairs[a + 1:]:
                 worst = max(worst, abs(D[i, p, j, q] - D[j, q, i, p]))
     return worst <= tol, worst
+
+
+def potential(game: PopulationGame) -> Callable[[np.ndarray], float]:
+    """Potential V of a curve game whose populations differ by constants.
+
+    In every row k (an action, or a link) each population's curve must be the
+    first population's plus a constant, f_kp = f_k0 + kappa_kp. Then
+    V(x) = sum_k integral_0^{y_k} f_k0 + sum_kp kappa_kp * y_kp, with y_kp
+    population p's flow through row k and y_k the row total, has partial c_ip
+    in x_ip. Homogeneous costs (kappa = 0) and population-weighted tolls are
+    the two common cases.
+    """
+    field = game.costs
+    curves = getattr(field, "curves", None)
+    if curves is None:
+        raise CapabilityError("need costs given as a grid of curves")
+    kappa = curves.offsets()
+    if kappa is None:
+        raise CapabilityError("curves differ across populations by more than a "
+                              "constant; no potential")
+
+    def V(x) -> float:
+        y = field.flows(x)
+        return curves.shared_integral(y.sum(axis=1)) + float(np.sum(kappa * y))
+
+    return V
 
 
 def lipschitz_probe(game: PopulationGame, samples: int = 50,

@@ -3,8 +3,8 @@
 Actions are node-simple origin-destination routes; costs are sums of link
 costs evaluated at the induced link flows y = A x 1, with per-population
 link cost functions. Includes topology classification (parallel stages and
-their series compositions), the factorization test for stage-decoupled
-protocols, and potential functions for toll-sensitivity instances.
+their series compositions) and the factorization test for stage-decoupled
+protocols.
 """
 from __future__ import annotations
 
@@ -164,13 +164,9 @@ class LinkCostMatrix(CurveGrid):
     """Non-decreasing scalar cost curve per (link, population).
 
     Called at link flows y it gives the (links, populations) cost matrix.
-    An optional toll decomposition tau_ep(y) = tau_e(y) + alpha_p * omega_e
-    (common congestion curve plus population-scaled static toll) unlocks the
-    potential-function machinery; ``common`` is then the one-column grid of
-    the tau_e.
     """
 
-    def __init__(self, link_ids, pop_ids, fns, *, common=None, omega=None, alpha=None):
+    def __init__(self, link_ids, pop_ids, fns):
         super().__init__(fns)
         self.link_ids = tuple(link_ids)
         self.pop_ids = tuple(pop_ids)
@@ -182,30 +178,11 @@ class LinkCostMatrix(CurveGrid):
                 if not f.is_nondecreasing():
                     raise ValueError(f"link cost for ({self.link_ids[e]}, "
                                      f"{self.pop_ids[p]}) is decreasing")
-        self.common = CurveGrid([[f] for f in common]) if common is not None else None
-        self.omega = np.asarray(omega, dtype=float) if omega is not None else None
-        self.alpha = np.asarray(alpha, dtype=float) if alpha is not None else None
-
-    @staticmethod
-    def from_tolls(link_ids, pop_ids, common, omega, alpha) -> "LinkCostMatrix":
-        common = list(common)
-        fns = [[common[e].shifted(float(alpha[p] * omega[e]))
-                for p in range(len(pop_ids))] for e in range(len(link_ids))]
-        return LinkCostMatrix(link_ids, pop_ids, fns,
-                              common=common, omega=omega, alpha=alpha)
-
-    @property
-    def has_tolls(self) -> bool:
-        return self.common is not None
 
     def restrict(self, link_ids) -> "LinkCostMatrix":
-        """Sub-matrix over a link subset, toll decomposition preserved."""
-        idx = [self.link_ids.index(lid) for lid in link_ids]
-        fns = [self.fns[e] for e in idx]
-        common = [self.common.fns[e][0] for e in idx] if self.has_tolls else None
-        omega = self.omega[idx] if self.has_tolls else None
-        return LinkCostMatrix(link_ids, self.pop_ids, fns,
-                              common=common, omega=omega, alpha=self.alpha)
+        """Sub-matrix over a link subset."""
+        return LinkCostMatrix(link_ids, self.pop_ids,
+                              [self.fns[self.link_ids.index(lid)] for lid in link_ids])
 
 
 class RoutingCostField(CostField):
@@ -215,26 +192,30 @@ class RoutingCostField(CostField):
     pairwise link-disjoint (each link flow then equals its route's total).
     """
 
-    def __init__(self, incidence: np.ndarray, link_costs: LinkCostMatrix,
+    def __init__(self, incidence: np.ndarray, curves: LinkCostMatrix,
                  parallel: bool):
         self.A = np.asarray(incidence, dtype=float)
-        self.link_costs = link_costs
+        self.curves = curves
         self.per_action_aggregate = bool(parallel)
 
     def __call__(self, x):
         y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
-        return self.A.T @ self.link_costs(y)
+        return self.A.T @ self.curves(y)
+
+    def flows(self, x):
+        """(links, populations) flow of each population through each link."""
+        return self.A @ np.asarray(x, dtype=float)
 
     def aggregate_cost(self, w):
         if not self.per_action_aggregate:
             raise CapabilityError("routes share links; costs do not factor "
                                   "through per-action aggregates")
         y = self.A @ np.asarray(w, dtype=float)
-        return self.A.T @ self.link_costs(y)
+        return self.A.T @ self.curves(y)
 
     def jacobian(self, x):
         y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
-        T = self.link_costs.slopes(y)                       # (E, P)
+        T = self.curves.slopes(y)  # (E, P)
         core = np.einsum("ei,ej,ep->ipj", self.A, self.A, T)
         # d c_ip / d x_jq does not depend on q: a read-only view, not a copy
         return np.broadcast_to(core[..., None], core.shape + (core.shape[1],))
@@ -524,43 +505,3 @@ def series_restriction_equivalence(rgame: RoutingGame, protocol: RevisionProtoco
         cols = [row[lid] for lid in sg.route_set.link_ids]
         worst = max(worst, float(np.abs(y[:, cols] - yk).max()))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Potentials
-
-
-def toll_sensitivity_potential(rgame: RoutingGame, x) -> float:
-    """Potential for link costs tau_e(y) + alpha_p * omega_e.
-
-    V(x) = sum_e integral_0^{y_e} tau_e + sum_p alpha_p sum_e omega_e y_e^(p)
-    with y^(p) the population-p link flow. Its partial in x_ip is exactly
-    the route cost c_ip, which is what makes V a potential; summing tolls
-    against total flows instead would break that identity for P > 1.
-    """
-    lc = rgame.link_costs
-    if not lc.has_tolls:
-        raise CapabilityError("link costs do not declare a toll decomposition")
-    x = np.asarray(x, dtype=float)
-    A = rgame.incidence
-    y = A @ x.sum(axis=1)
-    V = lc.common.shared_integral(y)
-    y_per_pop = A @ x                                      # (E, P)
-    V += float(np.sum(lc.alpha[None, :] * lc.omega[:, None] * y_per_pop))
-    return float(V)
-
-
-def routing_potential(rgame: RoutingGame):
-    """Potential evaluator for instances that admit one.
-
-    Toll decompositions use the toll-sensitivity potential; homogeneous
-    instances (identical link costs across populations) use the plain
-    congestion integral. Anything else has no declared potential.
-    """
-    lc = rgame.link_costs
-    if lc.has_tolls:
-        return lambda x: toll_sensitivity_potential(rgame, x)
-    if lc.is_homogeneous():
-        return lambda x: lc.shared_integral(link_flow(rgame.route_set, x))
-    raise CapabilityError("no potential structure: need a toll decomposition "
-                          "or homogeneous link costs")

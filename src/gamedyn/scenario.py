@@ -17,7 +17,9 @@ Cost kinds: affine (slope, intercept), constant (value), table (x1, y1, x2,
 y2, ...). In routing scenarios ``ref`` is a link id and the curve maps link
 flow to cost; in explicit scenarios it is an action id and the curve maps
 the action's total mass to cost. A toll section means the [costs] records
-give the common part only (population column must be ``all``).
+give the common part only (population column must be ``all``); it only
+builds per-population curves, the common curve shifted by alpha_p * omega_e.
+Masses, cost parameters, omega and alpha must be finite numbers.
 """
 from __future__ import annotations
 
@@ -101,6 +103,20 @@ class Scenario:
             raise ScenarioError(f"{self.path}: [run] {key} = {raw!r} is not "
                                 f"a valid {kind.__name__}") from None
 
+    def time_grid(self, horizon: float | None = None) -> tuple[float, float]:
+        """(horizon, dt) of an integration; ``horizon`` overrides [run] horizon (50).
+
+        Needs 0 < dt <= horizon, so that at least one step is taken.
+        """
+        fixed = horizon is not None
+        horizon = horizon if fixed else self.run_float("horizon", 50.0)
+        dt = self.run_float("dt", 0.01)
+        if not 0 < dt <= horizon:
+            bound, got = ((f"{horizon:g}", f"dt = {dt:g}") if fixed else
+                          ("horizon", f"dt = {dt:g}, horizon = {horizon:g}"))
+            raise ScenarioError(f"{self.path}: [run] needs 0 < dt <= {bound}, got {got}")
+        return horizon, dt
+
     def noise_bracket(self, steps: int) -> tuple[float, float, int]:
         """(eta_hi, eta_lo, steps) of a decreasing noise grid; eta defaults 2 and 1e-3."""
         eta_hi = self.run_float("eta_hi", 2.0)
@@ -156,14 +172,22 @@ class Scenario:
                 raise ScenarioError(f"{self.path}:{lineno}: population record "
                                     "needs 'id, mass'")
             pops.append(f[0])
-            try:
-                m = float(f[1])
-            except ValueError:
-                raise ScenarioError(f"{self.path}:{lineno}: bad mass {f[1]!r}") from None
+            m = self._number(lineno, "mass", f[1])
             if m < 0:
                 raise ScenarioError(f"{self.path}:{lineno}: negative mass for {f[0]!r}")
             masses.append(m)
         return tuple(pops), np.array(masses)
+
+    def _number(self, lineno: int, what: str, raw: str) -> float:
+        """Record field ``raw`` as a finite float, else a ScenarioError at file:line."""
+        try:
+            v = float(raw)
+        except ValueError:
+            v = np.nan
+        if not np.isfinite(v):
+            raise ScenarioError(f"{self.path}:{lineno}: {what} {raw!r} is not a "
+                                "finite number")
+        return v
 
     def _cost_grid(self, refs, pops, flow_word):
         """(refs x pops) grid of ScalarFn from [costs] records.
@@ -184,8 +208,9 @@ class Scenario:
             if pop != "all" and pop not in pops:
                 raise ScenarioError(f"{self.path}:{lineno}: unknown population "
                                     f"{pop!r} in cost record")
+            vals = [self._number(lineno, "cost parameter", s) for s in params]
             try:
-                fn = _parse_cost(kind, params)
+                fn = _parse_cost(kind, vals)
             except ValueError as e:
                 raise ScenarioError(f"{self.path}:{lineno}: {e}") from None
             if pop == "all":
@@ -246,26 +271,21 @@ class Scenario:
                 if len(f) != 2 or f[0] not in omega:
                     raise ScenarioError(f"{self.path}:{lineno}: toll record needs "
                                         "'link, omega' with a known link")
-                omega[f[0]] = float(f[1])
+                omega[f[0]] = self._number(lineno, "omega", f[1])
             alpha = {}
             for lineno, f in sens:
                 if len(f) != 2 or f[0] not in pops:
                     raise ScenarioError(f"{self.path}:{lineno}: sensitivity record "
                                         "needs 'population, alpha'")
-                alpha[f[0]] = float(f[1])
+                alpha[f[0]] = self._number(lineno, "alpha", f[1])
             missing = [p for p in pops if p not in alpha]
             if missing:
                 raise ScenarioError(f"{self.path}: no toll sensitivity for "
                                     f"{missing[0]!r}")
-            lcm = LinkCostMatrix.from_tolls(
-                link_ids, pops, [row[0] for row in grid],
-                [omega[lid] for lid in link_ids], [alpha[p] for p in pops])
-        else:
-            try:
-                lcm = LinkCostMatrix(link_ids, pops, grid)
-            except ValueError as e:
-                raise ScenarioError(f"{self.path}: {e}") from None
+            grid = [[row[0].shifted(alpha[p] * omega[lid]) for p in pops]
+                    for lid, row in zip(link_ids, grid)]
         try:
+            lcm = LinkCostMatrix(link_ids, pops, grid)
             return build_routing_game(graph, origin, destination, lcm, pops, masses)
         except ValueError as e:
             raise ScenarioError(f"{self.path}: {e}") from None
@@ -286,13 +306,7 @@ class Scenario:
             raise ScenarioError(f"{self.path}: {e}") from None
 
 
-def _parse_cost(kind: str, params) -> ScalarFn:
-    vals = []
-    for s in params:
-        try:
-            vals.append(float(s))
-        except ValueError:
-            raise ValueError(f"bad numeric parameter {s!r}") from None
+def _parse_cost(kind: str, vals: list[float]) -> ScalarFn:
     if kind == "affine":
         if len(vals) != 2:
             raise ValueError("affine cost needs 'slope, intercept'")

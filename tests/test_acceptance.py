@@ -219,8 +219,7 @@ def test_criterion_8_potential_lyapunov_suite():
         scn = get_scenario(name)
         game, rgame = scn.build_game()
         eta = scn.eta()
-        V = (gd.routing_potential(rgame) if kind == "routing"
-             else gd.homogeneous_aggregate_potential(game))
+        V = gd.potential(game)
         x0 = scn.initial_configuration(game, np.random.default_rng(3))
         traj = gd.integrate(game, gd.logit_protocol(eta), x0,
                             horizon=10.0, dt=0.01)

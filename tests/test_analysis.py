@@ -161,36 +161,12 @@ def test_entropy_term_closed_forms():
     assert entropy_term(g, gd.vertex_configuration(g, "a1")) == 0.0
 
 
-def test_homogeneous_aggregate_potential_value():
-    g, _ = get_scenario("coordination").build_game()
-    V = gd.homogeneous_aggregate_potential(g)
-    x = np.array([[0.3], [0.7]])
-    # sum_i (2 w_i - w_i^2 / 2) for the affine curve 2 - w
-    expected = (2 * 0.3 - 0.3 ** 2 / 2) + (2 * 0.7 - 0.7 ** 2 / 2)
-    assert V(x) == pytest.approx(expected, rel=1e-12)
-
-
-def test_homogeneous_aggregate_potential_capability_gates():
-    pergroup = gd.PopulationGame(
-        populations=("p1", "p2"), masses=np.array([1.0, 1.0]),
-        actions=("a1", "a2"), mask=np.ones((2, 2), dtype=bool),
-        costs=gd.AggregateCostField([
-            [gd.ScalarFn.affine(1.0, 0.0), gd.ScalarFn.affine(2.0, 0.0)],
-            [gd.ScalarFn.constant(1.0), gd.ScalarFn.constant(1.0)],
-        ]))
-    with pytest.raises(gd.CapabilityError, match="differ"):
-        gd.homogeneous_aggregate_potential(pergroup)
-    g2, _ = get_scenario("wheatstone").build_game()  # routing field, not curves
-    with pytest.raises(gd.CapabilityError, match="curves"):
-        gd.homogeneous_aggregate_potential(g2)
-
-
 def test_lyapunov_check_descends_on_coordination():
     g, _ = get_scenario("coordination").build_game()
     eta = 0.25
     traj = gd.integrate(g, gd.logit_protocol(eta), np.array([[0.9], [0.1]]),
                         10.0, 0.01)
-    rep = gd.lyapunov_check(g, traj, eta, gd.homogeneous_aggregate_potential(g))
+    rep = gd.lyapunov_check(g, traj, eta, gd.potential(g))
     assert rep.ok and bool(rep)
     assert rep.max_uphill <= 1e-10
     assert rep.values[0] > rep.values[-1]
@@ -201,4 +177,4 @@ def test_lyapunov_check_rejects_eta_mismatch():
     traj = gd.integrate(g, gd.logit_protocol(0.25), gd.uniform_configuration(g),
                         1.0, 0.1)
     with pytest.raises(ValueError, match="does not match"):
-        gd.lyapunov_check(g, traj, 0.5, gd.homogeneous_aggregate_potential(g))
+        gd.lyapunov_check(g, traj, 0.5, gd.potential(g))

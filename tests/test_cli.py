@@ -195,16 +195,25 @@ def test_main_exit_2_on_unconverged_solve(tmp_path, monkeypatch, capsys):
     assert lines[1].split(",")[3] == "0"
 
 
-def test_main_exit_2_when_no_sweep_branch_converges(tmp_path, monkeypatch, capsys):
-    scn_path = SCENARIO_DIR / "pigou.scn"
+def no_branch_converges(tmp_path, monkeypatch, capsys, command, name):
+    """Run command with every continuation solve capped at one iteration."""
     monkeypatch.setattr(
         analysis, "fixed_point",
         lambda game, eta, x0, **kw: real_fixed_point(game, eta, x0, max_iter=1))
-    code = cli.main(["sweep", "--scenario", str(scn_path),
+    code = cli.main([command, "--scenario", str(SCENARIO_DIR / f"{name}.scn"),
                      "--out", str(tmp_path), "--quiet"])
     assert code == 2
     assert "no continuation branch converged at eta_hi=2" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    assert not list(tmp_path.glob("*sweep.csv"))
+
+
+def test_main_exit_2_when_no_sweep_branch_converges(tmp_path, monkeypatch, capsys):
+    no_branch_converges(tmp_path, monkeypatch, capsys, "sweep", "pigou")
+
+
+def test_reproduce_wheatstone_exit_2_when_no_branch_converges(tmp_path, monkeypatch,
+                                                              capsys):
+    no_branch_converges(tmp_path, monkeypatch, capsys, "reproduce-wheatstone", "wheatstone")
 
 
 @pytest.mark.parametrize("command, name, values, cause", [
@@ -219,6 +228,10 @@ def test_main_exit_2_when_no_sweep_branch_converges(tmp_path, monkeypatch, capsy
     ("simulate", "pigou", {"x0": "explicit: nan; 1"}, "non-finite mass nan at (r1, p1)"),
     ("fixed-point", "pigou", {"eta": "abc"}, "eta = 'abc' is not a number"),
     ("fixed-point", "pigou", {"eta": "inf"}, "eta must be positive and finite"),
+    ("simulate", "pigou", {"dt": "-0.1"}, "needs 0 < dt <= horizon, got dt = -0.1, horizon = 50"),
+    ("simulate", "pigou", {"horizon": "0.001"}, "got dt = 0.01, horizon = 0.001"),
+    ("verify", "pigou", {"dt": "-0.1"}, "needs 0 < dt <= 2, got dt = -0.1"),
+    ("verify", "pigou", {"dt": "3"}, "needs 0 < dt <= 2, got dt = 3"),
 ])
 def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, values,
                                             cause):
@@ -228,6 +241,16 @@ def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, val
     err = capsys.readouterr().err
     assert "error:" in err and cause in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_main_exit_1_on_decreasing_tolled_curve(tmp_path, capsys):
+    text = (SCENARIO_DIR / "tolls.scn").read_text()
+    p = tmp_path / "tolls.scn"
+    p.write_text(text.replace("e2, all, affine, 1, 0", "e2, all, affine, -1, 3"))
+    code = cli.main(["simulate", "--scenario", str(p), "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "link cost for (e2, p1) is decreasing" in err
 
 
 # ---------------------------------------------------------------------------

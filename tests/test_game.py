@@ -311,8 +311,9 @@ def test_curve_grid_table_path_matches_curves():
     np.testing.assert_array_equal(grid(y), [[tab(0.5), aff(0.5)], [aff(1.5), tab(1.5)]])
     np.testing.assert_array_equal(grid.slopes(y), [[2.0, 2.0], [2.0, 1.0]])
     assert grid.shared_integral(y) == tab.integral(0.5) + aff.integral(1.5)
-    assert not grid.is_homogeneous()
-    assert gd.CurveGrid([[tab, tab], [aff, aff]]).is_homogeneous()
+    assert grid.offsets() is None
+    np.testing.assert_array_equal(
+        gd.CurveGrid([[tab, tab.shifted(2.0)], [aff, aff]]).offsets(), [[0.0, 2.0], [0.0, 0.0]])
 
 
 def test_potential_symmetry_check_symmetric_and_not(rng):

@@ -1,5 +1,5 @@
-"""Multigraphs, route enumeration, topology classes, series decoupling,
-and routing potentials.
+"""Multigraphs, route enumeration, topology classes, link cost grids and
+series decoupling.
 """
 
 import numpy as np
@@ -104,21 +104,23 @@ def test_link_cost_matrix_shape_check():
         LinkCostMatrix(("e1", "e2"), ("p1",), [[AFF(1, 0)]])
 
 
-def test_from_tolls_shifts_by_population_sensitivity():
-    lc = LinkCostMatrix.from_tolls(("e1", "e2"), ("p1", "p2"),
-                                   [AFF(1, 0), AFF(1, 0)],
-                                   omega=[0.0, 1.0], alpha=[1.0, 2.0])
-    assert lc.has_tolls
+def test_tolls_scenario_shifts_by_population_sensitivity():
+    # tolls.scn: common curves y on e1 and e2, omega = (0, 1), alpha = (1, 2)
+    _, rg = get_scenario("tolls").build_game()
+    lc = rg.link_costs
     assert lc.fns[1][0](0.5) == pytest.approx(1.5)     # tau + 1 * 1
     assert lc.fns[1][1](0.5) == pytest.approx(2.5)     # tau + 2 * 1
     assert lc.fns[0][0](0.5) == pytest.approx(0.5)     # no toll on e1
+    np.testing.assert_array_equal(lc.offsets(), [[0.0, 0.0], [0.0, 1.0]])
 
 
-def test_is_homogeneous():
-    _, rg = get_scenario("homogeneous").build_game()
-    assert rg.link_costs.is_homogeneous()
-    _, rg2 = get_scenario("parallel3").build_game()
-    assert not rg2.link_costs.is_homogeneous()
+def test_routing_cost_field_jacobian_matches_fd(rng):
+    _, rg = get_scenario("wheatstone").build_game()
+    game = rg.game
+    x = gd.sample_configuration(game, rng)
+    D = gd.cost_jacobian(game, x)
+    D_fd = gd.cost_jacobian(game, x, force_fd=True)
+    np.testing.assert_allclose(D, D_fd, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -267,61 +269,3 @@ def test_single_route_stage_flow_is_constant():
     gap = gd.series_restriction_equivalence(rg, gd.logit_protocol(0.5),
                                             x0, 5.0, 0.01)
     assert gap <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Potentials
-
-
-def fd_directional(V, x, d, h=1e-6):
-    return (V(x + h * d) - V(x - h * d)) / (2 * h)
-
-
-def test_toll_potential_gradient_matches_route_costs(rng):
-    _, rg = get_scenario("tolls").build_game()
-    game = rg.game
-    x = gd.sample_configuration(game, rng)
-    c = gd.evaluate_costs(game, x)
-    for p in range(game.n_pops):
-        d = np.zeros_like(x)
-        d[0, p] = -1.0
-        d[1, p] = 1.0       # move mass from r1 to r2 inside population p
-        got = fd_directional(lambda z: gd.toll_sensitivity_potential(rg, z), x, d)
-        assert got == pytest.approx(c[1, p] - c[0, p], abs=1e-6)
-
-
-def test_toll_potential_needs_toll_decomposition():
-    _, rg = get_scenario("pigou").build_game()
-    with pytest.raises(gd.CapabilityError, match="toll"):
-        gd.toll_sensitivity_potential(rg, gd.uniform_configuration(rg.game))
-
-
-def test_routing_potential_homogeneous_gradient(rng):
-    _, rg = get_scenario("homogeneous").build_game()
-    V = gd.routing_potential(rg)
-    game = rg.game
-    x = gd.sample_configuration(game, rng)
-    c = gd.evaluate_costs(game, x)
-    d = np.zeros_like(x)
-    d[0, 0] = -1.0
-    d[1, 0] = 1.0
-    assert fd_directional(V, x, d) == pytest.approx(c[1, 0] - c[0, 0], abs=1e-6)
-
-
-def test_routing_potential_dispatch():
-    _, rg = get_scenario("tolls").build_game()
-    V = gd.routing_potential(rg)
-    x = gd.uniform_configuration(rg.game)
-    assert V(x) == pytest.approx(gd.toll_sensitivity_potential(rg, x))
-    _, rg2 = get_scenario("wheatstone").build_game()
-    with pytest.raises(gd.CapabilityError, match="no potential"):
-        gd.routing_potential(rg2)
-
-
-def test_routing_cost_field_jacobian_matches_fd(rng):
-    _, rg = get_scenario("wheatstone").build_game()
-    game = rg.game
-    x = gd.sample_configuration(game, rng)
-    D = gd.cost_jacobian(game, x)
-    D_fd = gd.cost_jacobian(game, x, force_fd=True)
-    np.testing.assert_allclose(D, D_fd, atol=1e-5)

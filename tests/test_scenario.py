@@ -213,6 +213,60 @@ def test_tolls_forbid_per_population_costs(tmp_path):
     assert "all" in msg
 
 
+TOLLS_TEMPLATE = """\
+[nodes]
+o, d
+
+[links]
+e1, o, d
+e2, o, d
+
+[costs]
+e1, all, affine, 1, 0
+e2, all, affine, 1, 0
+
+[tolls]
+e1, 0
+e2, 1
+
+[sensitivities]
+p1, 1
+
+[populations]
+p1, 1
+
+[od]
+o, d
+
+[dynamics]
+protocol = logit
+eta = 1
+"""
+
+
+@pytest.mark.parametrize("template, line, bad, what", [
+    (TOLLS_TEMPLATE, "e2, 1", "e2, abc", "omega 'abc'"),
+    (TOLLS_TEMPLATE, "e2, 1", "e2, nan", "omega 'nan'"),
+    (TOLLS_TEMPLATE, "e2, 1", "e2, inf", "omega 'inf'"),
+    (TOLLS_TEMPLATE, "p1, 1\n\n[populations]", "p1, abc\n\n[populations]", "alpha 'abc'"),
+    (TOLLS_TEMPLATE, "p1, 1\n\n[populations]", "p1, -inf\n\n[populations]", "alpha '-inf'"),
+    (TOLLS_TEMPLATE, "e1, all, affine, 1, 0", "e1, all, affine, nan, 0",
+     "cost parameter 'nan'"),
+    (MATRIX_TEMPLATE, "a2, all, constant, 1", "a2, all, constant, inf",
+     "cost parameter 'inf'"),
+    (MATRIX_TEMPLATE, "a1, all, affine, 1, 0", "a1, all, affine, 1, x",
+     "cost parameter 'x'"),
+    (MATRIX_TEMPLATE, "p1, 1", "p1, nan", "mass 'nan'"),
+    (MATRIX_TEMPLATE, "p1, 1", "p1, two", "mass 'two'"),
+])
+def test_record_numbers_must_be_finite(tmp_path, template, line, bad, what):
+    assert template.count(line) == 1
+    text = template.replace(line, bad)
+    lineno = text.splitlines().index(bad.splitlines()[0]) + 1
+    msg = err(tmp_path, text)
+    assert f"bad.scn:{lineno}: {what} is not a finite number" in msg
+
+
 def test_routing_needs_od(tmp_path):
     text = ("[nodes]\no, d\n\n[links]\ne1, o, d\n\n[costs]\n"
             "e1, all, affine, 1, 0\n\n[populations]\np1, 1\n\n"
