@@ -325,6 +325,8 @@ def run(command: str, scenario: Scenario, out_dir=".", seed: int | None = None,
         raise ScenarioError(f"unknown command {command!r}")
     out = Path(out_dir)
     effective_seed = scenario.seed() if seed is None else int(seed)
+    if effective_seed < 0:
+        raise ScenarioError(f"--seed must be nonnegative, got {effective_seed}")
     t0 = time.perf_counter()
     code = _COMMANDS[command](scenario, out, effective_seed, quiet)
     if not quiet:
@@ -363,6 +365,10 @@ def main(argv=None) -> int:
     except (CostEvalError, NumericalFailure) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        print(f"error: cannot write {e.filename or args.out}: {e.strerror or e}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """Evolutionary dynamics x' = F(x) - x: protocols, integration, aggregation.
 
-Revision protocols declare capability flags (cost-based, monotone, decoupled)
-that sampling checks verify and downgrade when violated. Integration is
-classical fixed-step RK4 with no projection; mass conservation is a property
-of exact-target protocols, so drift is monitored rather than corrected.
+A revision protocol is a target map on configurations or on cost matrices;
+its properties (exact targets, monotone cost response, stage decoupling) are
+tested by sampling checks, never declared. Integration is classical
+fixed-step RK4 with no projection; mass conservation is a property of
+exact-target protocols, so drift is monitored rather than corrected.
 """
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass, field
 
@@ -17,6 +17,7 @@ from .game import (
     PopulationGame,
     CapabilityError,
     ConfigurationError,
+    central_difference,
     evaluate_costs,
     validate_configuration,
     sample_configuration,
@@ -30,15 +31,12 @@ log = logging.getLogger(__name__)
 class RevisionProtocol:
     """Exact-target revision protocol: x -> target configuration.
 
-    ``cost_fn(game, c)`` computes the target from the cost matrix alone and
-    implies cost_based; otherwise ``target_fn(game, x)`` is used directly.
-    Flags are declarations; run verify_protocol to test them by sampling.
+    ``cost_fn(game, c)`` computes the target from the cost matrix alone, which
+    makes the protocol cost-based; otherwise ``target_fn(game, x)`` is used
+    directly.
     """
 
     name: str
-    cost_based: bool = False
-    monotone: bool = False
-    decoupled: bool = False
     params: dict = field(default_factory=dict)
     target_fn: object = None
     cost_fn: object = None
@@ -46,16 +44,18 @@ class RevisionProtocol:
     def __post_init__(self):
         if self.cost_fn is None and self.target_fn is None:
             raise ValueError("protocol needs target_fn or cost_fn")
-        if self.cost_based and self.cost_fn is None:
-            raise ValueError("cost_based declared but no cost_fn given")
+
+    @property
+    def cost_based(self) -> bool:
+        return self.cost_fn is not None
 
     def target(self, game: PopulationGame, x: np.ndarray) -> np.ndarray:
-        if self.cost_fn is not None:
+        if self.cost_based:
             return np.asarray(self.cost_fn(game, evaluate_costs(game, x)), dtype=float)
         return np.asarray(self.target_fn(game, x), dtype=float)
 
     def target_from_costs(self, game: PopulationGame, c: np.ndarray) -> np.ndarray:
-        if self.cost_fn is None:
+        if not self.cost_based:
             raise CapabilityError(f"protocol {self.name!r} is not cost-based")
         return np.asarray(self.cost_fn(game, np.asarray(c, dtype=float)), dtype=float)
 
@@ -68,9 +68,8 @@ def logit_protocol(eta: float) -> RevisionProtocol:
     def cost_fn(game, c):
         return softmax_target(game, c, eta)
 
-    return RevisionProtocol(name=f"logit[eta={eta:g}]", cost_based=True,
-                            monotone=True, decoupled=True,
-                            params={"eta": float(eta)}, cost_fn=cost_fn)
+    return RevisionProtocol(name=f"logit[eta={eta:g}]", params={"eta": float(eta)},
+                            cost_fn=cost_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +102,18 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
     for j != i within population p, and cross-population sensitivities must
     vanish. Returns (ok, violations) with entries (kind, (i,p), (j,q), value).
     """
-    if not protocol.cost_based or protocol.cost_fn is None:
+    if not protocol.cost_based:
         raise CapabilityError(f"protocol {protocol.name!r} is not cost-based; "
                               "monotonicity is defined on cost matrices")
     rng = rng if rng is not None else np.random.default_rng(0)
-    h = 1e-6
     violations = []
     for _ in range(samples):
-        x = sample_configuration(game, rng)
-        c = evaluate_costs(game, x)
+        c = evaluate_costs(game, sample_configuration(game, rng))
+        dG = central_difference(lambda cc: protocol.target_from_costs(game, cc),
+                                c, 1e-6 * game.mask)
         for (j, q) in game.valid_pairs:
-            cp = c.copy()
-            cp[j, q] += h
-            cm = c.copy()
-            cm[j, q] -= h
-            dG = (protocol.target_from_costs(game, cp)
-                  - protocol.target_from_costs(game, cm)) / (2 * h)
             for (i, p) in game.valid_pairs:
-                v = float(dG[i, p])
+                v = float(dG[i, p, j, q])
                 if p == q and i == j:
                     if v > tol:
                         violations.append(("own_cost_increasing", (i, p), (j, q), v))
@@ -131,31 +124,6 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
                     if abs(v) > tol:
                         violations.append(("cross_population_coupling", (i, p), (j, q), v))
     return not violations, violations
-
-
-def verify_protocol(protocol: RevisionProtocol, game: PopulationGame,
-                    samples: int = 10, rng: np.random.Generator | None = None
-                    ) -> tuple[RevisionProtocol, dict]:
-    """Test declared capabilities by sampling; downgrade flags that fail.
-
-    Returns the (possibly downgraded) protocol and a report. The decoupled
-    flag needs a series-composition routing context and is checked there,
-    not here.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    exact_ok, worst = exact_target_check(protocol, game, samples=samples, rng=rng)
-    report = {"exact_target": exact_ok, "max_target_violation": worst}
-    out = protocol
-    if protocol.cost_based and protocol.monotone:
-        mono_ok, viol = monotonicity_check(protocol, game, samples=samples, rng=rng)
-        report["monotone"] = mono_ok
-        report["monotone_violations"] = viol
-        if not mono_ok:
-            log.warning("protocol %s declared monotone but failed the sampled "
-                        "sign test (%d violations); downgrading flag",
-                        protocol.name, len(viol))
-            out = dataclasses.replace(protocol, monotone=False)
-    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +276,7 @@ class ReducedSystem:
 
     def jacobian_fd(self, w) -> np.ndarray:
         """Central finite differences of the reduced field, step 1e-6."""
-        h = 1e-6
-        w = np.asarray(w, dtype=float)
-        S = self.game.n_actions
-        J = np.empty((S, S))
-        for j in range(S):
-            wp = w.copy()
-            wp[j] += h
-            wm = w.copy()
-            wm[j] -= h
-            J[:, j] = (self.field(wp) - self.field(wm)) / (2 * h)
-        return J
+        return central_difference(self.field, w, 1e-6)
 
 
 def aggregate_dynamics(game: PopulationGame, protocol: RevisionProtocol) -> ReducedSystem:

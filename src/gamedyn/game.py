@@ -192,16 +192,26 @@ class CurveGrid:
         y = np.asarray(y, dtype=float)
         return np.array([[f.deriv(v) for f in row] for row, v in zip(self.fns, y)])
 
-    def offsets(self) -> np.ndarray | None:
-        """(rows, populations) kappa with f_kp = f_k0 + kappa_kp, or None."""
-        kappa = [[f.offset_from(row[0]) for f in row] for row in self.fns]
-        if any(k is None for row in kappa for k in row):
-            return None
-        return np.array(kappa)
+    def offsets(self, reach: np.ndarray) -> np.ndarray | None:
+        """(rows, populations) kappa with f_kp = f_kr + kappa_kp, or None.
 
-    def shared_integral(self, y: np.ndarray) -> float:
-        """sum_k integral_0^{y_k} of the first population's curve in row k."""
-        return float(sum(row[0].integral(float(v)) for row, v in zip(self.fns, y)))
+        Only entries with ``reach[k, p]`` (population p can put flow on row
+        k) are compared, against row k's first such population r; kappa is
+        0 on the other entries, whose curves never see flow.
+        """
+        kappa = np.zeros(reach.shape)
+        for k, r in enumerate(reach.argmax(axis=1)):
+            for p in np.flatnonzero(reach[k]):
+                offset = self.fns[k][p].offset_from(self.fns[k][r])
+                if offset is None:
+                    return None
+                kappa[k, p] = offset
+        return kappa
+
+    def shared_integral(self, y: np.ndarray, reach: np.ndarray) -> float:
+        """sum_k integral_0^{y_k} of row k's curve for its first reaching population."""
+        return float(sum(row[r].integral(float(v))
+                         for row, r, v in zip(self.fns, reach.argmax(axis=1), y)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,27 +612,43 @@ def isolation_probe(game: PopulationGame, x_star, radius: float,
 # Cost-field differentiation, the potential-game symmetry test, the potential
 
 
-def cost_jacobian(game: PopulationGame, x, force_fd: bool = False) -> np.ndarray:
+def central_difference(f, x, steps) -> np.ndarray:
+    """Central-difference partials of f at x, shaped f(x).shape + x.shape.
+
+    Entry k of x moves by +-steps[k] (``steps`` broadcasts to x's shape); a
+    zero step gives a zero partial and costs no evaluation of f.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.broadcast_to(np.asarray(steps, dtype=float), x.shape)
+    D = None
+    for k in zip(*np.nonzero(steps)):
+        h = steps[k]
+        xp = x.copy()
+        xp[k] += h
+        xm = x.copy()
+        xm[k] -= h
+        d = (f(xp) - f(xm)) / (2 * h)
+        if D is None:
+            D = np.zeros(d.shape + x.shape)
+        D[(...,) + k] = d
+    return np.zeros(np.shape(f(x)) + x.shape) if D is None else D
+
+
+def _fd_cost_jacobian(game: PopulationGame, x: np.ndarray) -> np.ndarray:
+    """Cost partials by central differences, step 1e-6 * max(1, m_q) on valid entries."""
+    steps = np.where(game.mask, 1e-6 * np.maximum(1.0, game.masses), 0.0)
+    return central_difference(lambda y: evaluate_costs(game, y), x, steps)
+
+
+def cost_jacobian(game: PopulationGame, x) -> np.ndarray:
     """Partials d c_ip / d x_jq as an (S,P,S,P) tensor.
 
     Uses the field's analytic partials when present, otherwise central
     finite differences over the valid (j, q) entries.
     """
     x = np.asarray(x, dtype=float)
-    if not force_fd:
-        D = game.costs.jacobian(x)
-        if D is not None:
-            return np.asarray(D, dtype=float)
-    S, P = game.n_actions, game.n_pops
-    D = np.zeros((S, P, S, P))
-    for (j, q) in game.valid_pairs:
-        h = 1e-6 * max(1.0, game.masses[q])
-        xp = x.copy()
-        xp[j, q] += h
-        xm = x.copy()
-        xm[j, q] -= h
-        D[:, :, j, q] = (evaluate_costs(game, xp) - evaluate_costs(game, xm)) / (2 * h)
-    return D
+    D = game.costs.jacobian(x)
+    return _fd_cost_jacobian(game, x) if D is None else np.asarray(D, dtype=float)
 
 
 def potential_symmetry_check(game: PopulationGame, samples: int = 10, tol: float = 1e-6,
@@ -635,55 +661,37 @@ def potential_symmetry_check(game: PopulationGame, samples: int = 10, tol: float
     zero-mass populations.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    active = set(game.active_populations.tolist())
-    pairs = [(i, p) for (i, p) in game.valid_pairs if p in active]
+    ii, pp = np.nonzero(game.mask & (game.masses > 0))
     worst = 0.0
     for _ in range(samples):
-        x = sample_configuration(game, rng)
-        D = cost_jacobian(game, x, force_fd=True)
-        for a, (i, p) in enumerate(pairs):
-            for (j, q) in pairs[a + 1:]:
-                worst = max(worst, abs(D[i, p, j, q] - D[j, q, i, p]))
+        M = _fd_cost_jacobian(game, sample_configuration(game, rng))[ii, pp][:, ii, pp]
+        worst = max(worst, float(np.abs(M - M.T).max()))
     return worst <= tol, worst
 
 
 def potential(game: PopulationGame) -> Callable[[np.ndarray], float]:
     """Potential V of a curve game whose populations differ by constants.
 
-    In every row k (an action, or a link) each population's curve must be the
-    first population's plus a constant, f_kp = f_k0 + kappa_kp. Then
-    V(x) = sum_k integral_0^{y_k} f_k0 + sum_kp kappa_kp * y_kp, with y_kp
-    population p's flow through row k and y_k the row total, has partial c_ip
-    in x_ip. Homogeneous costs (kappa = 0) and population-weighted tolls are
-    the two common cases.
+    In every row k (an action, or a link) each population whose flow can
+    reach the row must have the curve of the first such population r plus a
+    constant, f_kp = f_kr + kappa_kp. Then V(x) = sum_k integral_0^{y_k} f_kr
+    + sum_kp kappa_kp * y_kp, with y_kp population p's flow through row k and
+    y_k the row total, has partial c_ip in x_ip. Homogeneous costs (kappa = 0)
+    and population-weighted tolls are the two common cases.
     """
     field = game.costs
     curves = getattr(field, "curves", None)
     if curves is None:
         raise CapabilityError("need costs given as a grid of curves")
-    kappa = curves.offsets()
+    reach = field.flows(game.mask) > 0
+    kappa = curves.offsets(reach)
     if kappa is None:
         raise CapabilityError("curves differ across populations by more than a "
                               "constant; no potential")
 
     def V(x) -> float:
         y = field.flows(x)
-        return curves.shared_integral(y.sum(axis=1)) + float(np.sum(kappa * y))
+        return curves.shared_integral(y.sum(axis=1), reach) + float(np.sum(kappa * y))
 
     return V
 
-
-def lipschitz_probe(game: PopulationGame, samples: int = 50,
-                    rng: np.random.Generator | None = None) -> float:
-    """Largest observed ratio |c(x)-c(x')|_1 / |x-x'|_1 over sampled pairs."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_configuration(game, rng)
-        z = sample_configuration(game, rng)
-        dx = float(np.abs(x - z).sum())
-        if dx < 1e-12:
-            continue
-        dc = float(np.abs(evaluate_costs(game, x) - evaluate_costs(game, z)).sum())
-        worst = max(worst, dc / dx)
-    return worst

@@ -56,26 +56,12 @@ def logit_map(game: PopulationGame, x, eta: float) -> np.ndarray:
     return softmax_target(game, evaluate_costs(game, x), eta)
 
 
-@dataclass(frozen=True)
-class LogitJacobian:
-    """Partials of the noisy best-response map at (x, eta).
-
-    ``matrix`` is square over the valid (action, population) index pairs in
-    ``pairs`` (population-major).
-    """
-
-    matrix: np.ndarray
-    pairs: tuple
-
-    def pair_index(self, i: int, p: int) -> int:
-        return self.pairs.index((i, p))
-
-
-def logit_jacobian(game: PopulationGame, x, eta: float) -> LogitJacobian:
+def logit_jacobian(game: PopulationGame, x, eta: float) -> np.ndarray:
     """Analytic Jacobian of logit_map with respect to x.
 
+    Rows and columns run over game.valid_pairs (population-major), with
     d F_ip / d x_jq = (v_p / eta) * pi_ip * (sum_s pi_sp dc_sp/dx_jq - dc_ip/dx_jq)
-    with pi the softmax weights. Cost partials come from the field's analytic
+    and pi the softmax weights. Cost partials come from the field's analytic
     form when present, otherwise central finite differences.
     """
     if eta <= 0:
@@ -91,7 +77,7 @@ def logit_jacobian(game: PopulationGame, x, eta: float) -> LogitJacobian:
     D = np.ascontiguousarray(D.transpose(1, 0, 2))
     avg = pi[:, None, :] @ D                # (P, 1, n)
     J = ((game.masses / eta)[:, None] * pi)[:, :, None] * (avg - D)
-    return LogitJacobian(matrix=J[qs, js], pairs=game.valid_pairs)
+    return J[qs, js]
 
 
 @dataclass(frozen=True)
@@ -119,7 +105,7 @@ def _column_measure(M: np.ndarray) -> float:
 
 def local_stability(game: PopulationGame, x, eta: float) -> StabilityInfo:
     """Stability of the dynamics x' = F - x at a point, from J_F - I."""
-    J = logit_jacobian(game, x, eta).matrix
+    J = logit_jacobian(game, x, eta)
     M = J - np.eye(J.shape[0])
     mu = _column_measure(M)
     abscissa = float(np.max(np.linalg.eigvals(M).real))
@@ -189,8 +175,7 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
 
 
 def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
-                max_iter: int = 10 ** 5,
-                compute_stability: bool = True) -> FixedPointResult:
+                max_iter: int = 10 ** 5) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of tol.
 
     The damping cap is sized from the l1 column norm of the map Jacobian.
@@ -201,12 +186,10 @@ def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
     x, r, it, converged = damped_iteration(
         lambda y: logit_map(game, y, eta),
         validate_configuration(game, x0),
-        lambda y: float(np.abs(logit_jacobian(game, y, eta).matrix).sum(axis=0).max()),
+        lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
         lambda y: max(tol, residual_floor(game, evaluate_costs(game, y), eta)),
         max_iter=max_iter)
-    stability = None
-    if converged and compute_stability:
-        stability = local_stability(game, x, eta)
+    stability = local_stability(game, x, eta) if converged else None
     if not converged:
         log.warning("fixed_point: no convergence after %d iterations "
                     "(eta=%g, residual=%.3e)", it, eta, r)
@@ -249,7 +232,7 @@ def contraction_margin(game: PopulationGame, eta: float, sample_count: int = 200
     eye = np.eye(n)
     margin = -np.inf
     for x in points:
-        J = logit_jacobian(game, x, eta).matrix
+        J = logit_jacobian(game, x, eta)
         margin = max(margin, _column_measure(J - eye))
     certified = margin < 0.0
     return ContractionReport(margin=float(margin),

@@ -188,15 +188,15 @@ class LinkCostMatrix(CurveGrid):
 class RoutingCostField(CostField):
     """Route costs c = A^T tau(A x 1) with analytic partials.
 
-    Carries the per-action aggregate capability exactly when routes are
-    pairwise link-disjoint (each link flow then equals its route's total).
+    Carries the per-action aggregate capability exactly when no link lies on
+    two routes (each link flow then equals its route's total), the test
+    classify_topology uses for "parallel".
     """
 
-    def __init__(self, incidence: np.ndarray, curves: LinkCostMatrix,
-                 parallel: bool):
+    def __init__(self, incidence: np.ndarray, curves: LinkCostMatrix):
         self.A = np.asarray(incidence, dtype=float)
         self.curves = curves
-        self.per_action_aggregate = bool(parallel)
+        self.per_action_aggregate = bool(self.A.sum(axis=1).max() <= 1)
 
     def __call__(self, x):
         y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
@@ -346,8 +346,7 @@ def build_routing_game(graph: Multigraph, origin: str, destination: str,
     if tuple(link_costs.pop_ids) != populations:
         raise ValueError("link cost matrix population ids must match the game's")
     topo = classify_topology(graph, origin, destination, route_set=rs)
-    field = RoutingCostField(rs.incidence, link_costs,
-                             parallel=topo.kind == "parallel")
+    field = RoutingCostField(rs.incidence, link_costs)
     mask = np.ones((rs.n_routes, len(populations)), dtype=bool)
     game = PopulationGame(populations=populations,
                           masses=np.asarray(masses, dtype=float),

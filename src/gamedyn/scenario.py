@@ -128,7 +128,10 @@ class Scenario:
         return eta_hi, eta_lo, steps
 
     def seed(self) -> int:
-        return self.run_int("seed", 0)
+        seed = self.run_int("seed", 0)
+        if seed < 0:
+            raise ScenarioError(f"{self.path}: [run] seed must be nonnegative, got {seed}")
+        return seed
 
     def initial_configuration(self, game: PopulationGame,
                               rng: np.random.Generator) -> np.ndarray:

@@ -176,7 +176,7 @@ def test_criterion_7_oracle_equivalences():
         game, _ = get_scenario(ALL_SCENARIOS[k % len(ALL_SCENARIOS)]).build_game()
         x = gd.sample_configuration(game, rng)
         eta = float(10.0 ** rng.uniform(np.log10(0.05), 1.0))
-        J = gd.logit_jacobian(game, x, eta).matrix
+        J = gd.logit_jacobian(game, x, eta)
         rel = np.abs(J - fd_jacobian(game, x, eta)).max() / max(1.0, np.abs(J).max())
         worst_rel = max(worst_rel, float(rel))
     assert worst_rel <= 1e-5

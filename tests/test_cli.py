@@ -232,15 +232,30 @@ def test_reproduce_wheatstone_exit_2_when_no_branch_converges(tmp_path, monkeypa
     ("simulate", "pigou", {"horizon": "0.001"}, "got dt = 0.01, horizon = 0.001"),
     ("verify", "pigou", {"dt": "-0.1"}, "needs 0 < dt <= 2, got dt = -0.1"),
     ("verify", "pigou", {"dt": "3"}, "needs 0 < dt <= 2, got dt = 3"),
+    ("simulate", "pigou", {"seed": "-4"}, "[run] seed must be nonnegative, got -4"),
+    ("simulate", "pigou", {"--seed": "-3"}, "--seed must be nonnegative, got -3"),
 ])
 def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, values,
                                             cause):
-    path = scenario_file(tmp_path, name, **values)
-    code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path), "--quiet"])
+    # keys starting with -- are command-line flags, the rest scenario values
+    flags = [s for k, v in values.items() if k.startswith("--") for s in (k, v)]
+    path = scenario_file(tmp_path, name,
+                         **{k: v for k, v in values.items() if not k.startswith("--")})
+    code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path), "--quiet",
+                     *flags])
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and cause in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_main_exit_1_when_out_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = cli.main(["classify", "--scenario", str(SCENARIO_DIR / "pigou.scn"),
+                     "--out", str(out), "--quiet"])
+    assert code == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
 
 
 def test_main_exit_1_on_decreasing_tolled_curve(tmp_path, capsys):

@@ -16,8 +16,8 @@ def anti_logit_protocol(eta: float) -> gd.RevisionProtocol:
     """Deliberately broken kernel: weight grows with cost."""
     def cost_fn(game, c):
         return softmax_target(game, -np.asarray(c, dtype=float), eta)
-    return gd.RevisionProtocol(name="anti-logit", cost_based=True, monotone=True,
-                               params={"eta": float(eta)}, cost_fn=cost_fn)
+    return gd.RevisionProtocol(name="anti-logit", params={"eta": float(eta)},
+                               cost_fn=cost_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def anti_logit_protocol(eta: float) -> gd.RevisionProtocol:
 def test_logit_protocol_metadata():
     pr = gd.logit_protocol(0.25)
     assert pr.name == "logit[eta=0.25]"
-    assert pr.cost_based and pr.monotone and pr.decoupled
+    assert pr.cost_based
     assert pr.params == {"eta": 0.25}
     with pytest.raises(ValueError):
         gd.logit_protocol(0.0)
@@ -36,9 +36,7 @@ def test_logit_protocol_metadata():
 def test_protocol_constructor_guards():
     with pytest.raises(ValueError, match="target_fn or cost_fn"):
         gd.RevisionProtocol(name="empty")
-    with pytest.raises(ValueError, match="cost_based"):
-        gd.RevisionProtocol(name="broken", cost_based=True,
-                            target_fn=lambda g, x: x)
+    assert not gd.RevisionProtocol(name="state-only", target_fn=lambda g, x: x).cost_based
 
 
 def test_target_from_costs_needs_cost_fn():
@@ -78,16 +76,6 @@ def test_monotonicity_check_needs_cost_based():
     state_only = gd.RevisionProtocol(name="state-only", target_fn=lambda gm, x: x)
     with pytest.raises(gd.CapabilityError):
         gd.monotonicity_check(state_only, g)
-
-
-def test_verify_protocol_downgrades_false_monotone_claim(rng):
-    g, _ = get_scenario("pigou").build_game()
-    pr, report = gd.verify_protocol(anti_logit_protocol(0.5), g, rng=rng)
-    assert report["exact_target"] and not report["monotone"]
-    assert not pr.monotone                 # flag downgraded on the copy
-    pr2, report2 = gd.verify_protocol(gd.logit_protocol(0.5), g, rng=rng)
-    assert pr2 is not None and report2["monotone"]
-    assert pr2.monotone
 
 
 # ---------------------------------------------------------------------------

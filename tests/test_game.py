@@ -1,11 +1,13 @@
 """Cost curves, configuration handling, and equilibrium classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gamedyn as gd
-from gamedyn.game import lipschitz_probe
+from gamedyn.game import central_difference
 
 from conftest import ALL_SCENARIOS, get_scenario
 
@@ -288,7 +290,8 @@ def test_cost_jacobian_analytic_matches_fd(rng):
         g, _ = get_scenario(name).build_game()
         x = gd.sample_configuration(g, rng)
         D = gd.cost_jacobian(g, x)
-        D_fd = gd.cost_jacobian(g, x, force_fd=True)
+        # the same costs behind a callable field, whose partials are differences
+        D_fd = gd.cost_jacobian(dataclasses.replace(g, costs=gd.CallableCostField(g.costs)), x)
         np.testing.assert_allclose(D, D_fd, atol=1e-6, err_msg=name)
 
 
@@ -310,10 +313,15 @@ def test_curve_grid_table_path_matches_curves():
     y = np.array([0.5, 1.5])
     np.testing.assert_array_equal(grid(y), [[tab(0.5), aff(0.5)], [aff(1.5), tab(1.5)]])
     np.testing.assert_array_equal(grid.slopes(y), [[2.0, 2.0], [2.0, 1.0]])
-    assert grid.shared_integral(y) == tab.integral(0.5) + aff.integral(1.5)
-    assert grid.offsets() is None
+    full = np.ones((2, 2), dtype=bool)
+    assert grid.shared_integral(y, full) == tab.integral(0.5) + aff.integral(1.5)
+    assert grid.offsets(full) is None
     np.testing.assert_array_equal(
-        gd.CurveGrid([[tab, tab.shifted(2.0)], [aff, aff]]).offsets(), [[0.0, 2.0], [0.0, 0.0]])
+        gd.CurveGrid([[tab, tab.shifted(2.0)], [aff, aff]]).offsets(full), [[0.0, 2.0], [0.0, 0.0]])
+    # rows compare and integrate only the curves of populations that reach them
+    one_each = np.array([[False, True], [True, False]])
+    np.testing.assert_array_equal(grid.offsets(one_each), np.zeros((2, 2)))
+    assert grid.shared_integral(y, one_each) == aff.integral(0.5) + aff.integral(1.5)
 
 
 def test_potential_symmetry_check_symmetric_and_not(rng):
@@ -332,7 +340,20 @@ def test_potential_symmetry_check_symmetric_and_not(rng):
     assert worst2 == pytest.approx(1.0, rel=1e-4)
 
 
-def test_lipschitz_probe_bounded_by_slope(rng):
-    g, _ = get_scenario("pigou").build_game()
-    L = lipschitz_probe(g, rng=rng)
-    assert 0.0 < L <= 1.0 + 1e-9
+def test_central_difference_shape_and_zero_steps():
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.array([x[0, 0] ** 2, x[0, 0] * x[1, 1], 3.0 * x[1, 0]])
+
+    x = np.array([[1.5, 2.0], [0.5, -1.0]])
+    D = central_difference(f, x, np.array([[1e-4, 0.0], [1e-4, 1e-4]]))
+    assert D.shape == (3, 2, 2)
+    want = np.zeros((3, 2, 2))
+    want[0, 0, 0] = 3.0
+    want[1, 0, 0], want[1, 1, 1] = -1.0, 1.5
+    want[2, 1, 0] = 3.0
+    np.testing.assert_allclose(D, want, atol=1e-8)
+    assert len(calls) == 6                     # two per nonzero step, none for (0, 1)
+    np.testing.assert_array_equal(central_difference(f, x, 0.0), np.zeros((3, 2, 2)))

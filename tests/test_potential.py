@@ -1,4 +1,5 @@
-"""The one potential of curve games: f_kp = f_k0 + kappa_kp in every row k.
+"""The one potential of curve games: f_kp = f_kr + kappa_kp in every row k,
+with r the row's first population that can reach it.
 
 Oracles: central differences of V along within-population transfers must
 equal the cost differences, and V must exist exactly where the finite-
@@ -7,11 +8,13 @@ difference symmetry test passes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gamedyn as gd
 
 from conftest import ALL_SCENARIOS, get_scenario
+
+AFF = gd.ScalarFn.affine
 
 POTENTIAL_SCENARIOS = ("homogeneous", "tolls", "pigou", "coordination", "constant")
 
@@ -92,8 +95,28 @@ def test_intercepts_only_explicit_game_has_potential(tmp_path, rng):
     p = tmp_path / "intercepts.scn"
     p.write_text(INTERCEPTS_ONLY)
     game, _ = gd.load_scenario(p).build_game()
-    np.testing.assert_allclose(game.costs.curves.offsets(),
+    np.testing.assert_allclose(game.costs.curves.offsets(game.mask),
                                [[0.0, 0.5], [0.0, -0.75], [0.0, 0.0]], rtol=1e-12)
+    assert gd.potential_symmetry_check(game, rng=rng)[0]
+    V = gd.potential(game)
+    for _ in range(3):
+        assert_gradient_is_costs(game, V, gd.sample_configuration(game, rng))
+
+
+def masked_game(curves):
+    """Explicit game on actions a1, a2 with None for an action a population lacks."""
+    mask = np.array([[f is not None for f in row] for row in curves])
+    return gd.PopulationGame(populations=("p1", "p2"), masses=np.array([1.0, 1.5]),
+                             actions=("a1", "a2"), mask=mask,
+                             costs=gd.AggregateCostField(curves))
+
+
+@pytest.mark.parametrize("curves", [
+    [[AFF(1, 0), AFF(1, 0)], [AFF(2, 0), None]],         # p2 lacks a2
+    [[AFF(1, 0), AFF(1, 0.5)], [None, AFF(2, -0.25)]],   # p1, the first, lacks a2
+], ids=["second-lacks", "first-lacks"])
+def test_masked_explicit_game_has_potential(curves, rng):
+    game = masked_game(curves)
     assert gd.potential_symmetry_check(game, rng=rng)[0]
     V = gd.potential(game)
     for _ in range(3):
@@ -151,15 +174,25 @@ def base_curve(draw):
 def offset_game(draw, min_pops=1):
     P = draw(st.integers(min_pops, 3))
     S = draw(st.integers(2, 4))
+    # each entry available with probability 3/4, then every action and every
+    # population gets at least one entry
+    mask = np.array(draw(st.lists(st.lists(st.integers(0, 3).map(bool), min_size=P, max_size=P),
+                                  min_size=S, max_size=S)))
+    for p in np.flatnonzero(~mask.any(axis=0)):
+        mask[draw(st.integers(0, S - 1)), p] = True
+    for k in np.flatnonzero(~mask.any(axis=1)):
+        mask[k, draw(st.integers(0, P - 1))] = True
     grid = []
-    for _ in range(S):
+    for k in range(S):
         f0 = draw(base_curve())
-        kappas = draw(st.lists(st.floats(-2, 2, **finite), min_size=P - 1, max_size=P - 1))
-        grid.append([f0] + [f0.shifted(k) for k in kappas])
+        kappas = [0.0] + draw(st.lists(st.floats(-2, 2, **finite),
+                                       min_size=P - 1, max_size=P - 1))
+        grid.append([f0.shifted(kappa) if mask[k, p] else None
+                     for p, kappa in enumerate(kappas)])
     masses = draw(st.lists(st.floats(0.2, 2, **finite), min_size=P, max_size=P))
     game = gd.PopulationGame(populations=tuple(f"p{p}" for p in range(P)),
                              masses=np.array(masses), actions=tuple(f"a{i}" for i in range(S)),
-                             mask=np.ones((S, P), dtype=bool), costs=gd.AggregateCostField(grid))
+                             mask=mask, costs=gd.AggregateCostField(grid))
     return game, grid
 
 
@@ -175,8 +208,10 @@ def test_random_offset_games_have_potential(drawn, seed):
 @given(offset_game(min_pops=2), st.data())
 def test_perturbed_slope_breaks_potential(drawn, data):
     game, grid = drawn[0], [row[:] for row in drawn[1]]
-    k = data.draw(st.integers(0, game.n_actions - 1))
-    p = data.draw(st.integers(1, game.n_pops - 1))
+    # a curve shared by two populations of the same row
+    shared = [(k, p) for k, p in zip(*np.nonzero(game.mask)) if game.mask[k].sum() >= 2]
+    assume(shared)
+    k, p = data.draw(st.sampled_from(shared))
     delta = data.draw(st.floats(0.1, 1, **finite))
     f = grid[k][p]
     # add delta * y: every slope of that one curve moves by delta
