@@ -28,6 +28,9 @@ from .dynamics import Trajectory
 
 log = logging.getLogger(__name__)
 
+# l1 distance at or below which two fixed points (or branches, pointwise) are one
+SAME_POINT_L1 = 1e-5
+
 
 @dataclass(frozen=True)
 class EquilibriumCurve:
@@ -57,32 +60,27 @@ class EquilibriumCurve:
 
 
 def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
-                       steps: int, seeds, *, tol: float = 1e-10,
-                       dedup_tol: float = 1e-5, nudge: float = 1e-3,
-                       max_iter: int = 10 ** 5) -> list[EquilibriumCurve]:
+                       steps: int, seeds) -> list[EquilibriumCurve]:
     """Warm-started fixed-point curves down a geometric eta grid.
 
-    Warm starts are secant predictions from the last two points. When the
-    solver lands on a locally unstable point, a retry pulled a factor
-    ``nudge`` toward the seed decides whether this branch actually forks off
-    (pitchforks leave the symmetric point unstable; an exactly symmetric
-    iterate would never leave it). Branches identical along the whole grid
-    (within dedup_tol pointwise) are merged.
+    Solves use fixed_point's defaults. Warm starts are secant predictions
+    from the last two points. When the solver lands on a locally unstable
+    point, a retry pulled 1e-3 of the way toward the seed decides whether
+    this branch actually forks off (pitchforks leave the symmetric point
+    unstable; an exactly symmetric iterate would never leave it). Branches
+    identical along the whole grid (within SAME_POINT_L1 pointwise) are
+    merged.
     """
     if not (eta_hi > eta_lo > 0):
         raise ValueError("need eta_hi > eta_lo > 0")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     grid = np.geomspace(eta_hi, eta_lo, steps)
-    curves = []
-    for si, seed in enumerate(seeds):
-        c = _trace_branch(game, grid, seed, si, tol=tol, nudge=nudge,
-                          max_iter=max_iter)
-        if c is not None:
-            curves.append(c)
+    curves = [_trace_branch(game, grid, seed, si) for si, seed in enumerate(seeds)]
+    curves = [c for c in curves if c is not None]
     if not curves:
         raise ValueError("every seed failed at eta_hi; raise eta_hi or fix seeds")
-    return dedup_curves(curves, dedup_tol)
+    return dedup_curves(curves)
 
 
 def _project_configuration(game: PopulationGame, x) -> np.ndarray:
@@ -101,58 +99,52 @@ def _project_configuration(game: PopulationGame, x) -> np.ndarray:
     return x
 
 
-def _trace_branch(game: PopulationGame, grid, seed, seed_index: int, *,
-                  tol: float, nudge: float, max_iter: int) -> EquilibriumCurve | None:
+def _trace_branch(game: PopulationGame, grid, seed,
+                  seed_index: int) -> EquilibriumCurve | None:
+    """Accepted fixed points of one seed down the grid, until a solve stalls."""
     seed = validate_configuration(game, seed)
-    etas, pts, stab, res, marg = [], [], [], [], []
-    x_prev = seed
-    x_prev2 = None
-    eta_prev = eta_prev2 = None
-    terminated = False
+    accepted: list[FixedPointResult] = []
     for eta in grid:
         eta = float(eta)
-        if eta_prev2 is None:
-            x_init = x_prev
+        if len(accepted) < 2:
+            x_init = accepted[-1].x if accepted else seed
         else:
-            gain = (eta - eta_prev) / (eta_prev - eta_prev2)
-            x_init = _project_configuration(game, x_prev + gain * (x_prev - x_prev2))
-        r = fixed_point(game, eta, x_init, tol=tol, max_iter=max_iter)
-        if r.converged and not r.stability.locally_stable and nudge > 0.0:
+            a, b = accepted[-2:]
+            gain = (eta - b.eta) / (b.eta - a.eta)
+            x_init = _project_configuration(game, b.x + gain * (b.x - a.x))
+        r = fixed_point(game, eta, x_init)
+        if r.converged and not r.stability.locally_stable:
             # possible pitchfork: an exactly symmetric warm start cannot leave
-            # the symmetric point, so probe once from a seed-shifted start
-            x_n = _project_configuration(game, (1.0 - nudge) * x_init + nudge * seed)
-            r2 = fixed_point(game, eta, x_n, tol=tol, max_iter=max_iter)
+            # the symmetric point, so probe once from 1e-3 of the way to the seed
+            x_n = _project_configuration(game, 0.999 * x_init + 1e-3 * seed)
+            r2 = fixed_point(game, eta, x_n)
             if r2.converged and float(np.abs(r2.x - r.x).sum()) > 1e-6:
                 r = r2
         if not r.converged:
             log.warning("continuation seed %d: solver stalled at eta=%g "
                         "(residual %.3e); branch terminated",
                         seed_index, eta, r.residual)
-            terminated = True
             break
-        etas.append(eta)
-        pts.append(r.x)
-        stab.append(bool(r.stability.locally_stable))
-        res.append(r.residual)
-        marg.append(r.stability.l1_log_norm)
-        x_prev2, x_prev = x_prev, r.x
-        eta_prev2, eta_prev = eta_prev, eta
-    if not etas:
+        accepted.append(r)
+    if not accepted:
         return None
-    return EquilibriumCurve(etas=np.array(etas), points=np.array(pts),
-                            stable=np.array(stab, dtype=bool),
-                            residuals=np.array(res), l1_margins=np.array(marg),
-                            seed_index=seed_index, terminated=terminated)
+    return EquilibriumCurve(
+        etas=np.array([r.eta for r in accepted]),
+        points=np.array([r.x for r in accepted]),
+        stable=np.array([r.stability.locally_stable for r in accepted], dtype=bool),
+        residuals=np.array([r.residual for r in accepted]),
+        l1_margins=np.array([r.stability.l1_log_norm for r in accepted]),
+        seed_index=seed_index, terminated=len(accepted) < len(grid))
 
 
-def dedup_curves(curves, dedup_tol: float = 1e-5) -> list[EquilibriumCurve]:
-    """Drop branches that coincide pointwise with an earlier one on the grid."""
+def dedup_curves(curves) -> list[EquilibriumCurve]:
+    """Drop branches within SAME_POINT_L1 pointwise of an earlier one on the grid."""
     out: list[EquilibriumCurve] = []
     for c in curves:
         dup = False
         for kept in out:
             if (len(c.etas) == len(kept.etas)
-                    and np.abs(c.points - kept.points).sum(axis=(1, 2)).max() <= dedup_tol):
+                    and np.abs(c.points - kept.points).sum(axis=(1, 2)).max() <= SAME_POINT_L1):
                 dup = True
                 break
         if not dup:
@@ -170,12 +162,11 @@ class LimitPoint:
     tail_shrinking: bool
 
 
-def limit_equilibria_estimate(game: PopulationGame, curves, nash_tol: float = 1e-3
-                              ) -> list[LimitPoint]:
+def limit_equilibria_estimate(game: PopulationGame, curves) -> list[LimitPoint]:
     """Branch terminals as candidate limit equilibria, with Nash diagnostics.
 
     Requires every branch to reach eta <= 1e-3; the terminal configuration
-    is then checked against the equilibrium inequalities at ``nash_tol``.
+    is then checked against the equilibrium inequalities at tolerance 1e-3.
     ``tail_shrinking`` records whether the violation decreased over the last
     stretch of the branch, the signature of a true vanishing-noise limit.
     """
@@ -184,9 +175,9 @@ def limit_equilibria_estimate(game: PopulationGame, curves, nash_tol: float = 1e
         if c.terminal_eta > 1e-3 * (1 + 1e-9):
             raise ValueError(f"branch (seed {c.seed_index}) stops at eta="
                              f"{c.terminal_eta:g}; continuation must reach 1e-3")
-        rep = classify_equilibrium(game, c.terminal_limit, tol=nash_tol)
         k_back = min(8, len(c.etas) - 1)
-        rep_back = classify_equilibrium(game, c.points[-1 - k_back], tol=nash_tol)
+        rep, rep_back = (classify_equilibrium(game, x, tol=1e-3)
+                         for x in (c.terminal_limit, c.points[-1 - k_back]))
         shrinking = rep.max_violation <= rep_back.max_violation + 1e-12
         out.append(LimitPoint(x=c.terminal_limit, eta=c.terminal_eta,
                               nash_violation=rep.max_violation,
@@ -207,10 +198,12 @@ class NoiseSweep:
 
 
 def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
-                     rng: np.random.Generator | None = None,
-                     residual_tol: float = 1e-8, dedup_tol: float = 1e-5,
-                     margin_samples: int = 100) -> NoiseSweep:
-    """Count distinct (stable) fixed points at each eta on a decreasing grid."""
+                     rng: np.random.Generator | None = None) -> NoiseSweep:
+    """Count distinct (stable) fixed points at each eta on a decreasing grid.
+
+    A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
+    are one point. Margins use 100 sampled points plus the vertices.
+    """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
         raise ValueError("eta_grid must be strictly decreasing")
@@ -218,7 +211,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
         raise ValueError("multistart must be at least 4")
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
-    margin_pts = contraction_points(game, margin_samples, rng)
+    margin_pts = contraction_points(game, 100, rng)
     per_eta = []
     margins = []
     for eta in etas:
@@ -227,9 +220,9 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
         found: list[FixedPointResult] = []
         for x0 in seeds:
             r = fixed_point(game, float(eta), x0)
-            if not r.converged or r.residual > residual_tol:
+            if not r.converged or r.residual > 1e-8:
                 continue
-            if all(np.abs(r.x - f.x).sum() > dedup_tol for f in found):
+            if all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found):
                 found.append(r)
         per_eta.append(tuple(found))
         margins.append(contraction_margin(game, float(eta), points=margin_pts).margin)

@@ -77,9 +77,9 @@ def logit_protocol(eta: float) -> RevisionProtocol:
 
 
 def exact_target_check(protocol: RevisionProtocol, game: PopulationGame,
-                       samples: int = 20, rng: np.random.Generator | None = None,
-                       tol: float = 1e-9) -> tuple[bool, float]:
-    """Sampled test of mass preservation and support: returns (ok, max violation)."""
+                       samples: int = 20, rng: np.random.Generator | None = None
+                       ) -> tuple[bool, float]:
+    """Sampled test of mass preservation and support: (violation <= 1e-9, max violation)."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -90,17 +90,17 @@ def exact_target_check(protocol: RevisionProtocol, game: PopulationGame,
         worst = max(worst, float(np.abs(F.sum(axis=0) - game.masses).max()))
         worst = max(worst, float(np.abs(np.where(game.mask, 0.0, F)).max()))
         worst = max(worst, float(max(0.0, -(F.min()))))
-    return worst <= tol, worst
+    return worst <= 1e-9, worst
 
 
 def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
-                       samples: int = 10, rng: np.random.Generator | None = None,
-                       tol: float = 1e-7) -> tuple[bool, list]:
+                       samples: int = 10, rng: np.random.Generator | None = None
+                       ) -> tuple[bool, list]:
     """Finite-difference sign test of the target's cost sensitivities.
 
-    On sampled cost matrices, dG_ip/dc_ip must be <= tol, dG_ip/dc_jp >= -tol
+    On sampled cost matrices, dG_ip/dc_ip must be <= 1e-7, dG_ip/dc_jp >= -1e-7
     for j != i within population p, and cross-population sensitivities must
-    vanish. Returns (ok, violations) with entries (kind, (i,p), (j,q), value).
+    vanish (to 1e-7). Returns (ok, violations) with entries (kind, (i,p), (j,q), value).
     """
     if not protocol.cost_based:
         raise CapabilityError(f"protocol {protocol.name!r} is not cost-based; "
@@ -115,14 +115,13 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
             for (i, p) in game.valid_pairs:
                 v = float(dG[i, p, j, q])
                 if p == q and i == j:
-                    if v > tol:
-                        violations.append(("own_cost_increasing", (i, p), (j, q), v))
+                    kind, excess = "own_cost_increasing", v
                 elif p == q:
-                    if v < -tol:
-                        violations.append(("cross_cost_decreasing", (i, p), (j, q), v))
+                    kind, excess = "cross_cost_decreasing", -v
                 else:
-                    if abs(v) > tol:
-                        violations.append(("cross_population_coupling", (i, p), (j, q), v))
+                    kind, excess = "cross_population_coupling", abs(v)
+                if excess > 1e-7:
+                    violations.append((kind, (i, p), (j, q), v))
     return not violations, violations
 
 
@@ -259,29 +258,23 @@ class ReducedSystem:
         n = int(round(horizon / dt))
         return dt * np.arange(n + 1), _rk4(lambda v, k: self.field(v), w, n, dt)
 
-    def fixed_point(self, w0, tol: float = 1e-10,
-                    max_iter: int = 10 ** 5) -> ReducedFixedPoint:
+    def fixed_point(self, w0, max_iter: int = 10 ** 5) -> ReducedFixedPoint:
         """Aggregate fixed point w = sum_p G_p(cbar(w)) by damped_iteration.
 
-        The damping cap is sized from jacobian_fd(w) + I, the Jacobian of the
-        iterated map.
+        Converges at an l1 residual of 1e-10. The damping cap is sized from
+        jacobian_fd(w) + I, the Jacobian of the iterated map.
         """
         w, r, it, converged = damped_iteration(
             lambda v: self.target(v).sum(axis=1),
             self._start(w0),
             lambda v: float(np.abs(self.jacobian_fd(v) + np.eye(self.game.n_actions)
                                    ).sum(axis=0).max()),
-            lambda v: tol, max_iter=max_iter)
+            lambda v: 1e-10, max_iter=max_iter)
         return ReducedFixedPoint(w=w, residual=r, iterations=it, converged=converged)
 
     def jacobian_fd(self, w) -> np.ndarray:
         """Central finite differences of the reduced field, step 1e-6."""
         return central_difference(self.field, w, 1e-6)
-
-
-def aggregate_dynamics(game: PopulationGame, protocol: RevisionProtocol) -> ReducedSystem:
-    """Reduced system over per-action totals; errors when capabilities are missing."""
-    return ReducedSystem(game, protocol)
 
 
 def recover_configuration_limit(game: PopulationGame, protocol: RevisionProtocol,
@@ -314,11 +307,11 @@ class RateFit:
 
 
 def l1_contraction_test(traj_a: Trajectory, traj_b: Trajectory,
-                        aggregate: bool = False, floor: float = 1e-14) -> RateFit:
+                        aggregate: bool = False) -> RateFit:
     """Fit log distance vs time between two trajectories on one time grid.
 
     ``aggregate`` fits the per-action total flows instead of full states.
-    Points with distance at or below ``floor`` are dropped from the fit
+    Points with distance at or below 1e-14 are dropped from the fit
     (they are dominated by roundoff); an all-zero sequence yields an
     undefined rate, flagged via ``defined=False``.
     """
@@ -332,7 +325,7 @@ def l1_contraction_test(traj_a: Trajectory, traj_b: Trajectory,
         d = np.abs(diff).sum(axis=(1, 2))
     grow = d[1:] > d[:-1] * (1 + 1e-12) + 1e-14
     non_monotone = bool(np.any(grow))
-    keep = d > floor
+    keep = d > 1e-14
     if keep.sum() < 2:
         return RateFit(rate=None, intercept=None, residual_rms=None,
                        n_points=int(keep.sum()), non_monotone=non_monotone,

@@ -341,9 +341,13 @@ class PopulationGame:
         return np.flatnonzero(self.mask[:, p])
 
     def action_index(self, action_id: str) -> int:
+        if action_id not in self.actions:
+            raise ConfigurationError(f"unknown action {action_id!r}")
         return self.actions.index(action_id)
 
     def population_index(self, pop_id: str) -> int:
+        if pop_id not in self.populations:
+            raise ConfigurationError(f"unknown population {pop_id!r}")
         return self.populations.index(pop_id)
 
     @property
@@ -432,10 +436,10 @@ def sample_configuration(game: PopulationGame, rng: np.random.Generator) -> np.n
     return x
 
 
-def monomorphic_vertices(game: PopulationGame, cap: int = 4096) -> list[np.ndarray]:
+def monomorphic_vertices(game: PopulationGame) -> list[np.ndarray]:
     """All configurations with each population massed on a single action.
 
-    Truncated (deterministically) at ``cap`` vertices for large products.
+    Truncated (deterministically) at 4096 vertices for large products.
     """
     per_pop = [game.action_set(p) for p in range(game.n_pops)]
     out = []
@@ -444,18 +448,9 @@ def monomorphic_vertices(game: PopulationGame, cap: int = 4096) -> list[np.ndarr
         for p, i in enumerate(combo):
             x[i, p] = game.masses[p]
         out.append(x)
-        if len(out) >= cap:
+        if len(out) >= 4096:
             break
     return out
-
-
-def aggregate_flow(game: PopulationGame, x) -> np.ndarray:
-    """Total mass per action, w = x 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (game.n_actions, game.n_pops):
-        raise ConfigurationError(f"configuration has shape {x.shape}, "
-                                 f"expected {(game.n_actions, game.n_pops)}")
-    return x.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +567,13 @@ def _transfer_probes(game: PopulationGame, x_star: np.ndarray, radius: float):
 
 
 def isolation_probe(game: PopulationGame, x_star, radius: float,
-                    samples: int = 200, rng: np.random.Generator | None = None,
-                    nash_tol: float = 1e-9) -> bool:
+                    rng: np.random.Generator | None = None) -> bool:
     """Sampling evidence that x* is an isolated Nash equilibrium.
 
-    Returns False as soon as a distinct configuration within l1 distance
-    ``radius`` passes the Nash test at a near-zero tolerance. Probes combine
-    uniform draws toward x* with structured mass transfers (single and
-    cross-population pairs). A True result is evidence, not proof.
+    Returns False as soon as a configuration more than 1e-8 and at most
+    ``radius`` away from x* in l1 passes the Nash test at tolerance 1e-9.
+    Probes combine 200 uniform draws toward x* with structured mass transfers
+    (single and cross-population pairs). A True result is evidence, not proof.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -588,7 +582,7 @@ def isolation_probe(game: PopulationGame, x_star, radius: float,
         raise ValueError("x_star must be a Nash equilibrium")
     rng = rng if rng is not None else np.random.default_rng(0)
     probes = _transfer_probes(game, x_star, radius)
-    for _ in range(samples):
+    for _ in range(200):
         z = sample_configuration(game, rng)
         d = float(np.abs(z - x_star).sum())
         if d <= 0:
@@ -597,10 +591,10 @@ def isolation_probe(game: PopulationGame, x_star, radius: float,
         probes.append(x_star + theta * (z - x_star))
     tested = 0
     for y in probes:
-        if float(np.abs(y - x_star).sum()) <= max(10 * nash_tol, 1e-12):
+        if float(np.abs(y - x_star).sum()) <= 1e-8:
             continue
         tested += 1
-        if classify_equilibrium(game, y, tol=nash_tol).is_nash:
+        if classify_equilibrium(game, y, tol=1e-9).is_nash:
             return False
     if tested == 0:
         raise ValueError("degenerate sampling: no distinct configurations exist "
@@ -651,12 +645,12 @@ def cost_jacobian(game: PopulationGame, x) -> np.ndarray:
     return _fd_cost_jacobian(game, x) if D is None else np.asarray(D, dtype=float)
 
 
-def potential_symmetry_check(game: PopulationGame, samples: int = 10, tol: float = 1e-6,
+def potential_symmetry_check(game: PopulationGame, samples: int = 10,
                              rng: np.random.Generator | None = None
                              ) -> tuple[bool, float]:
     """Test d c_ip / d x_jq == d c_jq / d x_ip at sampled interior points.
 
-    Returns (symmetric within tol everywhere, max observed asymmetry). The
+    Returns (symmetric within 1e-6 everywhere, max observed asymmetry). The
     check runs finite differences regardless of analytic partials, and skips
     zero-mass populations.
     """
@@ -666,7 +660,7 @@ def potential_symmetry_check(game: PopulationGame, samples: int = 10, tol: float
     for _ in range(samples):
         M = _fd_cost_jacobian(game, sample_configuration(game, rng))[ii, pp][:, ii, pp]
         worst = max(worst, float(np.abs(M - M.T).max()))
-    return worst <= tol, worst
+    return worst <= 1e-6, worst
 
 
 def potential(game: PopulationGame) -> Callable[[np.ndarray], float]:

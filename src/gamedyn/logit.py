@@ -174,9 +174,9 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
     return best_x, best_r, it, best_r <= tol
 
 
-def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
+def fixed_point(game: PopulationGame, eta: float, x0, *,
                 max_iter: int = 10 ** 5) -> FixedPointResult:
-    """Fixed point of logit_map by damped_iteration, to an l1 residual of tol.
+    """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
 
     The damping cap is sized from the l1 column norm of the map Jacobian.
     The effective tolerance never goes below the roundoff residual_floor.
@@ -187,7 +187,7 @@ def fixed_point(game: PopulationGame, eta: float, x0, *, tol: float = 1e-10,
         lambda y: logit_map(game, y, eta),
         validate_configuration(game, x0),
         lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-        lambda y: max(tol, residual_floor(game, evaluate_costs(game, y), eta)),
+        lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)),
         max_iter=max_iter)
     stability = local_stability(game, x, eta) if converged else None
     if not converged:
@@ -215,19 +215,20 @@ def contraction_points(game: PopulationGame, sample_count: int = 200,
     return pts
 
 
-def contraction_margin(game: PopulationGame, eta: float, sample_count: int = 200,
+def contraction_margin(game: PopulationGame, eta: float,
                        rng: np.random.Generator | None = None,
                        points: list[np.ndarray] | None = None) -> ContractionReport:
     """Sampled column-dominance margin of J_F - I over the configuration set.
 
-    margin < 0 on every sample certifies an l1 contraction at rate -margin
-    on the samples (evidence, not proof: the true condition quantifies over
-    all of the polytope).
+    ``points`` defaults to contraction_points(game, 200, rng). margin < 0 on
+    every sample certifies an l1 contraction at rate -margin on the samples
+    (evidence, not proof: the true condition quantifies over all of the
+    polytope).
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
     if points is None:
-        points = contraction_points(game, sample_count, rng)
+        points = contraction_points(game, rng=rng)
+    if len(points) == 0:
+        raise ValueError("contraction margin needs at least one point")
     n = len(game.valid_pairs)
     eye = np.eye(n)
     margin = -np.inf
@@ -242,18 +243,18 @@ def contraction_margin(game: PopulationGame, eta: float, sample_count: int = 200
 
 
 def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
-                         eta_hi: float = 1000.0, sample_count: int = 200,
-                         rng: np.random.Generator | None = None,
-                         rel_tol: float = 1e-2) -> float:
+                         eta_hi: float = 1000.0,
+                         rng: np.random.Generator | None = None) -> float:
     """Smallest tested eta whose sampled contraction margin is negative.
 
-    Bisects log(eta) on the certification predicate, reusing one sample set
-    across all margin evaluations so the predicate is a fixed function of
-    eta. Returns eta_lo outright when even eta_lo certifies.
+    Bisects log(eta) on the certification predicate down to a bracket ratio
+    of 1.01, reusing one set of 200 sampled points (plus the vertices) across
+    all margin evaluations so the predicate is a fixed function of eta.
+    Returns eta_lo outright when even eta_lo certifies.
     """
     if not (0 < eta_lo < eta_hi):
         raise ValueError("need 0 < eta_lo < eta_hi")
-    points = contraction_points(game, sample_count, rng)
+    points = contraction_points(game, rng=rng)
 
     def certified(eta):
         return contraction_margin(game, eta, points=points).certified
@@ -264,7 +265,7 @@ def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
         raise ValueError(f"margin not certified even at eta_hi={eta_hi}; "
                          "widen the bracket upward")
     lo, hi = float(eta_lo), float(eta_hi)
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.01:
         mid = float(np.sqrt(lo * hi))
         if certified(mid):
             hi = mid
@@ -297,9 +298,8 @@ class StrictBasinEstimate:
 
 
 def _basin_samples(game: PopulationGame, support: dict[int, int], eps: float,
-                   n_random: int, rng: np.random.Generator,
-                   corner_cap: int = 512) -> list[np.ndarray]:
-    """Points of O_eps: per-population corner deficits plus random interiors.
+                   rng: np.random.Generator) -> list[np.ndarray]:
+    """Points of O_eps: up to 512 per-population corner deficits plus 50 random interiors.
 
     Corners put the full deficit v_p*eps on a single alternative action; they
     realize the worst cost gap when costs are monotone in the flows.
@@ -325,14 +325,14 @@ def _basin_samples(game: PopulationGame, support: dict[int, int], eps: float,
         per_pop_corners.append(cols)
     counts = [len(c) for c in per_pop_corners]
     total = int(np.prod(counts))
-    for flat in range(min(total, corner_cap)):
+    for flat in range(min(total, 512)):
         x = np.zeros((game.n_actions, game.n_pops))
         rem = flat
         for k, p in enumerate(active):
             rem, idx = divmod(rem, counts[k])
             x[:, p] = per_pop_corners[k][idx]
         out.append(x)
-    for _ in range(n_random):
+    for _ in range(50):
         x = np.zeros((game.n_actions, game.n_pops))
         for p in range(game.n_pops):
             s = game.action_set(p)
@@ -354,15 +354,15 @@ def _basin_samples(game: PopulationGame, support: dict[int, int], eps: float,
 
 
 def strict_basin_estimate(game: PopulationGame, x_star, *,
-                          eps_grid=None, eta_grid=None, samples: int = 50,
                           rng: np.random.Generator | None = None) -> StrictBasinEstimate:
     """Basin radius and noise bound for a strict equilibrium.
 
-    epsilon_bar is the largest grid eps such that every sampled point of
-    O_eps (support actions hold at least v_p(1-eps)) keeps the cost gap of
-    every population at or above alpha/2. eta_epsilon is the largest grid
-    eta for which the map sends sampled O_epsilon_bar points back into the
-    set. Both are sampling estimates.
+    epsilon_bar is the largest grid eps (20 linear steps 1 -> 0.05, then 10
+    geometric 0.04 -> 1e-3) such that every sampled point of O_eps (support
+    actions hold at least v_p(1-eps)) keeps the cost gap of every population
+    at or above alpha/2. eta_epsilon is the largest grid eta (60 geometric
+    steps 10 -> 1e-4) for which the map sends sampled O_epsilon_bar points
+    back into the set. Both are sampling estimates.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     x_star = validate_configuration(game, x_star)
@@ -374,14 +374,9 @@ def strict_basin_estimate(game: PopulationGame, x_star, *,
     for p in game.active_populations:
         s = game.action_set(p)
         support[int(p)] = int(s[np.argmax(x_star[s, p])])
-    if eps_grid is None:
-        eps_grid = np.concatenate([np.linspace(1.0, 0.05, 20),
-                                   np.geomspace(0.04, 1e-3, 10)])
-    if eta_grid is None:
-        eta_grid = np.geomspace(10.0, 1e-4, 60)
 
     def gap_ok(eps):
-        for x in _basin_samples(game, support, eps, samples, rng):
+        for x in _basin_samples(game, support, eps, rng):
             c = evaluate_costs(game, x)
             for p in game.active_populations:
                 s = game.action_set(p)
@@ -392,7 +387,7 @@ def strict_basin_estimate(game: PopulationGame, x_star, *,
         return True
 
     epsilon_bar = None
-    for eps in eps_grid:
+    for eps in np.concatenate([np.linspace(1.0, 0.05, 20), np.geomspace(0.04, 1e-3, 10)]):
         if gap_ok(float(eps)):
             epsilon_bar = float(eps)
             break
@@ -400,7 +395,7 @@ def strict_basin_estimate(game: PopulationGame, x_star, *,
         raise ValueError("no grid epsilon kept the sampled cost gap above alpha/2")
 
     def invariant_under(eta):
-        for x in _basin_samples(game, support, epsilon_bar, samples, rng):
+        for x in _basin_samples(game, support, epsilon_bar, rng):
             F = logit_map(game, x, eta)
             for p in game.active_populations:
                 sp = support[int(p)]
@@ -409,13 +404,12 @@ def strict_basin_estimate(game: PopulationGame, x_star, *,
         return True
 
     eta_epsilon = None
-    for eta in eta_grid:
+    for eta in np.geomspace(10.0, 1e-4, 60):
         if invariant_under(float(eta)):
             eta_epsilon = float(eta)
             break
     if eta_epsilon is None:
-        raise ValueError("no grid eta kept the sampled basin invariant; "
-                         "extend eta_grid downward")
+        raise ValueError("no grid eta down to 1e-4 kept the sampled basin invariant")
     desc = {game.populations[p]: (game.actions[support[p]],
                                   float(game.masses[p] * (1.0 - epsilon_bar)))
             for p in support}

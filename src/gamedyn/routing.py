@@ -376,10 +376,10 @@ class WardropReport:
     equilibrium: EquilibriumReport
 
 
-def wardrop_check(rgame: RoutingGame, x, tol: float = 1e-8) -> WardropReport:
-    """Link flow of x plus whether x witnesses it as an equilibrium flow."""
+def wardrop_check(rgame: RoutingGame, x) -> WardropReport:
+    """Link flow of x plus whether x witnesses it as an equilibrium flow (tol 1e-8)."""
     x = validate_configuration(rgame.game, x)
-    rep = classify_equilibrium(rgame.game, x, tol=tol)
+    rep = classify_equilibrium(rgame.game, x)
     return WardropReport(is_wardrop_witness=rep.is_nash,
                          y=link_flow(rgame.route_set, x), equilibrium=rep)
 
@@ -440,13 +440,13 @@ class DecoupledReport:
 
 
 def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
-                    samples: int = 50, tol: float = 1e-10,
+                    samples: int = 50,
                     rng: np.random.Generator | None = None) -> DecoupledReport:
     """Does the composite target factor into independent per-stage choices?
 
     For sampled configurations, compares H_r against the product of the
     standalone stage targets over r's segments, divided by v_p per extra
-    stage. Applies to series compositions only.
+    stage, to 1e-10. Applies to series compositions only.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     stages = stage_games(rgame)
@@ -470,7 +470,7 @@ def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
                     pred *= stage_targets[k][seg_route_idx[k][idxs[k]], p]
                 pred /= game.masses[p] ** (len(stages) - 1)
                 worst = max(worst, abs(H[r, p] - pred))
-    return DecoupledReport(ok=bool(worst <= tol), max_error=float(worst))
+    return DecoupledReport(ok=bool(worst <= 1e-10), max_error=float(worst))
 
 
 def series_restriction_equivalence(rgame: RoutingGame, protocol: RevisionProtocol,

@@ -48,6 +48,9 @@ _RECORD_SECTIONS = {"nodes", "links", "od", "actions", "costs", "tolls",
                     "sensitivities", "populations"}
 _KV_SECTIONS = {"dynamics", "run"}
 
+# most RK4 or noise-grid steps a run may ask for: 200x the largest bundled run
+MAX_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -106,7 +109,8 @@ class Scenario:
     def time_grid(self, horizon: float | None = None) -> tuple[float, float]:
         """(horizon, dt) of an integration; ``horizon`` overrides [run] horizon (50).
 
-        Needs 0 < dt <= horizon, so that at least one step is taken.
+        Needs 0 < dt <= horizon, so that at least one step is taken, and at
+        most MAX_STEPS steps.
         """
         fixed = horizon is not None
         horizon = horizon if fixed else self.run_float("horizon", 50.0)
@@ -115,16 +119,23 @@ class Scenario:
             bound, got = ((f"{horizon:g}", f"dt = {dt:g}") if fixed else
                           ("horizon", f"dt = {dt:g}, horizon = {horizon:g}"))
             raise ScenarioError(f"{self.path}: [run] needs 0 < dt <= {bound}, got {got}")
+        if horizon / dt > MAX_STEPS:
+            span = f"{horizon:g}" if fixed else "horizon"
+            raise ScenarioError(f"{self.path}: [run] {span} / dt = {horizon / dt:g} "
+                                f"exceeds the {MAX_STEPS} step limit")
         return horizon, dt
 
     def noise_bracket(self, steps: int) -> tuple[float, float, int]:
-        """(eta_hi, eta_lo, steps) of a decreasing noise grid; eta defaults 2 and 1e-3."""
+        """(eta_hi, eta_lo, steps <= MAX_STEPS) of a noise grid; eta defaults 2 and 1e-3."""
         eta_hi = self.run_float("eta_hi", 2.0)
         eta_lo = self.run_float("eta_lo", 1e-3)
         steps = self.run_int("steps", steps)
         if not (eta_hi > eta_lo > 0 and steps >= 2):
             raise ScenarioError(f"{self.path}: [run] needs eta_hi > eta_lo > 0 and steps >= 2, "
                                 f"got eta_hi = {eta_hi:g}, eta_lo = {eta_lo:g}, steps = {steps}")
+        if steps > MAX_STEPS:
+            raise ScenarioError(f"{self.path}: [run] steps = {steps} "
+                                f"exceeds the {MAX_STEPS} step limit")
         return eta_hi, eta_lo, steps
 
     def seed(self) -> int:

@@ -134,7 +134,7 @@ def test_criterion_5_parallel_aggregate_reduction():
         fit = gd.l1_contraction_test(ta, tb, aggregate=True)
         assert fit.defined
 
-        sys = gd.aggregate_dynamics(game, protocol)
+        sys = gd.ReducedSystem(game, protocol)
         fp = sys.fixed_point(gd.uniform_configuration(game).sum(axis=1))
         assert fp.converged
         x_star = gd.recover_configuration_limit(game, protocol, fp.w)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gamedyn as gd
+from gamedyn import analysis
 from gamedyn.analysis import dedup_curves, entropy_term
 
 from conftest import get_scenario
@@ -78,6 +79,30 @@ def test_sweep_residuals_and_margins_recorded():
     # pigou's column cancellation pins the l1 margin at -1 everywhere
     np.testing.assert_allclose(c.l1_margins, -1.0, atol=1e-9)
     assert c.stable.all()
+
+
+@pytest.mark.parametrize("name, solves, iterations, branches", [
+    ("coordination", 231, 2712, 3),
+    ("pigou", 180, 1889, 1),
+])
+def test_continuation_warm_start_counts(monkeypatch, name, solves, iterations, branches):
+    # pins the secant predictor and the nudge retry: any change to either
+    # moves the number of solves or the Picard iterations they take
+    g, _ = get_scenario(name).build_game()
+    real = analysis.fixed_point
+    totals = [0, 0]
+
+    def counted(*args, **kwargs):
+        r = real(*args, **kwargs)
+        totals[0] += 1
+        totals[1] += r.iterations
+        return r
+
+    monkeypatch.setattr(analysis, "fixed_point", counted)
+    curves = gd.continuation_sweep(g, 2.0, 1e-3, 60, gd.monomorphic_vertices(g)
+                                   + [gd.uniform_configuration(g)])
+    assert totals == [solves, iterations]
+    assert len(curves) == branches
 
 
 def test_dedup_merges_identical_branches():

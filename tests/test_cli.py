@@ -234,6 +234,13 @@ def test_reproduce_wheatstone_exit_2_when_no_branch_converges(tmp_path, monkeypa
     ("verify", "pigou", {"dt": "3"}, "needs 0 < dt <= 2, got dt = 3"),
     ("simulate", "pigou", {"seed": "-4"}, "[run] seed must be nonnegative, got -4"),
     ("simulate", "pigou", {"--seed": "-3"}, "--seed must be nonnegative, got -3"),
+    ("simulate", "pigou", {"horizon": "1e300", "dt": "1"},
+     "[run] horizon / dt = 1e+300 exceeds the 1000000 step limit"),
+    ("sweep", "pigou", {"steps": "1000000000000000"},
+     "[run] steps = 1000000000000000 exceeds the 1000000 step limit"),
+    ("bifurcation", "pigou", {"steps": "1000000000000000"},
+     "[run] steps = 1000000000000000 exceeds the 1000000 step limit"),
+    ("simulate", "pigou", {"x0": "vertex: zz"}, "bad x0 'vertex: zz': unknown action 'zz'"),
 ])
 def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, values,
                                             cause):

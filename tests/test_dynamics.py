@@ -149,11 +149,11 @@ def test_rk4_step_halving_is_fourth_order():
 def test_reduced_system_capability_gates():
     g, _ = get_scenario("wheatstone").build_game()    # costs couple the links
     with pytest.raises(gd.CapabilityError, match="per-action aggregate"):
-        gd.aggregate_dynamics(g, gd.logit_protocol(0.2))
+        gd.ReducedSystem(g, gd.logit_protocol(0.2))
     g2, _ = get_scenario("pigou").build_game()
     state_only = gd.RevisionProtocol(name="state-only", target_fn=lambda gm, x: x)
     with pytest.raises(gd.CapabilityError, match="cost-based"):
-        gd.aggregate_dynamics(g2, state_only)
+        gd.ReducedSystem(g2, state_only)
 
 
 def test_reduced_matches_full_aggregate():
@@ -161,7 +161,7 @@ def test_reduced_matches_full_aggregate():
     pr = gd.logit_protocol(0.5)
     x0 = gd.uniform_configuration(g)
     traj = gd.integrate(g, pr, x0, 5.0, 0.01)
-    sys = gd.aggregate_dynamics(g, pr)
+    sys = gd.ReducedSystem(g, pr)
     _, flows = sys.integrate(x0.sum(axis=1), 5.0, 0.01)
     gap = float(np.abs(traj.aggregate_flows() - flows).max())
     assert gap <= 1e-8
@@ -169,7 +169,7 @@ def test_reduced_matches_full_aggregate():
 
 def test_reduced_jacobian_columns_sum_to_minus_one(rng):
     g, _ = get_scenario("parallel3").build_game()
-    sys = gd.aggregate_dynamics(g, gd.logit_protocol(0.5))
+    sys = gd.ReducedSystem(g, gd.logit_protocol(0.5))
     w = rng.uniform(0.2, 1.2, size=g.n_actions)
     J = sys.jacobian_fd(w)
     np.testing.assert_allclose(J.sum(axis=0), -1.0, atol=1e-6)
@@ -178,7 +178,7 @@ def test_reduced_jacobian_columns_sum_to_minus_one(rng):
 def test_reduced_total_mass_relaxes_exponentially():
     # the target always carries total mass v, so m' = v - m exactly
     g, _ = get_scenario("pigou").build_game()
-    sys = gd.aggregate_dynamics(g, gd.logit_protocol(0.25))
+    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
     w0 = np.array([0.2, 0.2])
     times, flows = sys.integrate(w0, 5.0, 0.01)
     m = flows.sum(axis=1)
@@ -188,7 +188,7 @@ def test_reduced_total_mass_relaxes_exponentially():
 
 def test_reduced_fixed_point_matches_scalar_oracle():
     g, _ = get_scenario("pigou").build_game()
-    sys = gd.aggregate_dynamics(g, gd.logit_protocol(0.25))
+    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
     fp = sys.fixed_point(np.array([0.5, 0.5]))
     assert fp.converged
     w_star = brentq(lambda w: 1.0 / (1.0 + np.exp((w - 1.0) / 0.25)) - w,
@@ -206,7 +206,7 @@ def test_reduced_fixed_point_iteration_counts(name, eta, w0, max_iter, iteration
                                               converged):
     # exact counts pin the damping rule shared with the full-state solver
     g, _ = get_scenario(name).build_game()
-    sys = gd.aggregate_dynamics(g, gd.logit_protocol(eta))
+    sys = gd.ReducedSystem(g, gd.logit_protocol(eta))
     w0 = gd.uniform_configuration(g).sum(axis=1) if w0 is None else np.array(w0)
     fp = sys.fixed_point(w0, max_iter=max_iter)
     assert fp.iterations == iterations and fp.converged is converged
@@ -215,7 +215,7 @@ def test_reduced_fixed_point_iteration_counts(name, eta, w0, max_iter, iteration
 def test_recover_configuration_limit_roundtrip():
     g, _ = get_scenario("parallel3").build_game()
     pr = gd.logit_protocol(0.5)
-    sys = gd.aggregate_dynamics(g, pr)
+    sys = gd.ReducedSystem(g, pr)
     fp = sys.fixed_point(gd.uniform_configuration(g).sum(axis=1))
     x_star = gd.recover_configuration_limit(g, pr, fp.w)
     gd.validate_configuration(g, x_star)
@@ -233,7 +233,7 @@ def test_recover_configuration_limit_rejects_non_fixed_flow():
 
 def test_reduced_integrate_validates_input():
     g, _ = get_scenario("pigou").build_game()
-    sys = gd.aggregate_dynamics(g, gd.logit_protocol(0.25))
+    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
     with pytest.raises(ValueError):
         sys.integrate(np.zeros(3), 1.0, 0.01)
     with pytest.raises(ValueError):
@@ -243,7 +243,7 @@ def test_reduced_integrate_validates_input():
 @pytest.mark.parametrize("method", ["integrate", "fixed_point"])
 def test_reduced_start_is_checked(method):
     g, _ = get_scenario("pigou").build_game()
-    sys = gd.aggregate_dynamics(g, gd.logit_protocol(0.25))
+    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
     run = (lambda w0: sys.integrate(w0, 1.0, 0.01)) if method == "integrate" \
         else sys.fixed_point
     with pytest.raises(ValueError, match=r"w0 must have shape \(2,\), got \(3,\)"):

@@ -215,12 +215,6 @@ def test_vertex_configuration_respects_mask():
         gd.vertex_configuration(g, ["a1", "a1"])
 
 
-def test_aggregate_flow_row_sums():
-    g, _ = get_scenario("parallel3").build_game()
-    x = gd.uniform_configuration(g)
-    np.testing.assert_allclose(gd.aggregate_flow(g, x), x.sum(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # Equilibrium classification
 

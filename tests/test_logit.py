@@ -221,7 +221,7 @@ def test_margin_brackets_coordination_threshold(rng):
 def test_margin_input_validation():
     g, _ = get_scenario("pigou").build_game()
     with pytest.raises(ValueError):
-        gd.contraction_margin(g, 1.0, sample_count=0)
+        gd.contraction_margin(g, 1.0, points=[])
 
 
 def test_high_noise_threshold_brackets_the_flip(rng):
