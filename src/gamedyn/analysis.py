@@ -21,8 +21,8 @@ from .game import (
 from .logit import (
     fixed_point,
     FixedPointResult,
-    contraction_margin,
     contraction_points,
+    _margin_of,
 )
 from .dynamics import Trajectory
 
@@ -202,7 +202,8 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
     A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
-    are one point. Margins use 100 sampled points plus the vertices.
+    are one point. Margins use one set of 100 sampled points plus the
+    vertices, whose costs and cost partials are built once for all etas.
     """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
@@ -211,7 +212,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
         raise ValueError("multistart must be at least 4")
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
-    margin_pts = contraction_points(game, 100, rng)
+    margin = _margin_of(game, contraction_points(game, 100, rng))
     per_eta = []
     margins = []
     for eta in etas:
@@ -225,7 +226,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
             if all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found):
                 found.append(r)
         per_eta.append(tuple(found))
-        margins.append(contraction_margin(game, float(eta), points=margin_pts).margin)
+        margins.append(margin(float(eta)))
     n_fixed = np.array([len(f) for f in per_eta])
     n_stable = np.array([sum(1 for r in f if r.stability.locally_stable)
                          for f in per_eta])

@@ -364,6 +364,8 @@ def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
     if c.shape != (game.n_actions, game.n_pops):
         raise CostEvalError(f"cost field returned shape {c.shape}, "
                             f"expected {(game.n_actions, game.n_pops)}")
+    if np.isfinite(c).all():
+        return c
     bad = ~np.isfinite(c) & game.mask
     if np.any(bad):
         i, p = np.argwhere(bad)[0]

@@ -28,14 +28,15 @@ log = logging.getLogger(__name__)
 def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
     """exp(-(c - cmin_p)/eta) on valid entries (0 elsewhere), and its column sums.
 
-    The per-population minimum cost cmin_p keeps every exponent at or below
-    zero, so nothing overflows for eta down to 1e-4 with costs of any
-    magnitude.
+    Works over the last two axes, so c may be one (S,P) cost matrix or a
+    stack of them. Off the mask c is read as +inf, whatever it holds (NaN and
+    -inf too). The per-population minimum cost cmin_p keeps every exponent at
+    or below zero, so nothing overflows for eta down to 1e-4 with costs of
+    any magnitude.
     """
-    m = game.mask
-    cmin = np.min(np.where(m, c, np.inf), axis=0)
-    e = np.exp(np.where(m, (cmin - c) / eta, -np.inf))
-    return e, e.sum(axis=0)
+    z = np.where(game.mask, c, np.inf)
+    e = np.exp((z.min(axis=-2, keepdims=True) - z) / eta)
+    return e, e.sum(axis=-2, keepdims=True)
 
 
 def softmax_target(game: PopulationGame, c: np.ndarray, eta: float) -> np.ndarray:
@@ -56,28 +57,46 @@ def logit_map(game: PopulationGame, x, eta: float) -> np.ndarray:
     return softmax_target(game, evaluate_costs(game, x), eta)
 
 
+def _noise_free_parts(game: PopulationGame, x) -> tuple[np.ndarray, np.ndarray]:
+    """Costs (S,P) and partials (P,S,n) at x; neither depends on eta.
+
+    The partials' [p, i, m] entry is d c_ip / d x at the m-th valid pair
+    (population-major), zero off the mask.
+    """
+    x = np.asarray(x, dtype=float)
+    c = evaluate_costs(game, x)
+    qs, js = np.nonzero(game.mask.T)
+    D = np.where(game.mask[:, :, None], cost_jacobian(game, x)[:, :, js, qs], 0.0)
+    # C-contiguous (P,S,n) blocks, so the stacked product makes one BLAS call
+    # per population and rounds like a per-population loop (strided operands
+    # do not)
+    return c, np.ascontiguousarray(D.transpose(1, 0, 2))
+
+
+def _jacobians(game: PopulationGame, c: np.ndarray, D: np.ndarray,
+               eta: float) -> np.ndarray:
+    """Logit Jacobian (n,n) from one point's _noise_free_parts, or a stack
+    (N,n,n) from stacks (N,S,P) and (N,P,S,n) of them."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    e, total = _shifted_exp(game, c, eta)
+    pi = np.ascontiguousarray((e / total).swapaxes(-1, -2))     # (..., P, S)
+    avg = pi[..., None, :] @ D                                  # (..., P, 1, n)
+    J = ((game.masses / eta)[:, None] * pi)[..., None] * (avg - D)
+    qs, js = np.nonzero(game.mask.T)
+    return J[..., qs, js, :]
+
+
 def logit_jacobian(game: PopulationGame, x, eta: float) -> np.ndarray:
     """Analytic Jacobian of logit_map with respect to x.
 
     Rows and columns run over game.valid_pairs (population-major), with
     d F_ip / d x_jq = (v_p / eta) * pi_ip * (sum_s pi_sp dc_sp/dx_jq - dc_ip/dx_jq)
     and pi the softmax weights. Cost partials come from the field's analytic
-    form when present, otherwise central finite differences.
+    form when present, otherwise central finite differences. Contraction
+    margins run the same kernel on a stack of points.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=float)
-    e, total = _shifted_exp(game, evaluate_costs(game, x), eta)
-    qs, js = np.nonzero(game.mask.T)        # valid pairs, population-major
-    # pi (P,S), partials (P,S,n) with pair-ordered columns, zero off the mask;
-    # C-contiguous, so the stacked product makes one BLAS call per population
-    # and rounds like a per-population loop (strided operands do not)
-    pi = np.ascontiguousarray((e / total).T)
-    D = np.where(game.mask[:, :, None], cost_jacobian(game, x)[:, :, js, qs], 0.0)
-    D = np.ascontiguousarray(D.transpose(1, 0, 2))
-    avg = pi[:, None, :] @ D                # (P, 1, n)
-    J = ((game.masses / eta)[:, None] * pi)[:, :, None] * (avg - D)
-    return J[qs, js]
+    return _jacobians(game, *_noise_free_parts(game, x), eta)
 
 
 @dataclass(frozen=True)
@@ -98,9 +117,12 @@ class FixedPointResult:
 
 
 def _column_measure(M: np.ndarray) -> float:
-    """l1 log-norm: max over columns of diagonal plus off-diagonal abs sum."""
-    d = np.diag(M)
-    return float(np.max(d + np.abs(M).sum(axis=0) - np.abs(d)))
+    """l1 log-norm: max over columns of diagonal plus off-diagonal abs sum.
+
+    M may be a stack of square matrices; the max then runs over all of them.
+    """
+    d = np.diagonal(M, axis1=-2, axis2=-1)
+    return float(np.max(d + np.abs(M).sum(axis=-2) - np.abs(d)))
 
 
 def local_stability(game: PopulationGame, x, eta: float) -> StabilityInfo:
@@ -215,6 +237,22 @@ def contraction_points(game: PopulationGame, sample_count: int = 200,
     return pts
 
 
+def _margin_of(game: PopulationGame, points):
+    """eta -> sampled margin over a fixed point set (see contraction_margin).
+
+    Costs and cost partials do not depend on eta, so they are built once
+    here; each eta then costs one stacked softmax, one stacked product and
+    one column measure over all points.
+    """
+    if len(points) == 0:
+        raise ValueError("contraction margin needs at least one point")
+    parts = [_noise_free_parts(game, x) for x in points]
+    C = np.stack([c for c, _ in parts])
+    D = np.stack([d for _, d in parts])
+    eye = np.eye(D.shape[-1])
+    return lambda eta: _column_measure(_jacobians(game, C, D, eta) - eye)
+
+
 def contraction_margin(game: PopulationGame, eta: float,
                        rng: np.random.Generator | None = None,
                        points: list[np.ndarray] | None = None) -> ContractionReport:
@@ -227,17 +265,10 @@ def contraction_margin(game: PopulationGame, eta: float,
     """
     if points is None:
         points = contraction_points(game, rng=rng)
-    if len(points) == 0:
-        raise ValueError("contraction margin needs at least one point")
-    n = len(game.valid_pairs)
-    eye = np.eye(n)
-    margin = -np.inf
-    for x in points:
-        J = logit_jacobian(game, x, eta)
-        margin = max(margin, _column_measure(J - eye))
+    margin = _margin_of(game, points)(eta)
     certified = margin < 0.0
-    return ContractionReport(margin=float(margin),
-                             rate_c=float(-margin) if certified else 0.0,
+    return ContractionReport(margin=margin,
+                             rate_c=-margin if certified else 0.0,
                              samples_used=len(points), certified=certified,
                              eta=float(eta))
 
@@ -254,10 +285,10 @@ def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
     """
     if not (0 < eta_lo < eta_hi):
         raise ValueError("need 0 < eta_lo < eta_hi")
-    points = contraction_points(game, rng=rng)
+    margin = _margin_of(game, contraction_points(game, rng=rng))
 
     def certified(eta):
-        return contraction_margin(game, eta, points=points).certified
+        return margin(eta) < 0.0
 
     if certified(eta_lo):
         return float(eta_lo)

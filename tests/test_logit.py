@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import gamedyn as gd
+from gamedyn import logit
 from gamedyn.logit import residual_floor, softmax_target
 
 from conftest import ALL_SCENARIOS, get_scenario
@@ -137,6 +138,52 @@ def test_jacobian_columns_sum_to_zero(rng):
     np.testing.assert_allclose(J.sum(axis=0), 0.0, atol=1e-12)
 
 
+def off_mask_game(off_values, valid_bad=None):
+    """Three populations, each missing one of three actions; the callable
+    field returns ``off_values`` on the three unavailable entries and, when
+    given, ``valid_bad`` at (a1, p1)."""
+    mask = np.array([[True, False, True], [True, True, False], [False, True, True]])
+    off = np.argwhere(~mask)
+
+    def costs(x):
+        y = x.sum(axis=1)
+        c = np.outer(np.array([1.0, 2.0, 0.5]) * y + [0.0, 0.3, 0.6], [1.0, 1.5, 2.0])
+        c[off[:, 0], off[:, 1]] = off_values
+        if valid_bad is not None:
+            c[0, 0] = valid_bad
+        return c
+
+    return gd.PopulationGame(
+        populations=("p1", "p2", "p3"), masses=np.array([1.0, 0.5, 2.0]),
+        actions=("a1", "a2", "a3"), mask=mask, costs=gd.CallableCostField(costs))
+
+
+OFF_MASK_VALUES = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.3, 5.0])
+def test_off_mask_costs_are_ignored(eta, rng):
+    g = off_mask_game(OFF_MASK_VALUES)
+    x = gd.sample_configuration(g, rng)
+    c = gd.evaluate_costs(g, x)
+    assert np.isnan(c[~g.mask]).sum() == 1 and np.isinf(c[~g.mask]).sum() == 2
+    F = gd.logit_map(g, x, eta)
+    assert np.all(np.isfinite(F))
+    np.testing.assert_array_equal(F[~g.mask], 0.0)
+    np.testing.assert_allclose(F.sum(axis=0), g.masses, rtol=1e-14)
+    with np.errstate(invalid="ignore"):      # inf - inf in the off-mask partials
+        J = gd.logit_jacobian(g, x, eta)
+    assert np.all(np.isfinite(J))
+
+
+def test_off_mask_nan_does_not_hide_a_bad_valid_cost():
+    g = off_mask_game([np.nan] * 3, valid_bad=np.inf)
+    with pytest.raises(gd.CostEvalError, match="action 'a1', population 'p1'"):
+        gd.evaluate_costs(g, gd.uniform_configuration(g))
+    with pytest.raises(gd.CostEvalError, match="action 'a1', population 'p1'"):
+        gd.logit_map(g, gd.uniform_configuration(g), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Stability and fixed points
 
@@ -222,6 +269,53 @@ def test_margin_input_validation():
     g, _ = get_scenario("pigou").build_game()
     with pytest.raises(ValueError):
         gd.contraction_margin(g, 1.0, points=[])
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ("masked",))
+def test_batched_margin_equals_per_point_loop(name):
+    # one stacked kernel over the point set gives bit for bit the max over
+    # points of the one-point Jacobian's column measure
+    g = masked_game() if name == "masked" else get_scenario(name).build_game()[0]
+    points = logit.contraction_points(g, 30, np.random.default_rng(5))
+    eye = np.eye(len(g.valid_pairs))
+    for eta in np.geomspace(1e-3, 3.0, 7):
+        loop = max(logit._column_measure(gd.logit_jacobian(g, x, eta) - eye)
+                   for x in points)
+        assert gd.contraction_margin(g, eta, points=points).margin == loop
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_threshold_makes_one_cost_jacobian_pass(monkeypatch):
+    # the bisection visits 12 etas, but the cost partials of its 200 + 2
+    # points are built once
+    g, _ = get_scenario("coordination").build_game()
+    calls = count_calls(monkeypatch, logit, "cost_jacobian")
+    gd.high_noise_threshold(g, rng=np.random.default_rng(1))
+    assert len(calls) == 200 + len(gd.monomorphic_vertices(g))
+
+
+@pytest.mark.parametrize("n_etas", [2, 6])
+def test_census_margins_make_one_cost_jacobian_pass(monkeypatch, n_etas):
+    # every cost-Jacobian call beyond the solver's own logit_jacobian calls
+    # belongs to the margins: one per point of the 100 + 2 point set
+    g, _ = get_scenario("coordination").build_game()
+    calls = count_calls(monkeypatch, logit, "cost_jacobian")
+    solver_calls = count_calls(monkeypatch, logit, "logit_jacobian")
+    sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, n_etas), multistart=4,
+                                rng=np.random.default_rng(2))
+    assert len(sweep.margins) == n_etas
+    assert len(calls) - len(solver_calls) == 100 + len(gd.monomorphic_vertices(g))
 
 
 def test_high_noise_threshold_brackets_the_flip(rng):
