@@ -20,6 +20,7 @@ from .game import (
 )
 from .logit import (
     fixed_point,
+    fixed_points,
     FixedPointResult,
     contraction_points,
     _margin_of,
@@ -202,8 +203,9 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
     A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
-    are one point. Margins use one set of 100 sampled points plus the
-    vertices, whose costs and cost partials are built once for all etas.
+    are one point. Each eta's starts are solved in lockstep (fixed_points).
+    Margins use one set of 100 sampled points plus the vertices, whose costs
+    and cost partials are built once for all etas.
     """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
@@ -216,14 +218,11 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     per_eta = []
     margins = []
     for eta in etas:
-        seeds = [sample_configuration(game, rng) for _ in range(multistart)]
-        seeds.extend(vertices)
+        seeds = [sample_configuration(game, rng) for _ in range(multistart)] + vertices
         found: list[FixedPointResult] = []
-        for x0 in seeds:
-            r = fixed_point(game, float(eta), x0)
-            if not r.converged or r.residual > 1e-8:
-                continue
-            if all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found):
+        for r in fixed_points(game, float(eta), seeds):
+            if (r.converged and r.residual <= 1e-8
+                    and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found)):
                 found.append(r)
         per_eta.append(tuple(found))
         margins.append(margin(float(eta)))

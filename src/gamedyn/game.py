@@ -179,11 +179,12 @@ class CurveGrid:
             self._a.setflags(write=False)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """(rows, populations) curve values at flows y."""
+        """(..., rows, populations) curve values at flows y (..., rows)."""
         y = np.asarray(y, dtype=float)
         if self._affine:
-            return self._a * y[:, None] + self._b
-        return np.array([[f(v) for f in row] for row, v in zip(self.fns, y)])
+            return self._a * y[..., None] + self._b
+        return np.stack([np.stack([f(y[..., k]) for f in row], axis=-1)
+                         for k, row in enumerate(self.fns)], axis=-2)
 
     def slopes(self, y: np.ndarray) -> np.ndarray:
         """(rows, populations) curve derivatives at flows y."""
@@ -221,6 +222,9 @@ class CurveGrid:
 class CostField:
     """Maps a configuration to the (actions x populations) cost matrix.
 
+    A stack (..., S, P) of configurations maps to the stack of matrices,
+    each equal bit for bit to its own evaluation.
+
     ``per_action_aggregate`` marks fields whose costs depend on the
     configuration only through the per-action total mass w, entrywise
     (cost of action i is a function of w_i alone).
@@ -249,7 +253,7 @@ class AggregateCostField(CostField):
                                   for f in row] for row in fns])
 
     def __call__(self, x):
-        return self.aggregate_cost(np.asarray(x, dtype=float).sum(axis=1))
+        return self.aggregate_cost(np.asarray(x, dtype=float).sum(axis=-1))
 
     def flows(self, x):
         """(actions, populations) flow of each population through each curve row."""
@@ -268,13 +272,16 @@ class AggregateCostField(CostField):
 
 
 class CallableCostField(CostField):
-    """Wraps an arbitrary evaluator; its partials are finite differences."""
+    """Wraps an evaluator of one configuration; its partials are finite differences."""
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
         self._func = func
 
     def __call__(self, x):
-        return np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 2:
+            return np.array([self(y) for y in x])
+        return np.asarray(self._func(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +366,18 @@ class PopulationGame:
 
 
 def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
-    """Cost matrix at x; raises CostEvalError naming the first bad entry."""
+    """Cost matrix at x, or the stack (..., S, P) of them at a stack of
+    configurations; raises CostEvalError naming the first bad entry."""
     c = np.asarray(game.costs(x), dtype=float)
-    if c.shape != (game.n_actions, game.n_pops):
+    shape = np.asarray(x).shape[:-2] + game.mask.shape
+    if c.shape != shape:
         raise CostEvalError(f"cost field returned shape {c.shape}, "
-                            f"expected {(game.n_actions, game.n_pops)}")
+                            f"expected {shape}")
     if np.isfinite(c).all():
         return c
     bad = ~np.isfinite(c) & game.mask
     if np.any(bad):
-        i, p = np.argwhere(bad)[0]
+        i, p = np.argwhere(bad)[0][-2:]
         raise CostEvalError(f"non-finite cost for action {game.actions[i]!r}, "
                             f"population {game.populations[p]!r}")
     return c
@@ -631,9 +640,10 @@ def central_difference(f, x, steps) -> np.ndarray:
 
 
 def _fd_cost_jacobian(game: PopulationGame, x: np.ndarray) -> np.ndarray:
-    """Cost partials by central differences, step 1e-6 * max(1, m_q) on valid entries."""
+    """Central differences of the available costs, step 1e-6 * max(1, m_q) on valid entries."""
     steps = np.where(game.mask, 1e-6 * np.maximum(1.0, game.masses), 0.0)
-    return central_difference(lambda y: evaluate_costs(game, y), x, steps)
+    return central_difference(lambda y: np.where(game.mask, evaluate_costs(game, y), 0.0),
+                              x, steps)
 
 
 def cost_jacobian(game: PopulationGame, x) -> np.ndarray:

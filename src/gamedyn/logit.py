@@ -24,6 +24,9 @@ from .game import (
 
 log = logging.getLogger(__name__)
 
+# damped steps before a fixed-point solve gives up
+MAX_ITER = 10 ** 5
+
 
 def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
     """exp(-(c - cmin_p)/eta) on valid entries (0 elsewhere), and its column sums.
@@ -50,33 +53,32 @@ def softmax_target(game: PopulationGame, c: np.ndarray, eta: float) -> np.ndarra
 
 
 def logit_map(game: PopulationGame, x, eta: float) -> np.ndarray:
-    """Target configuration F(x, eta) of the noisy best-response map."""
+    """Target configuration F(x, eta) of the noisy best-response map (of each slice of a stack)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
     return softmax_target(game, evaluate_costs(game, x), eta)
 
 
-def _noise_free_parts(game: PopulationGame, x) -> tuple[np.ndarray, np.ndarray]:
-    """Costs (S,P) and partials (P,S,n) at x; neither depends on eta.
+def _noise_free_parts(game: PopulationGame, points) -> tuple[np.ndarray, np.ndarray]:
+    """Costs (N,S,P) and partials (N,P,S,n) at N points; neither depends on eta.
 
-    The partials' [p, i, m] entry is d c_ip / d x at the m-th valid pair
-    (population-major), zero off the mask.
+    The partials' [k, p, i, m] entry is d c_ip / d x at the m-th valid pair
+    (population-major) at point k, zero off the mask.
     """
-    x = np.asarray(x, dtype=float)
-    c = evaluate_costs(game, x)
+    X = np.asarray(np.stack(points), dtype=float)
     qs, js = np.nonzero(game.mask.T)
-    D = np.where(game.mask[:, :, None], cost_jacobian(game, x)[:, :, js, qs], 0.0)
+    D = np.stack([cost_jacobian(game, x)[:, :, js, qs] for x in X])
+    D = np.where(game.mask[:, :, None], D, 0.0)
     # C-contiguous (P,S,n) blocks, so the stacked product makes one BLAS call
     # per population and rounds like a per-population loop (strided operands
     # do not)
-    return c, np.ascontiguousarray(D.transpose(1, 0, 2))
+    return evaluate_costs(game, X), np.ascontiguousarray(D.transpose(0, 2, 1, 3))
 
 
 def _jacobians(game: PopulationGame, c: np.ndarray, D: np.ndarray,
                eta: float) -> np.ndarray:
-    """Logit Jacobian (n,n) from one point's _noise_free_parts, or a stack
-    (N,n,n) from stacks (N,S,P) and (N,P,S,n) of them."""
+    """Logit Jacobians (N,n,n) from _noise_free_parts (N,S,P) and (N,P,S,n)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     e, total = _shifted_exp(game, c, eta)
@@ -96,7 +98,7 @@ def logit_jacobian(game: PopulationGame, x, eta: float) -> np.ndarray:
     form when present, otherwise central finite differences. Contraction
     margins run the same kernel on a stack of points.
     """
-    return _jacobians(game, *_noise_free_parts(game, x), eta)
+    return _jacobians(game, *_noise_free_parts(game, [x]), eta)[0]
 
 
 @dataclass(frozen=True)
@@ -116,23 +118,25 @@ class FixedPointResult:
     stability: StabilityInfo | None
 
 
-def _column_measure(M: np.ndarray) -> float:
+def _column_measure(M: np.ndarray):
     """l1 log-norm: max over columns of diagonal plus off-diagonal abs sum.
 
-    M may be a stack of square matrices; the max then runs over all of them.
+    M may be a stack of square matrices; the result is then one per matrix.
     """
     d = np.diagonal(M, axis1=-2, axis2=-1)
-    return float(np.max(d + np.abs(M).sum(axis=-2) - np.abs(d)))
+    return np.max(d + np.abs(M).sum(axis=-2) - np.abs(d), axis=-1)
+
+
+def _stabilities(J: np.ndarray) -> list[StabilityInfo]:
+    """Stability of x' = F - x from each logit Jacobian J_F of a stack (N,n,n)."""
+    M = J - np.eye(J.shape[-1])
+    pairs = zip(_column_measure(M).tolist(), np.linalg.eigvals(M).real.max(axis=-1).tolist())
+    return [StabilityInfo(mu, a, a < 0.0) for mu, a in pairs]
 
 
 def local_stability(game: PopulationGame, x, eta: float) -> StabilityInfo:
     """Stability of the dynamics x' = F - x at a point, from J_F - I."""
-    J = logit_jacobian(game, x, eta)
-    M = J - np.eye(J.shape[0])
-    mu = _column_measure(M)
-    abscissa = float(np.max(np.linalg.eigvals(M).real))
-    return StabilityInfo(l1_log_norm=mu, spectral_abscissa=abscissa,
-                         locally_stable=abscissa < 0.0)
+    return _stabilities(logit_jacobian(game, x, eta)[None])[0]
 
 
 def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
@@ -146,8 +150,9 @@ def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
-def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
-    """Iterate x <- (1-lam)x + lam phi(x) until the l1 residual meets tol_of(x).
+def _damping(x, rho, tol_of, max_iter: int):
+    """The damping rule, as a generator: x <- (1-lam)x + lam phi(x) until the
+    l1 residual meets tol_of(x).
 
     The damped update has iteration matrix (1-lam)I + lam*J with J the
     Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam = 1.5/(1+rho)
@@ -156,16 +161,16 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
     the current iterate with ceiling 1 (and tol_of is re-read), since
     stiffness varies across the polytope at small eta. lam halves whenever a
     step still increases the residual, and creeps back toward the cap after a
-    run of accepted steps. Returns (best x, its residual, iterations,
-    converged).
+    run of accepted steps. Yields the start, then each damped trial point,
+    and is sent back each one's (phi, l1 residual); returns (best x, its
+    residual, iterations, converged).
     """
     def cap_at(x, ceiling):
         return min(ceiling, 1.5 / (1.0 + rho(x)))
 
+    F, r = yield x
     cap = cap_at(x, 0.5)
     lam = cap
-    F = phi(x)
-    r = float(np.abs(F - x).sum())
     tol = tol_of(x)
     best_x, best_r = x, r
     accepts = 0
@@ -178,8 +183,7 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
             accepts = 0
             tol = tol_of(x)
         x_new = (1.0 - lam) * x + lam * F
-        F_new = phi(x_new)
-        r_new = float(np.abs(F_new - x_new).sum())
+        F_new, r_new = yield x_new
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
         # genuine instability overshoots it within a few steps regardless
         if r_new <= 1.05 * r or lam <= 1e-7:
@@ -196,8 +200,35 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
     return best_x, best_r, it, best_r <= tol
 
 
+def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
+    """Run the _damping rule from x, one phi call per step; returns its result."""
+    run = _damping(x, rho, tol_of, max_iter)
+    try:
+        y = next(run)
+        while True:
+            F = phi(y)
+            y = run.send((F, float(np.abs(F - y).sum())))
+    except StopIteration as done:
+        return done.value
+
+
+def _sizing(game: PopulationGame, eta: float):
+    """damped_iteration's rho and tol_of for logit_map at eta (see fixed_point)."""
+    return (lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
+            lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)))
+
+
+def _result(eta, x, r, it, converged, stability) -> FixedPointResult:
+    """One solve's result; a solve that did not converge is logged."""
+    if not converged:
+        log.warning("fixed_point: no convergence after %d iterations "
+                    "(eta=%g, residual=%.3e)", it, eta, r)
+    return FixedPointResult(x=x, residual=r, iterations=it,
+                            converged=converged, eta=float(eta), stability=stability)
+
+
 def fixed_point(game: PopulationGame, eta: float, x0, *,
-                max_iter: int = 10 ** 5) -> FixedPointResult:
+                max_iter: int = MAX_ITER) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
 
     The damping cap is sized from the l1 column norm of the map Jacobian.
@@ -206,17 +237,39 @@ def fixed_point(game: PopulationGame, eta: float, x0, *,
     the flags, never raised.
     """
     x, r, it, converged = damped_iteration(
-        lambda y: logit_map(game, y, eta),
-        validate_configuration(game, x0),
-        lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-        lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)),
-        max_iter=max_iter)
-    stability = local_stability(game, x, eta) if converged else None
-    if not converged:
-        log.warning("fixed_point: no convergence after %d iterations "
-                    "(eta=%g, residual=%.3e)", it, eta, r)
-    return FixedPointResult(x=x, residual=r, iterations=it,
-                            converged=converged, eta=float(eta), stability=stability)
+        lambda y: logit_map(game, y, eta), validate_configuration(game, x0),
+        *_sizing(game, eta), max_iter=max_iter)
+    return _result(eta, x, r, it, converged,
+                   local_stability(game, x, eta) if converged else None)
+
+
+def fixed_points(game: PopulationGame, eta: float, x0s) -> list[FixedPointResult]:
+    """fixed_point from each start in x0s, solved in lockstep.
+
+    Each step evaluates the map and residuals once for the stack of unfinished
+    solves; stability is one stacked pass. Each solve keeps its own damping
+    state, so result k equals fixed_point(game, eta, x0s[k]) bit for bit.
+    """
+    rho, tol_of = _sizing(game, eta)
+    runs = [_damping(validate_configuration(game, x0), rho, tol_of, MAX_ITER)
+            for x0 in x0s]
+    trials = {k: next(run) for k, run in enumerate(runs)}
+    done = [None] * len(runs)
+    while trials:
+        X = np.stack(list(trials.values()))
+        F = logit_map(game, X, eta)
+        # l1 residuals rounded as damped_iteration rounds each one
+        R = np.abs(F - X).reshape(len(X), -1).sum(axis=1).tolist()
+        for k, f, r in zip(list(trials), F, R):
+            try:
+                trials[k] = runs[k].send((f, r))
+            except StopIteration as stop:
+                done[k] = stop.value
+                del trials[k]
+    xs = [x for x, _, _, converged in done if converged]
+    infos = iter(_stabilities(_jacobians(game, *_noise_free_parts(game, xs), eta))
+                 if xs else [])
+    return [_result(eta, *d, next(infos) if d[3] else None) for d in done]
 
 
 @dataclass(frozen=True)
@@ -246,11 +299,9 @@ def _margin_of(game: PopulationGame, points):
     """
     if len(points) == 0:
         raise ValueError("contraction margin needs at least one point")
-    parts = [_noise_free_parts(game, x) for x in points]
-    C = np.stack([c for c, _ in parts])
-    D = np.stack([d for _, d in parts])
+    C, D = _noise_free_parts(game, points)
     eye = np.eye(D.shape[-1])
-    return lambda eta: _column_measure(_jacobians(game, C, D, eta) - eye)
+    return lambda eta: float(np.max(_column_measure(_jacobians(game, C, D, eta) - eye)))
 
 
 def contraction_margin(game: PopulationGame, eta: float,

@@ -199,7 +199,8 @@ class RoutingCostField(CostField):
         self.per_action_aggregate = bool(self.A.sum(axis=1).max() <= 1)
 
     def __call__(self, x):
-        y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
+        # a column per configuration, so a stack makes the same BLAS call per slice
+        y = (self.A @ np.asarray(x, dtype=float).sum(axis=-1)[..., None])[..., 0]
         return self.A.T @ self.curves(y)
 
     def flows(self, x):

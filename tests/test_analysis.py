@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gamedyn as gd
-from gamedyn import analysis
+from gamedyn import analysis, logit
 from gamedyn.analysis import dedup_curves, entropy_term
 
 from conftest import get_scenario
@@ -165,6 +165,32 @@ def test_bifurcation_scan_counts_coordination_fork(rng):
     assert sweep.margins[0] < 0 < sweep.margins[-1]
     # counts never decrease as eta drops through the fork
     assert np.all(np.diff(sweep.n_fixed_points) >= 0)
+
+
+def test_census_makes_one_map_call_per_lockstep_step(monkeypatch):
+    # each eta's starts share one stacked map evaluation per step, so the
+    # longest solve sets the count, not the sum over starts
+    g, _ = get_scenario("coordination").build_game()
+    map_calls = []
+    real_map, real_solve = logit.logit_map, analysis.fixed_points
+    iterations = []
+
+    def counted_map(*args, **kwargs):
+        map_calls.append(1)
+        return real_map(*args, **kwargs)
+
+    def recorded_solve(*args, **kwargs):
+        results = real_solve(*args, **kwargs)
+        iterations.append([r.iterations for r in results])
+        return results
+
+    monkeypatch.setattr(logit, "logit_map", counted_map)
+    monkeypatch.setattr(analysis, "fixed_points", recorded_solve)
+    gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
+                        rng=np.random.default_rng(3))
+    assert len(iterations) == 5
+    assert len(map_calls) == sum(max(its) + 1 for its in iterations)
+    assert len(map_calls) < sum(it + 1 for its in iterations for it in its)
 
 
 @pytest.mark.parametrize("name", ["constant", "pigou"])

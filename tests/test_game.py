@@ -134,6 +134,73 @@ def test_evaluate_costs_flags_nonfinite():
         gd.evaluate_costs(g, gd.uniform_configuration(g))
 
 
+TAB = gd.ScalarFn.table([(0.2, 1.0), (0.5, 3.0), (0.8, 3.5)])
+
+
+def table_routing_game():
+    graph = gd.Multigraph(["o", "a", "b", "d"],
+                          [("e1", "o", "a"), ("e2", "o", "b"), ("e3", "a", "b"),
+                           ("e4", "a", "d"), ("e5", "b", "d")])
+    aff = gd.ScalarFn.affine(1.0, 0.5)
+    costs = gd.LinkCostMatrix(("e1", "e2", "e3", "e4", "e5"), ("p1", "p2"),
+                              [[TAB, aff], [aff, TAB], [TAB, TAB], [aff, aff], [TAB, aff]])
+    return gd.build_routing_game(graph, "o", "d", costs, ("p1", "p2"),
+                                 np.array([1.0, 0.5])).game
+
+
+def callable_copy(g):
+    return dataclasses.replace(g, costs=gd.CallableCostField(g.costs))
+
+
+STACK_GAMES = {
+    "affine": lambda: get_scenario("parallel3").build_game()[0],
+    # flows fall below, inside and above the table's breakpoints
+    "table": lambda: make_game([[TAB, gd.ScalarFn.affine(2.0, 0.1)], [TAB, TAB],
+                                [gd.ScalarFn.constant(1.5), TAB]], masses=(1.0, 0.5)),
+    "pigou": lambda: get_scenario("pigou").build_game()[0],
+    "wheatstone": lambda: get_scenario("wheatstone").build_game()[0],
+    "table-routing": table_routing_game,
+    "callable": lambda: callable_copy(get_scenario("wheatstone").build_game()[0]),
+}
+
+
+@pytest.mark.parametrize("kind", STACK_GAMES)
+def test_evaluate_costs_on_a_stack_equals_each_slice(kind):
+    g = STACK_GAMES[kind]()
+    rng = np.random.default_rng(4)
+    X = np.stack([gd.sample_configuration(g, rng) for _ in range(6)]
+                 + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
+    C = gd.evaluate_costs(g, X)
+    assert C.shape == X.shape
+    for x, c in zip(X, C):
+        assert np.array_equal(c, gd.evaluate_costs(g, x))
+    assert np.array_equal(gd.evaluate_costs(g, X.reshape((1,) + X.shape))[0], C)
+
+
+def test_evaluate_costs_on_a_stack_names_a_bad_entry_of_one_slice():
+    def costs(x):
+        c = np.array([[1.0, 2.0], [3.0, 4.0]]) * x.sum()
+        if x[0, 0] > 0.9:
+            c[1, 0] = np.inf
+        return c
+
+    g = gd.PopulationGame(populations=("p1", "p2"), masses=np.array([1.0, 1.0]),
+                          actions=("a1", "a2"), mask=np.ones((2, 2), dtype=bool),
+                          costs=gd.CallableCostField(costs))
+    X = np.stack([gd.uniform_configuration(g), gd.vertex_configuration(g, "a2"),
+                  gd.vertex_configuration(g, "a1")])
+    assert np.all(np.isfinite(gd.evaluate_costs(g, X[:2])))
+    with pytest.raises(gd.CostEvalError, match="action 'a2', population 'p1'"):
+        gd.evaluate_costs(g, X)
+    # the affine fast path overflows in one slice only
+    big = make_game([[gd.ScalarFn.affine(1e308, 0.0)], [gd.ScalarFn.affine(1.0, 0.0)]],
+                    masses=(10.0,))
+    X = np.stack([gd.vertex_configuration(big, "a2"), gd.uniform_configuration(big)])
+    with np.errstate(over="ignore"), pytest.raises(
+            gd.CostEvalError, match="action 'a1', population 'p1'"):
+        gd.evaluate_costs(big, X)
+
+
 def test_evaluate_costs_flags_bad_shape():
     bad = gd.CallableCostField(lambda x: np.zeros(3))
     g = gd.PopulationGame(populations=("p1",), masses=np.array([1.0]),

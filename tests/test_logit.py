@@ -161,6 +161,7 @@ def off_mask_game(off_values, valid_bad=None):
 OFF_MASK_VALUES = [np.nan, np.inf, -np.inf]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eta", [1e-3, 0.3, 5.0])
 def test_off_mask_costs_are_ignored(eta, rng):
     g = off_mask_game(OFF_MASK_VALUES)
@@ -171,9 +172,8 @@ def test_off_mask_costs_are_ignored(eta, rng):
     assert np.all(np.isfinite(F))
     np.testing.assert_array_equal(F[~g.mask], 0.0)
     np.testing.assert_allclose(F.sum(axis=0), g.masses, rtol=1e-14)
-    with np.errstate(invalid="ignore"):      # inf - inf in the off-mask partials
-        J = gd.logit_jacobian(g, x, eta)
-    assert np.all(np.isfinite(J))
+    # the finite-difference partials difference only the available costs
+    assert np.all(np.isfinite(gd.logit_jacobian(g, x, eta)))
 
 
 def test_off_mask_nan_does_not_hide_a_bad_valid_cost():
@@ -232,6 +232,55 @@ def test_fixed_point_reports_nonconvergence(caplog):
     assert r.stability is None
     assert np.isfinite(r.residual) and r.iterations == 3
     assert any("no convergence" in m for m in caplog.messages)
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert (a.residual, a.iterations, a.converged, a.eta, a.stability) == \
+        (b.residual, b.iterations, b.converged, b.eta, b.stability)
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_fixed_points_equal_single_solves(name):
+    # lockstep solves share map evaluations but not damping state, so each
+    # result is the single solve's, bit for bit
+    g, _ = get_scenario(name).build_game()
+    rng = np.random.default_rng(11)
+    seeds = ([gd.sample_configuration(g, rng) for _ in range(3)]
+             + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
+    for eta in (1.0, 0.1):
+        many = gd.fixed_points(g, eta, seeds)
+        assert len(many) == len(seeds)
+        for x0, r in zip(seeds, many):
+            assert_same_result(r, gd.fixed_point(g, eta, x0))
+
+
+def test_fixed_points_mix_finished_and_unfinished_solves(caplog, monkeypatch):
+    # at MAX_ITER=600 the uniform start (10202 steps to converge) crosses two
+    # cap refreshes and fails, while a start at the solution converges at once
+    g, _ = get_scenario("wheatstone").build_game()
+    x_star = gd.fixed_point(g, 0.01, gd.uniform_configuration(g)).x
+    seeds = [gd.uniform_configuration(g), x_star] + gd.monomorphic_vertices(g)
+    monkeypatch.setattr(logit, "MAX_ITER", 600)
+    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+        many = gd.fixed_points(g, 0.01, seeds)
+    assert [r.iterations for r in many[:2]] == [600, 0]
+    assert not many[0].converged and many[1].converged
+    failed = sum(not r.converged for r in many)
+    assert sum("no convergence" in m for m in caplog.messages) == failed
+    for x0, r in zip(seeds, many):
+        assert_same_result(r, gd.fixed_point(g, 0.01, x0, max_iter=600))
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 3])
+def test_fixed_points_equal_single_solves_at_small_max_iter(max_iter, monkeypatch):
+    g, _ = get_scenario("wheatstone").build_game()
+    seeds = [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g)
+    monkeypatch.setattr(logit, "MAX_ITER", max_iter)
+    many = gd.fixed_points(g, 0.005, seeds)
+    for x0, r in zip(seeds, many):
+        assert r.iterations == max_iter and not r.converged
+        assert_same_result(r, gd.fixed_point(g, 0.005, x0, max_iter=max_iter))
 
 
 def test_residual_floor_grows_as_eta_shrinks():
@@ -308,14 +357,24 @@ def test_threshold_makes_one_cost_jacobian_pass(monkeypatch):
 @pytest.mark.parametrize("n_etas", [2, 6])
 def test_census_margins_make_one_cost_jacobian_pass(monkeypatch, n_etas):
     # every cost-Jacobian call beyond the solver's own logit_jacobian calls
-    # belongs to the margins: one per point of the 100 + 2 point set
+    # and the stacked stability pass (one per converged start) belongs to
+    # the margins: one per point of the 100 + 2 point set
     g, _ = get_scenario("coordination").build_game()
     calls = count_calls(monkeypatch, logit, "cost_jacobian")
     solver_calls = count_calls(monkeypatch, logit, "logit_jacobian")
+    stability_points = []
+    stabilities = logit._stabilities
+
+    def counted_stabilities(J):
+        stability_points.append(len(J))
+        return stabilities(J)
+
+    monkeypatch.setattr(logit, "_stabilities", counted_stabilities)
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, n_etas), multistart=4,
                                 rng=np.random.default_rng(2))
     assert len(sweep.margins) == n_etas
-    assert len(calls) - len(solver_calls) == 100 + len(gd.monomorphic_vertices(g))
+    assert (len(calls) - len(solver_calls) - sum(stability_points)
+            == 100 + len(gd.monomorphic_vertices(g)))
 
 
 def test_high_noise_threshold_brackets_the_flip(rng):
