@@ -203,7 +203,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
     A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
-    are one point. Each eta's starts are solved in lockstep (fixed_points).
+    are one point. Each eta's starts are one fixed_points stack (Newton).
     Margins use one set of 100 sampled points plus the vertices, whose costs
     and cost partials are built once for all etas.
     """

@@ -26,6 +26,8 @@ log = logging.getLogger(__name__)
 
 # damped steps before a fixed-point solve gives up
 MAX_ITER = 10 ** 5
+# corrector steps before a fixed_points start falls back to fixed_point
+NEWTON_STEPS = 50
 
 
 def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
@@ -110,6 +112,9 @@ class StabilityInfo:
 
 @dataclass(frozen=True)
 class FixedPointResult:
+    """A solve's best point; iterations are damped steps for fixed_point and
+    corrector steps for the starts fixed_points keeps from its corrector."""
+
     x: np.ndarray
     residual: float
     iterations: int
@@ -140,19 +145,18 @@ def local_stability(game: PopulationGame, x, eta: float) -> StabilityInfo:
 
 
 def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
-    """Roundoff floor for the l1 fixed-point residual at noise level eta.
+    """Roundoff floor for the l1 fixed-point residual at eta (per slice of a stack).
 
     The softmax exponent carries the absolute error of the costs amplified
     by 1/eta, so requesting residuals below eps * mass * |c| / eta is asking
     for noise. The constant is empirical with margin.
     """
-    cabs = float(np.abs(np.where(game.mask, c, 0.0)).max())
+    cabs = np.abs(np.where(game.mask, c, 0.0)).max(axis=(-2, -1))
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
-def _damping(x, rho, tol_of, max_iter: int):
-    """The damping rule, as a generator: x <- (1-lam)x + lam phi(x) until the
-    l1 residual meets tol_of(x).
+def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
+    """Iterate x <- (1-lam)x + lam phi(x) until the l1 residual meets tol_of(x).
 
     The damped update has iteration matrix (1-lam)I + lam*J with J the
     Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam = 1.5/(1+rho)
@@ -161,16 +165,16 @@ def _damping(x, rho, tol_of, max_iter: int):
     the current iterate with ceiling 1 (and tol_of is re-read), since
     stiffness varies across the polytope at small eta. lam halves whenever a
     step still increases the residual, and creeps back toward the cap after a
-    run of accepted steps. Yields the start, then each damped trial point,
-    and is sent back each one's (phi, l1 residual); returns (best x, its
-    residual, iterations, converged).
+    run of accepted steps. Returns (best x, its residual, iterations,
+    converged).
     """
     def cap_at(x, ceiling):
         return min(ceiling, 1.5 / (1.0 + rho(x)))
 
-    F, r = yield x
     cap = cap_at(x, 0.5)
     lam = cap
+    F = phi(x)
+    r = float(np.abs(F - x).sum())
     tol = tol_of(x)
     best_x, best_r = x, r
     accepts = 0
@@ -183,7 +187,8 @@ def _damping(x, rho, tol_of, max_iter: int):
             accepts = 0
             tol = tol_of(x)
         x_new = (1.0 - lam) * x + lam * F
-        F_new, r_new = yield x_new
+        F_new = phi(x_new)
+        r_new = float(np.abs(F_new - x_new).sum())
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
         # genuine instability overshoots it within a few steps regardless
         if r_new <= 1.05 * r or lam <= 1e-7:
@@ -200,33 +205,6 @@ def _damping(x, rho, tol_of, max_iter: int):
     return best_x, best_r, it, best_r <= tol
 
 
-def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
-    """Run the _damping rule from x, one phi call per step; returns its result."""
-    run = _damping(x, rho, tol_of, max_iter)
-    try:
-        y = next(run)
-        while True:
-            F = phi(y)
-            y = run.send((F, float(np.abs(F - y).sum())))
-    except StopIteration as done:
-        return done.value
-
-
-def _sizing(game: PopulationGame, eta: float):
-    """damped_iteration's rho and tol_of for logit_map at eta (see fixed_point)."""
-    return (lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-            lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)))
-
-
-def _result(eta, x, r, it, converged, stability) -> FixedPointResult:
-    """One solve's result; a solve that did not converge is logged."""
-    if not converged:
-        log.warning("fixed_point: no convergence after %d iterations "
-                    "(eta=%g, residual=%.3e)", it, eta, r)
-    return FixedPointResult(x=x, residual=r, iterations=it,
-                            converged=converged, eta=float(eta), stability=stability)
-
-
 def fixed_point(game: PopulationGame, eta: float, x0, *,
                 max_iter: int = MAX_ITER) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
@@ -238,38 +216,84 @@ def fixed_point(game: PopulationGame, eta: float, x0, *,
     """
     x, r, it, converged = damped_iteration(
         lambda y: logit_map(game, y, eta), validate_configuration(game, x0),
-        *_sizing(game, eta), max_iter=max_iter)
-    return _result(eta, x, r, it, converged,
-                   local_stability(game, x, eta) if converged else None)
+        lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
+        lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)),
+        max_iter=max_iter)
+    if not converged:
+        log.warning("fixed_point: no convergence after %d iterations "
+                    "(eta=%g, residual=%.3e)", it, eta, r)
+    return FixedPointResult(x=x, residual=r, iterations=it, converged=converged, eta=float(eta),
+                            stability=local_stability(game, x, eta) if converged else None)
+
+
+def _armijo(game: PopulationGame, eta: float, X, d, r) -> np.ndarray:
+    """Damped Newton points X + t*d, t = 1, 1/2, ... per slice of the stack.
+
+    Each trial is clipped so that no entry shrinks by more than 100x, then its
+    columns are rescaled to the masses. A slice takes the first t whose l1
+    residual is at most (1 - 1e-4 t) times r (Armijo); one that finds none
+    down to t = 1e-8 comes back as NaN.
+    """
+    out = np.full_like(X, np.nan)
+    t = np.ones(len(X))
+    todo = np.flatnonzero(np.isfinite(d).all(axis=(1, 2)))
+    while len(todo):
+        Y = np.maximum(X[todo] + t[todo, None, None] * d[todo], X[todo] / 100.0)
+        s = Y.sum(axis=1, keepdims=True)
+        Y *= game.masses / np.where(s > 0, s, 1.0)
+        rt = np.abs(logit_map(game, Y, eta) - Y).sum(axis=(1, 2))
+        good = rt <= (1.0 - 1e-4 * t[todo]) * r[todo]
+        out[todo[good]] = Y[good]
+        t[todo] *= 0.5
+        todo = todo[~good & (t[todo] >= 1e-8)]
+    return out
 
 
 def fixed_points(game: PopulationGame, eta: float, x0s) -> list[FixedPointResult]:
-    """fixed_point from each start in x0s, solved in lockstep.
+    """Fixed points from each start in x0s: a stacked Newton corrector, with
+    fixed_point as the fallback one start at a time.
 
-    Each step evaluates the map and residuals once for the stack of unfinished
-    solves; stability is one stacked pass. Each solve keeps its own damping
-    state, so result k equals fixed_point(game, eta, x0s[k]) bit for bit.
+    Newton runs on G(x) = F(x) - x over game.valid_pairs for all unfinished
+    starts at once; each step makes one _noise_free_parts and _jacobians
+    stack and one np.linalg.solve on the stack of J - I. Each population's
+    rows of J sum to zero, so the step keeps the masses; _armijo damps and
+    clips it. A start converges at fixed_point's tolerance (1e-10, never
+    below residual_floor). Only converged, locally stable results are kept,
+    with iterations counting corrector steps. Every other start (unstable,
+    stalled, or not done within NEWTON_STEPS) is re-solved by
+    fixed_point(game, eta, x0), whose result and warning it returns as is.
+    Where several stable points coexist, a start may reach another one than
+    fixed_point's damped iteration would.
     """
-    rho, tol_of = _sizing(game, eta)
-    runs = [_damping(validate_configuration(game, x0), rho, tol_of, MAX_ITER)
-            for x0 in x0s]
-    trials = {k: next(run) for k, run in enumerate(runs)}
-    done = [None] * len(runs)
-    while trials:
-        X = np.stack(list(trials.values()))
-        F = logit_map(game, X, eta)
-        # l1 residuals rounded as damped_iteration rounds each one
-        R = np.abs(F - X).reshape(len(X), -1).sum(axis=1).tolist()
-        for k, f, r in zip(list(trials), F, R):
-            try:
-                trials[k] = runs[k].send((f, r))
-            except StopIteration as stop:
-                done[k] = stop.value
-                del trials[k]
-    xs = [x for x, _, _, converged in done if converged]
-    infos = iter(_stabilities(_jacobians(game, *_noise_free_parts(game, xs), eta))
-                 if xs else [])
-    return [_result(eta, *d, next(infos) if d[3] else None) for d in done]
+    X = np.stack([validate_configuration(game, x0) for x0 in x0s])
+    qs, js = np.nonzero(game.mask.T)
+    eye = np.eye(len(qs))
+    out = [None] * len(X)
+    live = np.arange(len(X))
+    for step in range(NEWTON_STEPS + 1):
+        live = live[np.isfinite(X[live]).all(axis=(1, 2))]
+        if not len(live):
+            break
+        C, D = _noise_free_parts(game, X[live])
+        J = _jacobians(game, C, D, eta)
+        G = (softmax_target(game, C, eta) - X[live])[:, js, qs]
+        r = np.abs(G).sum(axis=1)
+        done = r <= np.maximum(1e-10, residual_floor(game, C, eta))
+        for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
+            if info.locally_stable:
+                out[k] = FixedPointResult(x=X[k].copy(), residual=rk, iterations=step,
+                                          converged=True, eta=float(eta), stability=info)
+        live, J, G, r = live[~done], J[~done], G[~done], r[~done]
+        if not len(live) or step == NEWTON_STEPS:
+            break
+        d = np.zeros((len(live),) + game.mask.shape)
+        try:
+            d[:, js, qs] = np.linalg.solve(J - eye, -G[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        X[live] = _armijo(game, eta, X[live], d, r)
+    return [res if res is not None else fixed_point(game, eta, x0)
+            for res, x0 in zip(out, x0s)]
 
 
 @dataclass(frozen=True)

@@ -167,30 +167,39 @@ def test_bifurcation_scan_counts_coordination_fork(rng):
     assert np.all(np.diff(sweep.n_fixed_points) >= 0)
 
 
-def test_census_makes_one_map_call_per_lockstep_step(monkeypatch):
-    # each eta's starts share one stacked map evaluation per step, so the
-    # longest solve sets the count, not the sum over starts
+def test_census_corrector_counts(monkeypatch):
+    # exact work of the census on the coordination grid: stacked corrector
+    # steps (one _noise_free_parts stack each), their trial map evaluations,
+    # and the fallbacks to fixed_point with the map evaluations they make
     g, _ = get_scenario("coordination").build_game()
-    map_calls = []
-    real_map, real_solve = logit.logit_map, analysis.fixed_points
-    iterations = []
+    maps, stacks, fallbacks = [], [], []
+    real_map, real_parts, real_solve = (logit.logit_map, logit._noise_free_parts,
+                                        logit.fixed_point)
 
     def counted_map(*args, **kwargs):
-        map_calls.append(1)
+        maps.append(1)
         return real_map(*args, **kwargs)
 
+    def counted_parts(*args, **kwargs):
+        stacks.append(1)
+        return real_parts(*args, **kwargs)
+
     def recorded_solve(*args, **kwargs):
-        results = real_solve(*args, **kwargs)
-        iterations.append([r.iterations for r in results])
-        return results
+        before = len(maps), len(stacks)
+        result = real_solve(*args, **kwargs)
+        fallbacks.append((len(maps) - before[0], len(stacks) - before[1]))
+        return result
 
     monkeypatch.setattr(logit, "logit_map", counted_map)
-    monkeypatch.setattr(analysis, "fixed_points", recorded_solve)
-    gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
-                        rng=np.random.default_rng(3))
-    assert len(iterations) == 5
-    assert len(map_calls) == sum(max(its) + 1 for its in iterations)
-    assert len(map_calls) < sum(it + 1 for its in iterations for it in its)
+    monkeypatch.setattr(logit, "_noise_free_parts", counted_parts)
+    monkeypatch.setattr(logit, "fixed_point", recorded_solve)
+    sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
+                                rng=np.random.default_rng(3))
+    fallback_maps, fallback_stacks = (sum(c) for c in zip(*fallbacks))
+    steps = len(stacks) - fallback_stacks - 1       # one stack is the margins'
+    assert (steps, len(maps) - fallback_maps) == (25, 21)
+    assert (len(fallbacks), fallback_maps) == (6, 819)
+    np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 
 
 @pytest.mark.parametrize("name", ["constant", "pigou"])

@@ -4,10 +4,11 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import bisect, brentq, root
 
 import gamedyn as gd
-from gamedyn import logit
+from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
 from conftest import ALL_SCENARIOS, get_scenario
@@ -240,47 +241,180 @@ def assert_same_result(a, b):
         (b.residual, b.iterations, b.converged, b.eta, b.stability)
 
 
+def record_fallbacks(monkeypatch, max_iter=logit.MAX_ITER):
+    """Route fixed_points' fallbacks through fixed_point capped at max_iter;
+    returns the list of their results, one per fallback."""
+    calls = []
+
+    def recorded(game, eta, x0):
+        calls.append(gd.fixed_point(game, eta, x0, max_iter=max_iter))
+        return calls[-1]
+
+    monkeypatch.setattr(logit, "fixed_point", recorded)
+    return calls
+
+
+def assert_matches_single_solves(game, eta, seeds, many, fallbacks,
+                                 max_iter=logit.MAX_ITER, same_point=True):
+    """fixed_points' contract: fixed_point's flags, with x within 1e-9 l1
+    when same_point; a fallback is fixed_point's own result, bit for bit,
+    and any other result is a converged, stable corrector solve."""
+    assert len(many) == len(seeds)
+    fell_back = [any(r is f for f in fallbacks) for r in many]
+    assert sum(fell_back) == len(fallbacks)
+    for x0, r, fell in zip(seeds, many, fell_back):
+        single = gd.fixed_point(game, eta, x0, max_iter=max_iter)
+        assert r.converged == single.converged
+        assert (r.stability is None) == (single.stability is None)
+        if r.stability is not None:
+            assert r.stability.locally_stable == single.stability.locally_stable
+        if fell:
+            assert_same_result(r, single)
+        else:
+            assert r.converged and r.stability.locally_stable and r.eta == eta
+            assert r.iterations <= logit.NEWTON_STEPS
+        if same_point:
+            assert float(np.abs(r.x - single.x).sum()) <= 1e-9
+
+
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_fixed_points_equal_single_solves(name):
-    # lockstep solves share map evaluations but not damping state, so each
-    # result is the single solve's, bit for bit
+def test_fixed_points_match_single_solves(name, monkeypatch):
     g, _ = get_scenario(name).build_game()
     rng = np.random.default_rng(11)
     seeds = ([gd.sample_configuration(g, rng) for _ in range(3)]
              + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
     for eta in (1.0, 0.1):
+        fallbacks = record_fallbacks(monkeypatch)
         many = gd.fixed_points(g, eta, seeds)
-        assert len(many) == len(seeds)
-        for x0, r in zip(seeds, many):
-            assert_same_result(r, gd.fixed_point(g, eta, x0))
+        assert_matches_single_solves(g, eta, seeds, many, fallbacks)
 
 
-def test_fixed_points_mix_finished_and_unfinished_solves(caplog, monkeypatch):
-    # at MAX_ITER=600 the uniform start (10202 steps to converge) crosses two
-    # cap refreshes and fails, while a start at the solution converges at once
+def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
+    # with 3 corrector steps the uniform start (11 steps) falls back, and
+    # fixed_point stops at 600 of its 10202 steps; a start at the solution
+    # converges at once
     g, _ = get_scenario("wheatstone").build_game()
-    x_star = gd.fixed_point(g, 0.01, gd.uniform_configuration(g)).x
+    x_star = gd.fixed_points(g, 0.01, [gd.uniform_configuration(g)])[0].x
     seeds = [gd.uniform_configuration(g), x_star] + gd.monomorphic_vertices(g)
-    monkeypatch.setattr(logit, "MAX_ITER", 600)
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 3)
+    fallbacks = record_fallbacks(monkeypatch, max_iter=600)
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
         many = gd.fixed_points(g, 0.01, seeds)
-    assert [r.iterations for r in many[:2]] == [600, 0]
-    assert not many[0].converged and many[1].converged
+    assert many[0] is fallbacks[0] and many[0].iterations == 600
+    assert not many[0].converged and many[1].converged and many[1].iterations == 0
     failed = sum(not r.converged for r in many)
+    assert failed == sum(not r.converged for r in fallbacks) >= 1
     assert sum("no convergence" in m for m in caplog.messages) == failed
-    for x0, r in zip(seeds, many):
-        assert_same_result(r, gd.fixed_point(g, 0.01, x0, max_iter=600))
+    assert_matches_single_solves(g, 0.01, seeds, many, fallbacks, max_iter=600)
 
 
-@pytest.mark.parametrize("max_iter", [0, 1, 3])
-def test_fixed_points_equal_single_solves_at_small_max_iter(max_iter, monkeypatch):
-    g, _ = get_scenario("wheatstone").build_game()
-    seeds = [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g)
-    monkeypatch.setattr(logit, "MAX_ITER", max_iter)
-    many = gd.fixed_points(g, 0.005, seeds)
-    for x0, r in zip(seeds, many):
-        assert r.iterations == max_iter and not r.converged
-        assert_same_result(r, gd.fixed_point(g, 0.005, x0, max_iter=max_iter))
+@pytest.mark.parametrize("steps, n_fallbacks", [(0, 7), (1, 7), (3, 4), (4, 1)])
+def test_fixed_points_respect_the_step_cap(steps, n_fallbacks, monkeypatch):
+    g, _ = get_scenario("coordination").build_game()
+    rng = np.random.default_rng(5)
+    seeds = ([gd.sample_configuration(g, rng) for _ in range(4)]
+             + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
+    monkeypatch.setattr(logit, "NEWTON_STEPS", steps)
+    fallbacks = record_fallbacks(monkeypatch)
+    many = gd.fixed_points(g, 0.3, seeds)
+    assert len(fallbacks) == n_fallbacks
+    assert_matches_single_solves(g, 0.3, seeds, many, fallbacks, same_point=False)
+    # two stable points coexist at eta = 0.3, and Newton's basins are not
+    # damped Picard's: from the second start (share 0.71 of a1, where the map
+    # is steeper than 1) the corrector crosses the unstable middle to the a2
+    # side in 4 steps, while Picard goes to the a1 side
+    assert seeds[1][0, 0] > 0.5 and gd.fixed_point(g, 0.3, seeds[1]).x[0, 0] > 0.5
+    assert (many[1].x[0, 0] > 0.5) == (steps < 4)
+
+
+def test_fixed_points_converge_where_picard_stalls_on_tolls():
+    # a start from the seed-11 census on which damped Picard stalls (residual
+    # ~1 after 1e5 steps); the corrector converges to the stable equilibrium
+    g, _ = get_scenario("tolls").build_game()
+    eta = 0.0012151833063783375
+    x0 = np.array([[0.9435801079269924, 0.9211775575355341],
+                   [0.05641989207300761, 0.07882244246446587]])
+    r, = gd.fixed_points(g, eta, [x0])
+    assert r.converged and r.stability.locally_stable
+    assert r.iterations <= logit.NEWTON_STEPS
+
+    def reduced(v):       # each population has mass 1 on two routes
+        x = np.array([v, 1.0 - v])
+        return (gd.logit_map(g, x, eta) - x)[0]
+
+    sol = root(reduced, x0[0], method="lm", tol=1e-14)
+    assert sol.success
+    assert float(np.abs(r.x[0] - sol.x).sum()) <= 1e-9
+
+
+def coordination_share(eta, lo, hi):
+    """Root of x = 1/(1 + exp(-(2x - 1)/eta)) in [lo, hi], by bisection."""
+    return bisect(lambda x: 1.0 / (1.0 + np.exp(-(2.0 * x - 1.0) / eta)) - x,
+                  lo, hi, xtol=1e-15)
+
+
+@pytest.mark.parametrize("eta, n_stable", [(0.55, 1), (0.45, 2)])
+def test_census_counts_coordination_fork(eta, n_stable):
+    # the map's slope at the symmetric point is 1/(2 eta): one stable point
+    # above eta = 1/2, two stable vertices' branches (and an unstable middle)
+    # below it
+    g, _ = get_scenario("coordination").build_game()
+    sweep = gd.bifurcation_scan(g, [eta], rng=np.random.default_rng(4))
+    assert sweep.n_stable[0] == n_stable
+    stable = sorted(float(r.x[0, 0]) for r in sweep.results[0]
+                    if r.stability.locally_stable)
+    brackets = [(0.0, 1.0)] if n_stable == 1 else [(0.0, 0.5 - 1e-3), (0.5 + 1e-3, 1.0)]
+    for x, (lo, hi) in zip(stable, brackets):
+        assert abs(x - coordination_share(eta, lo, hi)) <= 1e-10
+
+
+def test_uniform_coordination_start_falls_back_from_the_unstable_point(monkeypatch):
+    # the corrector stops at once on the symmetric point, which is unstable at
+    # eta = 0.45, so the start is re-solved by fixed_point
+    g, _ = get_scenario("coordination").build_game()
+    x0 = gd.uniform_configuration(g)
+    fallbacks = record_fallbacks(monkeypatch)
+    r, = gd.fixed_points(g, 0.45, [x0])
+    assert len(fallbacks) == 1 and r is fallbacks[0]
+    assert r.converged and not r.stability.locally_stable
+    assert_same_result(r, gd.fixed_point(g, 0.45, x0))
+
+
+@st.composite
+def small_potential_game(draw):
+    """Explicit games of up to 3 populations (one may have zero mass) and 3
+    actions: per action one nondecreasing affine curve, shifted per
+    population. The potential is convex, so each eta has one logit
+    equilibrium and every start must reach it."""
+    P, S = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    mask = np.array(draw(st.lists(st.lists(st.booleans(), min_size=P, max_size=P),
+                                  min_size=S, max_size=S)))
+    mask[0], mask[:, 0] = True, True     # no empty action set, no unused action
+    masses = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=P, max_size=P))
+    assume(max(masses) > 0)
+    number = dict(allow_nan=False, allow_infinity=False)
+    grid = []
+    for i in range(S):
+        f = gd.ScalarFn.affine(draw(st.floats(0.0, 3.0, **number)),
+                               draw(st.floats(-1.0, 2.0, **number)))
+        grid.append([f.shifted(draw(st.floats(-1.0, 1.0, **number))) if mask[i, p] else None
+                     for p in range(P)])
+    return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
+                             actions=[f"a{i}" for i in range(S)], mask=mask,
+                             costs=gd.AggregateCostField(grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_potential_game(), st.sampled_from([1.0, 0.3, 0.1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_fixed_points_match_single_solves_on_small_games(game, eta, seed):
+    rng = np.random.default_rng(seed)
+    seeds = ([gd.sample_configuration(game, rng) for _ in range(3)]
+             + [gd.uniform_configuration(game)] + gd.monomorphic_vertices(game))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fallbacks = record_fallbacks(monkeypatch)
+        many = gd.fixed_points(game, eta, seeds)
+    assert_matches_single_solves(game, eta, seeds, many, fallbacks)
 
 
 def test_residual_floor_grows_as_eta_shrinks():
@@ -356,25 +490,24 @@ def test_threshold_makes_one_cost_jacobian_pass(monkeypatch):
 
 @pytest.mark.parametrize("n_etas", [2, 6])
 def test_census_margins_make_one_cost_jacobian_pass(monkeypatch, n_etas):
-    # every cost-Jacobian call beyond the solver's own logit_jacobian calls
-    # and the stacked stability pass (one per converged start) belongs to
-    # the margins: one per point of the 100 + 2 point set
+    # every cost-Jacobian call made outside the solver (corrector steps and
+    # fallbacks) belongs to the margins: one per point of the 100 + 2 point set
     g, _ = get_scenario("coordination").build_game()
     calls = count_calls(monkeypatch, logit, "cost_jacobian")
-    solver_calls = count_calls(monkeypatch, logit, "logit_jacobian")
-    stability_points = []
-    stabilities = logit._stabilities
+    solver_calls = []
+    solve = analysis.fixed_points
 
-    def counted_stabilities(J):
-        stability_points.append(len(J))
-        return stabilities(J)
+    def counted_solve(*args, **kwargs):
+        before = len(calls)
+        results = solve(*args, **kwargs)
+        solver_calls.append(len(calls) - before)
+        return results
 
-    monkeypatch.setattr(logit, "_stabilities", counted_stabilities)
+    monkeypatch.setattr(analysis, "fixed_points", counted_solve)
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, n_etas), multistart=4,
                                 rng=np.random.default_rng(2))
-    assert len(sweep.margins) == n_etas
-    assert (len(calls) - len(solver_calls) - sum(stability_points)
-            == 100 + len(gd.monomorphic_vertices(g)))
+    assert len(sweep.margins) == len(solver_calls) == n_etas
+    assert len(calls) - sum(solver_calls) == 100 + len(gd.monomorphic_vertices(g))
 
 
 def test_high_noise_threshold_brackets_the_flip(rng):
