@@ -203,9 +203,10 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
     A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
-    are one point. Each eta's starts are one fixed_points stack (Newton).
-    Margins use one set of 100 sampled points plus the vertices, whose costs
-    and cost partials are built once for all etas.
+    are one point. All starts, drawn eta by eta after the margin points, are
+    one fixed_points stack (Newton) with one eta per start. Margins use one
+    set of 100 sampled points plus the vertices, whose costs and cost
+    partials are built once for all etas.
     """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
@@ -215,23 +216,23 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
     margin = _margin_of(game, contraction_points(game, 100, rng))
+    m = multistart + len(vertices)
+    seeds = [x for _ in etas
+             for x in [sample_configuration(game, rng) for _ in range(multistart)] + vertices]
+    results = fixed_points(game, np.repeat(etas, m), seeds)
     per_eta = []
-    margins = []
-    for eta in etas:
-        seeds = [sample_configuration(game, rng) for _ in range(multistart)] + vertices
+    for k in range(len(etas)):
         found: list[FixedPointResult] = []
-        for r in fixed_points(game, float(eta), seeds):
+        for r in results[k * m:(k + 1) * m]:
             if (r.converged and r.residual <= 1e-8
                     and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found)):
                 found.append(r)
         per_eta.append(tuple(found))
-        margins.append(margin(float(eta)))
-    n_fixed = np.array([len(f) for f in per_eta])
-    n_stable = np.array([sum(1 for r in f if r.stability.locally_stable)
-                         for f in per_eta])
     return NoiseSweep(etas=etas, results=tuple(per_eta),
-                      margins=np.array(margins), n_fixed_points=n_fixed,
-                      n_stable=n_stable)
+                      margins=np.array([margin(float(eta)) for eta in etas]),
+                      n_fixed_points=np.array([len(f) for f in per_eta]),
+                      n_stable=np.array([sum(r.stability.locally_stable for r in f)
+                                         for f in per_eta]))
 
 
 # ---------------------------------------------------------------------------

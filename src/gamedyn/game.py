@@ -187,11 +187,12 @@ class CurveGrid:
                          for k, row in enumerate(self.fns)], axis=-2)
 
     def slopes(self, y: np.ndarray) -> np.ndarray:
-        """(rows, populations) curve derivatives at flows y."""
-        if self._affine:
-            return self._a
+        """(..., rows, populations) curve derivatives at flows y (..., rows)."""
         y = np.asarray(y, dtype=float)
-        return np.array([[f.deriv(v) for f in row] for row, v in zip(self.fns, y)])
+        if self._affine:
+            return np.broadcast_to(self._a, y.shape[:-1] + self._a.shape)
+        return np.stack([np.stack([f.deriv(y[..., k]) for f in row], axis=-1)
+                         for k, row in enumerate(self.fns)], axis=-2)
 
     def offsets(self, reach: np.ndarray) -> np.ndarray | None:
         """(rows, populations) kappa with f_kp = f_kr + kappa_kp, or None.
@@ -236,7 +237,7 @@ class CostField:
         raise NotImplementedError
 
     def jacobian(self, x: np.ndarray):
-        """Analytic partials d c_ip / d x_jq as an (S,P,S,P) tensor, or None."""
+        """Analytic partials d c_ip / d x_jq, (..., S,P,S,P) at x (..., S,P), or None."""
         return None
 
     def aggregate_cost(self, w: np.ndarray) -> np.ndarray:
@@ -263,11 +264,10 @@ class AggregateCostField(CostField):
         return self.curves(w)
 
     def jacobian(self, x):
-        slopes = self.curves.slopes(np.asarray(x, dtype=float).sum(axis=1))
-        S, P = slopes.shape
-        D = np.zeros((S, P, S, P))
-        for i in range(S):
-            D[i, :, i, :] = slopes[i][:, None]  # d c_ip / d x_iq for every q
+        slopes = self.curves.slopes(np.asarray(x, dtype=float).sum(axis=-1))
+        D = np.zeros(slopes.shape + slopes.shape[-2:])
+        for i in range(slopes.shape[-2]):
+            D[..., i, :, i, :] = slopes[..., i, :, None]  # d c_ip / d x_iq for every q
         return D
 
 
@@ -388,31 +388,36 @@ def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
 
 
 def validate_configuration(game: PopulationGame, x, *, tol: float = 1e-9) -> np.ndarray:
-    """Check finiteness, nonnegativity, support, and column sums; returns x as float array."""
+    """Check finiteness, signs, support and column sums of x (..., S, P), naming a bad start."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (game.n_actions, game.n_pops):
+    if x.ndim < 2 or x.shape[-2:] != game.mask.shape:
         raise ConfigurationError(f"configuration has shape {x.shape}, "
                                  f"expected {(game.n_actions, game.n_pops)}")
+    scale = np.maximum(1.0, game.masses)
+    finite = np.isfinite(x)
+    off = np.abs(np.where(game.mask, 0.0, x))
+    bad = (~finite | (x < -tol * scale) | (off > tol * scale)).any(axis=-2)
+    bad |= np.abs(np.where(finite, x, 0.0).sum(axis=-2) - game.masses) > tol * scale
+    if not bad.any():
+        return x
+    *k, _ = map(int, np.argwhere(bad)[0])
+    start = f" in start {k[0] if len(k) == 1 else tuple(k)}" if k else ""
+    x, off = x[tuple(k)], off[tuple(k)]
     if not np.all(np.isfinite(x)):
         i, p = np.argwhere(~np.isfinite(x))[0]
         raise ConfigurationError(f"non-finite mass {float(x[i, p])} at "
-                                 f"({game.actions[i]}, {game.populations[p]})")
-    scale = np.maximum(1.0, game.masses)
+                                 f"({game.actions[i]}, {game.populations[p]}){start}")
     if np.any(x < -tol * scale):
         i, p = np.argwhere(x < -tol * scale)[0]
         raise ConfigurationError(f"negative mass {x[i, p]!r} at "
-                                 f"({game.actions[i]}, {game.populations[p]})")
-    off = np.abs(np.where(game.mask, 0.0, x))
+                                 f"({game.actions[i]}, {game.populations[p]}){start}")
     if np.any(off > tol * scale):
         i, p = np.argwhere(off > tol * scale)[0]
         raise ConfigurationError(f"mass {x[i, p]!r} on unavailable action "
-                                 f"({game.actions[i]}, {game.populations[p]})")
-    err = np.abs(x.sum(axis=0) - game.masses)
-    if np.any(err > tol * scale):
-        p = int(np.argmax(err / scale))
-        raise ConfigurationError(f"column sum {x[:, p].sum()!r} != mass "
-                                 f"{game.masses[p]!r} for {game.populations[p]}")
-    return x
+                                 f"({game.actions[i]}, {game.populations[p]}){start}")
+    p = int(np.argmax(np.abs(x.sum(axis=0) - game.masses) / scale))
+    raise ConfigurationError(f"column sum {x[:, p].sum()!r} != mass "
+                             f"{game.masses[p]!r} for {game.populations[p]}{start}")
 
 
 def uniform_configuration(game: PopulationGame) -> np.ndarray:
@@ -647,14 +652,16 @@ def _fd_cost_jacobian(game: PopulationGame, x: np.ndarray) -> np.ndarray:
 
 
 def cost_jacobian(game: PopulationGame, x) -> np.ndarray:
-    """Partials d c_ip / d x_jq as an (S,P,S,P) tensor.
+    """Partials d c_ip / d x_jq, (..., S,P,S,P) at x (..., S,P), each slice bit for bit its own.
 
     Uses the field's analytic partials when present, otherwise central
-    finite differences over the valid (j, q) entries.
+    finite differences over the valid (j, q) entries, one slice at a time.
     """
     x = np.asarray(x, dtype=float)
     D = game.costs.jacobian(x)
-    return _fd_cost_jacobian(game, x) if D is None else np.asarray(D, dtype=float)
+    if D is None:
+        D = [_fd_cost_jacobian(game, y) for y in x.reshape((-1,) + game.mask.shape)]
+    return np.reshape(np.asarray(D, dtype=float), x.shape + game.mask.shape)
 
 
 def potential_symmetry_check(game: PopulationGame, samples: int = 10,

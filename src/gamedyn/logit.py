@@ -34,10 +34,10 @@ def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
     """exp(-(c - cmin_p)/eta) on valid entries (0 elsewhere), and its column sums.
 
     Works over the last two axes, so c may be one (S,P) cost matrix or a
-    stack of them. Off the mask c is read as +inf, whatever it holds (NaN and
-    -inf too). The per-population minimum cost cmin_p keeps every exponent at
-    or below zero, so nothing overflows for eta down to 1e-4 with costs of
-    any magnitude.
+    stack of them, with one eta or one per slice (N,1,1). Off the mask c is
+    read as +inf, whatever it holds (NaN and -inf too). The per-population
+    minimum cost cmin_p keeps every exponent at or below zero, so nothing
+    overflows for eta down to 1e-4 with costs of any magnitude.
     """
     z = np.where(game.mask, c, np.inf)
     e = np.exp((z.min(axis=-2, keepdims=True) - z) / eta)
@@ -68,10 +68,9 @@ def _noise_free_parts(game: PopulationGame, points) -> tuple[np.ndarray, np.ndar
     The partials' [k, p, i, m] entry is d c_ip / d x at the m-th valid pair
     (population-major) at point k, zero off the mask.
     """
-    X = np.asarray(np.stack(points), dtype=float)
+    X = np.asarray(points, dtype=float)
     qs, js = np.nonzero(game.mask.T)
-    D = np.stack([cost_jacobian(game, x)[:, :, js, qs] for x in X])
-    D = np.where(game.mask[:, :, None], D, 0.0)
+    D = np.where(game.mask[:, :, None], cost_jacobian(game, X)[..., js, qs], 0.0)
     # C-contiguous (P,S,n) blocks, so the stacked product makes one BLAS call
     # per population and rounds like a per-population loop (strided operands
     # do not)
@@ -80,13 +79,13 @@ def _noise_free_parts(game: PopulationGame, points) -> tuple[np.ndarray, np.ndar
 
 def _jacobians(game: PopulationGame, c: np.ndarray, D: np.ndarray,
                eta: float) -> np.ndarray:
-    """Logit Jacobians (N,n,n) from _noise_free_parts (N,S,P) and (N,P,S,n)."""
-    if eta <= 0:
+    """Logit Jacobians (N,n,n) from _noise_free_parts (N,S,P), (N,P,S,n) at eta or (N,1,1) etas."""
+    if np.any(eta <= 0):
         raise ValueError("eta must be positive")
     e, total = _shifted_exp(game, c, eta)
     pi = np.ascontiguousarray((e / total).swapaxes(-1, -2))     # (..., P, S)
     avg = pi[..., None, :] @ D                                  # (..., P, 1, n)
-    J = ((game.masses / eta)[:, None] * pi)[..., None] * (avg - D)
+    J = (game.masses[:, None] / eta * pi)[..., None] * (avg - D)
     qs, js = np.nonzero(game.mask.T)
     return J[..., qs, js, :]
 
@@ -226,8 +225,8 @@ def fixed_point(game: PopulationGame, eta: float, x0, *,
                             stability=local_stability(game, x, eta) if converged else None)
 
 
-def _armijo(game: PopulationGame, eta: float, X, d, r) -> np.ndarray:
-    """Damped Newton points X + t*d, t = 1, 1/2, ... per slice of the stack.
+def _armijo(game: PopulationGame, eta: np.ndarray, X, d, r) -> np.ndarray:
+    """Damped Newton points X + t*d, t = 1, 1/2, ... per slice, at its eta (N,1,1).
 
     Each trial is clipped so that no entry shrinks by more than 100x, then its
     columns are rescaled to the masses. A slice takes the first t whose l1
@@ -241,7 +240,7 @@ def _armijo(game: PopulationGame, eta: float, X, d, r) -> np.ndarray:
         Y = np.maximum(X[todo] + t[todo, None, None] * d[todo], X[todo] / 100.0)
         s = Y.sum(axis=1, keepdims=True)
         Y *= game.masses / np.where(s > 0, s, 1.0)
-        rt = np.abs(logit_map(game, Y, eta) - Y).sum(axis=(1, 2))
+        rt = np.abs(softmax_target(game, evaluate_costs(game, Y), eta[todo]) - Y).sum((1, 2))
         good = rt <= (1.0 - 1e-4 * t[todo]) * r[todo]
         out[todo[good]] = Y[good]
         t[todo] *= 0.5
@@ -249,23 +248,34 @@ def _armijo(game: PopulationGame, eta: float, X, d, r) -> np.ndarray:
     return out
 
 
-def fixed_points(game: PopulationGame, eta: float, x0s) -> list[FixedPointResult]:
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A x = b per slice of a stack (N,n,n), (N,n); NaN on the singular slices only."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return (np.full(b.shape, np.nan) if len(A) == 1 else
+                np.concatenate([_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(A))]))
+
+
+def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     """Fixed points from each start in x0s: a stacked Newton corrector, with
     fixed_point as the fallback one start at a time.
 
-    Newton runs on G(x) = F(x) - x over game.valid_pairs for all unfinished
-    starts at once; each step makes one _noise_free_parts and _jacobians
-    stack and one np.linalg.solve on the stack of J - I. Each population's
-    rows of J sum to zero, so the step keeps the masses; _armijo damps and
-    clips it. A start converges at fixed_point's tolerance (1e-10, never
-    below residual_floor). Only converged, locally stable results are kept,
-    with iterations counting corrector steps. Every other start (unstable,
-    stalled, or not done within NEWTON_STEPS) is re-solved by
-    fixed_point(game, eta, x0), whose result and warning it returns as is.
-    Where several stable points coexist, a start may reach another one than
+    eta is one value or one per start. Newton runs on G(x) = F(x) - x over
+    game.valid_pairs for all unfinished starts at once; each step makes one
+    _noise_free_parts and _jacobians stack and one np.linalg.solve on the
+    stack of J - I. Each population's rows of J sum to zero, so the step
+    keeps the masses; _armijo damps and clips it. A start converges at
+    fixed_point's tolerance (1e-10, never below residual_floor). Only
+    converged, locally stable results are kept, with iterations counting
+    corrector steps. Every other start (unstable, stalled, singular, or not
+    done within NEWTON_STEPS) is re-solved alone by fixed_point, whose
+    result and warning it returns as is. No result depends on stack-mates;
+    where several stable points coexist, a start may reach another one than
     fixed_point's damped iteration would.
     """
-    X = np.stack([validate_configuration(game, x0) for x0 in x0s])
+    X = validate_configuration(game, np.array(x0s, dtype=float))
+    etas = np.broadcast_to(np.asarray(eta, dtype=float), len(X))[:, None, None]
     qs, js = np.nonzero(game.mask.T)
     eye = np.eye(len(qs))
     out = [None] * len(X)
@@ -275,25 +285,22 @@ def fixed_points(game: PopulationGame, eta: float, x0s) -> list[FixedPointResult
         if not len(live):
             break
         C, D = _noise_free_parts(game, X[live])
-        J = _jacobians(game, C, D, eta)
-        G = (softmax_target(game, C, eta) - X[live])[:, js, qs]
+        J = _jacobians(game, C, D, etas[live])
+        G = (softmax_target(game, C, etas[live]) - X[live])[:, js, qs]
         r = np.abs(G).sum(axis=1)
-        done = r <= np.maximum(1e-10, residual_floor(game, C, eta))
+        done = r <= np.maximum(1e-10, residual_floor(game, C, etas[live, 0, 0]))
         for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
             if info.locally_stable:
                 out[k] = FixedPointResult(x=X[k].copy(), residual=rk, iterations=step,
-                                          converged=True, eta=float(eta), stability=info)
+                                          converged=True, eta=etas[k].item(), stability=info)
         live, J, G, r = live[~done], J[~done], G[~done], r[~done]
         if not len(live) or step == NEWTON_STEPS:
             break
         d = np.zeros((len(live),) + game.mask.shape)
-        try:
-            d[:, js, qs] = np.linalg.solve(J - eye, -G[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        X[live] = _armijo(game, eta, X[live], d, r)
-    return [res if res is not None else fixed_point(game, eta, x0)
-            for res, x0 in zip(out, x0s)]
+        d[:, js, qs] = _solve(J - eye, -G)
+        X[live] = _armijo(game, etas[live], X[live], d, r)
+    return [res if res is not None else fixed_point(game, float(e), x0)
+            for res, e, x0 in zip(out, etas.ravel(), x0s)]
 
 
 @dataclass(frozen=True)

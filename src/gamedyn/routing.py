@@ -215,11 +215,11 @@ class RoutingCostField(CostField):
         return self.A.T @ self.curves(y)
 
     def jacobian(self, x):
-        y = self.A @ np.asarray(x, dtype=float).sum(axis=1)
-        T = self.curves.slopes(y)  # (E, P)
-        core = np.einsum("ei,ej,ep->ipj", self.A, self.A, T)
+        y = (self.A @ np.asarray(x, dtype=float).sum(axis=-1)[..., None])[..., 0]
+        T = self.curves.slopes(y)  # (..., E, P)
+        core = np.einsum("ei,ej,...ep->...ipj", self.A, self.A, T)
         # d c_ip / d x_jq does not depend on q: a read-only view, not a copy
-        return np.broadcast_to(core[..., None], core.shape + (core.shape[1],))
+        return np.broadcast_to(core[..., None], core.shape + (core.shape[-2],))
 
 
 # ---------------------------------------------------------------------------

@@ -168,37 +168,42 @@ def test_bifurcation_scan_counts_coordination_fork(rng):
 
 
 def test_census_corrector_counts(monkeypatch):
-    # exact work of the census on the coordination grid: stacked corrector
-    # steps (one _noise_free_parts stack each), their trial map evaluations,
-    # and the fallbacks to fixed_point with the map evaluations they make
+    # exact work of the census on the coordination grid: one fixed_points
+    # stack for all 5 etas, its corrector steps (one _noise_free_parts stack
+    # each) and their trial evaluations (one softmax per step for the
+    # residual, the rest Armijo rounds), and the fallbacks to fixed_point
+    # with the map evaluations they make
     g, _ = get_scenario("coordination").build_game()
-    maps, stacks, fallbacks = [], [], []
-    real_map, real_parts, real_solve = (logit.logit_map, logit._noise_free_parts,
-                                        logit.fixed_point)
+    maps, softmaxes, stacks, solves, fallbacks = [], [], [], [], []
+    real_map, real_softmax, real_parts, real_solve, real_solves = (
+        logit.logit_map, logit.softmax_target, logit._noise_free_parts,
+        logit.fixed_point, analysis.fixed_points)
 
-    def counted_map(*args, **kwargs):
-        maps.append(1)
-        return real_map(*args, **kwargs)
-
-    def counted_parts(*args, **kwargs):
-        stacks.append(1)
-        return real_parts(*args, **kwargs)
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
 
     def recorded_solve(*args, **kwargs):
-        before = len(maps), len(stacks)
+        before = len(maps), len(softmaxes), len(stacks)
         result = real_solve(*args, **kwargs)
-        fallbacks.append((len(maps) - before[0], len(stacks) - before[1]))
+        fallbacks.append((len(maps) - before[0], len(softmaxes) - before[1],
+                          len(stacks) - before[2]))
         return result
 
-    monkeypatch.setattr(logit, "logit_map", counted_map)
-    monkeypatch.setattr(logit, "_noise_free_parts", counted_parts)
+    monkeypatch.setattr(logit, "logit_map", counted(maps, real_map))
+    monkeypatch.setattr(logit, "softmax_target", counted(softmaxes, real_softmax))
+    monkeypatch.setattr(logit, "_noise_free_parts", counted(stacks, real_parts))
     monkeypatch.setattr(logit, "fixed_point", recorded_solve)
+    monkeypatch.setattr(analysis, "fixed_points", counted(solves, real_solves))
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
-    fallback_maps, fallback_stacks = (sum(c) for c in zip(*fallbacks))
+    fallback_maps, fallback_softmaxes, fallback_stacks = (sum(c) for c in zip(*fallbacks))
     steps = len(stacks) - fallback_stacks - 1       # one stack is the margins'
-    assert (steps, len(maps) - fallback_maps) == (25, 21)
-    assert (len(fallbacks), fallback_maps) == (6, 819)
+    trials = len(softmaxes) - fallback_softmaxes - steps
+    assert (len(solves), steps, trials) == (1, 6, 6)
+    assert (len(fallbacks), fallback_maps, fallback_softmaxes) == (6, 819, 819)
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 
 

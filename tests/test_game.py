@@ -154,6 +154,10 @@ def callable_copy(g):
 
 STACK_GAMES = {
     "affine": lambda: get_scenario("parallel3").build_game()[0],
+    "affine-aggregate": lambda: make_game(
+        [[gd.ScalarFn.affine(1.0, 0.0), gd.ScalarFn.affine(2.0, 0.5)],
+         [gd.ScalarFn.affine(0.5, 1.0), None], [gd.ScalarFn.constant(1.5)] * 2],
+        masses=(1.0, 2.0), mask=[[True, True], [True, False], [True, True]]),
     # flows fall below, inside and above the table's breakpoints
     "table": lambda: make_game([[TAB, gd.ScalarFn.affine(2.0, 0.1)], [TAB, TAB],
                                 [gd.ScalarFn.constant(1.5), TAB]], masses=(1.0, 0.5)),
@@ -167,14 +171,45 @@ STACK_GAMES = {
 @pytest.mark.parametrize("kind", STACK_GAMES)
 def test_evaluate_costs_on_a_stack_equals_each_slice(kind):
     g = STACK_GAMES[kind]()
-    rng = np.random.default_rng(4)
-    X = np.stack([gd.sample_configuration(g, rng) for _ in range(6)]
-                 + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
+    X = stack_of_starts(g)
     C = gd.evaluate_costs(g, X)
     assert C.shape == X.shape
     for x, c in zip(X, C):
         assert np.array_equal(c, gd.evaluate_costs(g, x))
     assert np.array_equal(gd.evaluate_costs(g, X.reshape((1,) + X.shape))[0], C)
+
+
+def stack_of_starts(g):
+    rng = np.random.default_rng(4)
+    return np.stack([gd.sample_configuration(g, rng) for _ in range(6)]
+                    + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
+
+
+@pytest.mark.parametrize("kind", STACK_GAMES)
+def test_cost_jacobian_on_a_stack_equals_each_slice(kind):
+    g = STACK_GAMES[kind]()
+    X = stack_of_starts(g)
+    D = gd.cost_jacobian(g, X)
+    assert D.shape == X.shape + g.mask.shape
+    for x, d in zip(X, D):
+        assert np.array_equal(d, gd.cost_jacobian(g, x))
+    assert np.array_equal(gd.cost_jacobian(g, X[:6].reshape((2, 3) + g.mask.shape)),
+                          D[:6].reshape((2, 3) + D.shape[1:]))
+
+
+@pytest.mark.parametrize("kind", ["table", "table-routing"])
+def test_curve_grid_slopes_on_a_stack_equal_each_slice(kind):
+    # flows below, inside, on and above the breakpoints of TAB
+    grid = STACK_GAMES[kind]().costs.curves
+    rows = len(grid.fns)
+    Y = np.stack([np.full(rows, v) for v in (-0.3, 0.1, 0.2, 0.35, 0.5, 0.8, 1.2)]
+                 + [np.linspace(0.0, 1.0, rows)])
+    T = grid.slopes(Y)
+    assert T.shape == Y.shape + (len(grid.fns[0]),)
+    for y, t in zip(Y, T):
+        assert np.array_equal(t, grid.slopes(y))
+    first, last = 2.0 / (0.5 - 0.2), 0.5 / (0.8 - 0.5)     # extrapolated edge slopes
+    np.testing.assert_array_equal(T[[0, 1, -2], 0, 0], [first, first, last])
 
 
 def test_evaluate_costs_on_a_stack_names_a_bad_entry_of_one_slice():
@@ -228,6 +263,23 @@ def test_validate_configuration_errors_name_entries():
         gd.validate_configuration(g, np.array([[-0.2], [1.2]]))
     with pytest.raises(gd.ConfigurationError, match="column sum"):
         gd.validate_configuration(g, np.array([[0.6], [0.6]]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[-0.2], [1.2]]), r"negative mass .* at \(r1, p1\) in start 3$"),
+    (np.array([[np.inf], [1.0]]), r"non-finite mass inf at \(r1, p1\) in start 3$"),
+    (np.array([[0.6], [0.6]]), r"column sum .* for p1 in start 3$")])
+def test_validate_configuration_names_the_first_bad_start_of_a_stack(bad, message):
+    g, _ = get_scenario("pigou").build_game()
+    X = np.stack([gd.uniform_configuration(g)] * 7)
+    assert gd.validate_configuration(g, X) is X
+    X[3], X[5] = bad, [[np.nan], [1.0]]
+    with pytest.raises(gd.ConfigurationError, match=message):
+        gd.validate_configuration(g, X)
+    with pytest.raises(gd.ConfigurationError, match=r"in start \(1, 0\)$"):
+        gd.validate_configuration(g, X[1:].reshape((3, 2) + g.mask.shape))
+    with pytest.raises(gd.ConfigurationError, match="shape"):
+        gd.validate_configuration(g, np.zeros((4, 3, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

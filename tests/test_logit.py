@@ -417,6 +417,70 @@ def test_fixed_points_match_single_solves_on_small_games(game, eta, seed):
     assert_matches_single_solves(game, eta, seeds, many, fallbacks)
 
 
+def force_singular(monkeypatch, eta_bad):
+    """Make J = I, so J - I is singular, in every _jacobians slice at eta_bad."""
+    real = logit._jacobians
+
+    def forced(game, c, D, eta):
+        J = real(game, c, D, eta)
+        J[np.broadcast_to(np.equal(eta, eta_bad), (len(J), 1, 1))[:, 0, 0]] = np.eye(J.shape[-1])
+        return J
+
+    monkeypatch.setattr(logit, "_jacobians", forced)
+
+
+def assert_same_start(a, b):
+    """Bit for bit, but for the residual, which may differ in the last ulp."""
+    assert np.array_equal(a.x, b.x)
+    assert (a.iterations, a.converged, a.eta, a.stability) == \
+        (b.iterations, b.converged, b.eta, b.stability)
+    assert abs(a.residual - b.residual) <= np.spacing(max(a.residual, b.residual))
+
+
+def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatch):
+    # the starts at eta 0.37 meet a singular J - I at their first step and
+    # fall back alone; their stack-mates at other etas go on with Newton
+    g, _ = get_scenario("wheatstone").build_game()
+    rng = np.random.default_rng(7)
+    seeds = [gd.sample_configuration(g, rng) for _ in range(6)] + gd.monomorphic_vertices(g)
+    etas = np.resize([1.0, 0.37, 0.3, 2.0], len(seeds))
+    force_singular(monkeypatch, 0.37)
+    fallbacks = record_fallbacks(monkeypatch)
+    many = gd.fixed_points(g, etas, seeds)
+    assert [r.eta for r in fallbacks] == [0.37] * 4 and sum(etas == 0.37) == 4
+    for eta, x0, r in zip(etas, seeds, many):
+        assert r.eta == eta
+        assert_same_start(r, gd.fixed_points(g, eta, [x0])[0])
+        if eta != 0.37:
+            assert r.iterations <= logit.NEWTON_STEPS and r.stability.locally_stable
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_potential_game(), st.lists(st.sampled_from([1.0, 0.3, 0.1, 0.37]),
+                                        min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_fixed_points_with_mixed_etas_equal_lone_solves(game, etas, seed):
+    # each start of a mixed-eta stack, a singular slice (eta 0.37) among
+    # them, gets the result it gets alone
+    rng = np.random.default_rng(seed)
+    seeds = [gd.sample_configuration(game, rng) for _ in etas]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_singular(monkeypatch, 0.37)
+        many = gd.fixed_points(game, etas, seeds)
+        for eta, x0, r in zip(etas, seeds, many):
+            assert_same_start(r, gd.fixed_points(game, eta, [x0])[0])
+
+
+def test_fixed_points_reject_a_bad_start_or_eta():
+    g, _ = get_scenario("pigou").build_game()
+    seeds = [gd.uniform_configuration(g)] * 4
+    seeds[2] = np.array([[1.5], [-0.5]])
+    with pytest.raises(gd.ConfigurationError, match=r"negative mass .* in start 2$"):
+        gd.fixed_points(g, 0.5, seeds)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        gd.fixed_points(g, [0.5, 0.0], seeds[:2])
+
+
 def test_residual_floor_grows_as_eta_shrinks():
     g, _ = get_scenario("wheatstone").build_game()
     c = gd.evaluate_costs(g, gd.uniform_configuration(g))
@@ -481,17 +545,18 @@ def count_calls(monkeypatch, module, name):
 
 def test_threshold_makes_one_cost_jacobian_pass(monkeypatch):
     # the bisection visits 12 etas, but the cost partials of its 200 + 2
-    # points are built once
+    # points are built once, in one stacked call
     g, _ = get_scenario("coordination").build_game()
     calls = count_calls(monkeypatch, logit, "cost_jacobian")
     gd.high_noise_threshold(g, rng=np.random.default_rng(1))
-    assert len(calls) == 200 + len(gd.monomorphic_vertices(g))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n_etas", [2, 6])
 def test_census_margins_make_one_cost_jacobian_pass(monkeypatch, n_etas):
-    # every cost-Jacobian call made outside the solver (corrector steps and
-    # fallbacks) belongs to the margins: one per point of the 100 + 2 point set
+    # the census makes one solver call for all etas, and the one cost-Jacobian
+    # call made outside it (corrector steps and fallbacks) is the margins'
+    # stack of the 100 + 2 point set
     g, _ = get_scenario("coordination").build_game()
     calls = count_calls(monkeypatch, logit, "cost_jacobian")
     solver_calls = []
@@ -506,8 +571,8 @@ def test_census_margins_make_one_cost_jacobian_pass(monkeypatch, n_etas):
     monkeypatch.setattr(analysis, "fixed_points", counted_solve)
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, n_etas), multistart=4,
                                 rng=np.random.default_rng(2))
-    assert len(sweep.margins) == len(solver_calls) == n_etas
-    assert len(calls) - sum(solver_calls) == 100 + len(gd.monomorphic_vertices(g))
+    assert len(sweep.margins) == n_etas and len(solver_calls) == 1
+    assert len(calls) - sum(solver_calls) == 1
 
 
 def test_high_noise_threshold_brackets_the_flip(rng):
