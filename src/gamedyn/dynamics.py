@@ -22,7 +22,7 @@ from .game import (
     validate_configuration,
     sample_configuration,
 )
-from .logit import damped_iteration, softmax_target
+from .logit import MAX_ITER, damped_iteration, softmax_target
 
 log = logging.getLogger(__name__)
 
@@ -258,7 +258,7 @@ class ReducedSystem:
         n = int(round(horizon / dt))
         return dt * np.arange(n + 1), _rk4(lambda v, k: self.field(v), w, n, dt)
 
-    def fixed_point(self, w0, max_iter: int = 10 ** 5) -> ReducedFixedPoint:
+    def fixed_point(self, w0, max_iter: int = MAX_ITER) -> ReducedFixedPoint:
         """Aggregate fixed point w = sum_p G_p(cbar(w)) by damped_iteration.
 
         Converges at an l1 residual of 1e-10. The damping cap is sized from

@@ -111,8 +111,8 @@ class StabilityInfo:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """A solve's best point; iterations are damped steps for fixed_point and
-    corrector steps for the starts fixed_points keeps from its corrector."""
+    """A solve's best point; iterations are corrector steps for the starts
+    fixed_points keeps from its corrector, damped steps otherwise."""
 
     x: np.ndarray
     residual: float
@@ -154,8 +154,8 @@ def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
-def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
-    """Iterate x <- (1-lam)x + lam phi(x) until the l1 residual meets tol_of(x).
+def _damping(x, rho, tol_of, max_iter: int, phi=None):
+    """The damping rule x <- (1-lam)x + lam phi(x), to an l1 residual of tol_of(x).
 
     The damped update has iteration matrix (1-lam)I + lam*J with J the
     Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam = 1.5/(1+rho)
@@ -164,15 +164,15 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
     the current iterate with ceiling 1 (and tol_of is re-read), since
     stiffness varies across the polytope at small eta. lam halves whenever a
     step still increases the residual, and creeps back toward the cap after a
-    run of accepted steps. Returns (best x, its residual, iterations,
-    converged).
+    run of accepted steps. Without phi, yields each point to map and is sent
+    its phi value. Returns (best x, its residual, iterations, converged).
     """
     def cap_at(x, ceiling):
         return min(ceiling, 1.5 / (1.0 + rho(x)))
 
     cap = cap_at(x, 0.5)
     lam = cap
-    F = phi(x)
+    F = (yield x) if phi is None else phi(x)
     r = float(np.abs(F - x).sum())
     tol = tol_of(x)
     best_x, best_r = x, r
@@ -186,7 +186,7 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
             accepts = 0
             tol = tol_of(x)
         x_new = (1.0 - lam) * x + lam * F
-        F_new = phi(x_new)
+        F_new = (yield x_new) if phi is None else phi(x_new)
         r_new = float(np.abs(F_new - x_new).sum())
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
         # genuine instability overshoots it within a few steps regardless
@@ -204,6 +204,28 @@ def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
     return best_x, best_r, it, best_r <= tol
 
 
+def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
+    """The _damping rule from x, with its phi calls made inside; returns its result."""
+    try:
+        next(_damping(x, rho, tol_of, max_iter, phi))
+    except StopIteration as done:
+        return done.value
+
+
+def _sizing(game: PopulationGame, eta: float):
+    """fixed_point's rho and tol_of for damping logit_map at eta."""
+    return (lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
+            lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)))
+
+
+def _result(eta: float, x, r, it, converged, stability) -> FixedPointResult:
+    """A damped solve's result; one that did not converge is logged."""
+    if not converged:
+        log.warning("fixed_point: no convergence after %d iterations "
+                    "(eta=%g, residual=%.3e)", it, eta, r)
+    return FixedPointResult(x, r, it, converged, float(eta), stability)
+
+
 def fixed_point(game: PopulationGame, eta: float, x0, *,
                 max_iter: int = MAX_ITER) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
@@ -215,14 +237,8 @@ def fixed_point(game: PopulationGame, eta: float, x0, *,
     """
     x, r, it, converged = damped_iteration(
         lambda y: logit_map(game, y, eta), validate_configuration(game, x0),
-        lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-        lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)),
-        max_iter=max_iter)
-    if not converged:
-        log.warning("fixed_point: no convergence after %d iterations "
-                    "(eta=%g, residual=%.3e)", it, eta, r)
-    return FixedPointResult(x=x, residual=r, iterations=it, converged=converged, eta=float(eta),
-                            stability=local_stability(game, x, eta) if converged else None)
+        *_sizing(game, eta), max_iter=max_iter)
+    return _result(eta, x, r, it, converged, local_stability(game, x, eta) if converged else None)
 
 
 def _armijo(game: PopulationGame, eta: np.ndarray, X, d, r) -> np.ndarray:
@@ -259,7 +275,7 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     """Fixed points from each start in x0s: a stacked Newton corrector, with
-    fixed_point as the fallback one start at a time.
+    fixed_point's damped iteration, stacked too, as the fallback.
 
     eta is one value or one per start. Newton runs on G(x) = F(x) - x over
     game.valid_pairs for all unfinished starts at once; each step makes one
@@ -269,10 +285,10 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     fixed_point's tolerance (1e-10, never below residual_floor). Only
     converged, locally stable results are kept, with iterations counting
     corrector steps. Every other start (unstable, stalled, singular, or not
-    done within NEWTON_STEPS) is re-solved alone by fixed_point, whose
-    result and warning it returns as is. No result depends on stack-mates;
-    where several stable points coexist, a start may reach another one than
-    fixed_point's damped iteration would.
+    done within NEWTON_STEPS) is re-solved from x0 by its own _damping run;
+    the runs step together on one stacked map, each giving fixed_point's result
+    and warning bit for bit. No result depends on stack-mates; where several
+    stable points coexist, a start may reach another one than Picard would.
     """
     X = validate_configuration(game, np.array(x0s, dtype=float))
     etas = np.broadcast_to(np.asarray(eta, dtype=float), len(X))[:, None, None]
@@ -291,16 +307,30 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         done = r <= np.maximum(1e-10, residual_floor(game, C, etas[live, 0, 0]))
         for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
             if info.locally_stable:
-                out[k] = FixedPointResult(x=X[k].copy(), residual=rk, iterations=step,
-                                          converged=True, eta=etas[k].item(), stability=info)
+                out[k] = _result(etas[k].item(), X[k].copy(), rk, step, True, info)
         live, J, G, r = live[~done], J[~done], G[~done], r[~done]
         if not len(live) or step == NEWTON_STEPS:
             break
         d = np.zeros((len(live),) + game.mask.shape)
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
-    return [res if res is not None else fixed_point(game, float(e), x0)
-            for res, e, x0 in zip(out, etas.ravel(), x0s)]
+    runs = {k: _damping(validate_configuration(game, x0), *_sizing(game, e.item()), MAX_ITER)
+            for k, (res, e, x0) in enumerate(zip(out, etas, x0s)) if res is None}
+    trials = {k: next(run) for k, run in runs.items()}
+    while trials:
+        ks = list(trials)
+        F = softmax_target(game, evaluate_costs(game, np.stack(list(trials.values()))), etas[ks])
+        for k, f in zip(ks, F):
+            try:
+                trials[k] = runs[k].send(f)
+            except StopIteration as stop:
+                runs[k] = stop.value            # its result; keys keep start order
+                del trials[k]
+    infos = _stabilities(_jacobians(game, *_noise_free_parts(
+        game, [run[0] for run in runs.values()]), etas[list(runs)])) if runs else []
+    for (k, (x, r, it, converged)), info in zip(runs.items(), infos):
+        out[k] = _result(etas[k].item(), x, r, it, converged, info if converged else None)
+    return out
 
 
 @dataclass(frozen=True)

@@ -171,13 +171,13 @@ def test_census_corrector_counts(monkeypatch):
     # exact work of the census on the coordination grid: one fixed_points
     # stack for all 5 etas, its corrector steps (one _noise_free_parts stack
     # each) and their trial evaluations (one softmax per step for the
-    # residual, the rest Armijo rounds), and the fallbacks to fixed_point
-    # with the map evaluations they make
+    # residual, the rest Armijo rounds), and the fallbacks' damping runs,
+    # stepped together with one stacked softmax per step
     g, _ = get_scenario("coordination").build_game()
-    maps, softmaxes, stacks, solves, fallbacks = [], [], [], [], []
-    real_map, real_softmax, real_parts, real_solve, real_solves = (
+    maps, softmaxes, stacks, solves, fallbacks, corrector = [], [], [], [], [], []
+    real_map, real_softmax, real_parts, real_damping, real_solves = (
         logit.logit_map, logit.softmax_target, logit._noise_free_parts,
-        logit.fixed_point, analysis.fixed_points)
+        logit._damping, analysis.fixed_points)
 
     def counted(calls, fn):
         def wrapper(*args, **kwargs):
@@ -185,25 +185,32 @@ def test_census_corrector_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recorded_solve(*args, **kwargs):
-        before = len(maps), len(softmaxes), len(stacks)
-        result = real_solve(*args, **kwargs)
-        fallbacks.append((len(maps) - before[0], len(softmaxes) - before[1],
-                          len(stacks) - before[2]))
-        return result
+    def recorded_damping(*args):
+        if not fallbacks:       # the first fallback starts after the corrector
+            corrector.extend([len(softmaxes), len(stacks)])
+        fallbacks.append(None)
+        k = len(fallbacks) - 1
+        fallbacks[k] = yield from real_damping(*args)
+        return fallbacks[k]
 
     monkeypatch.setattr(logit, "logit_map", counted(maps, real_map))
     monkeypatch.setattr(logit, "softmax_target", counted(softmaxes, real_softmax))
     monkeypatch.setattr(logit, "_noise_free_parts", counted(stacks, real_parts))
-    monkeypatch.setattr(logit, "fixed_point", recorded_solve)
+    monkeypatch.setattr(logit, "_damping", recorded_damping)
     monkeypatch.setattr(analysis, "fixed_points", counted(solves, real_solves))
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
-    fallback_maps, fallback_softmaxes, fallback_stacks = (sum(c) for c in zip(*fallbacks))
-    steps = len(stacks) - fallback_stacks - 1       # one stack is the margins'
-    trials = len(softmaxes) - fallback_softmaxes - steps
+    corrector_softmaxes, corrector_stacks = corrector
+    steps = corrector_stacks - 1                    # one stack is the margins'
+    trials = corrector_softmaxes - steps
     assert (len(solves), steps, trials) == (1, 6, 6)
-    assert (len(fallbacks), fallback_maps, fallback_softmaxes) == (6, 819, 819)
+    # six fallbacks, in start order: one at a time they would map 819 points
+    # (each its start, then one trial per damped step); stacked, they take
+    # one softmax per step of the longest run, and logit_map is never called
+    iterations = [it for _, _, it, _ in fallbacks]
+    assert iterations == [242, 198, 89, 73, 122, 89] and sum(iterations) + 6 == 819
+    assert len(softmaxes) - corrector_softmaxes == 1 + max(iterations) == 243
+    assert not maps
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 
 

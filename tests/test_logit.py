@@ -241,17 +241,28 @@ def assert_same_result(a, b):
         (b.residual, b.iterations, b.converged, b.eta, b.stability)
 
 
-def record_fallbacks(monkeypatch, max_iter=logit.MAX_ITER):
-    """Route fixed_points' fallbacks through fixed_point capped at max_iter;
-    returns the list of their results, one per fallback."""
-    calls = []
+REAL_DAMPING = logit._damping
 
-    def recorded(game, eta, x0):
-        calls.append(gd.fixed_point(game, eta, x0, max_iter=max_iter))
-        return calls[-1]
 
-    monkeypatch.setattr(logit, "fixed_point", recorded)
-    return calls
+def record_fallbacks(monkeypatch):
+    """Record what each damping run returns, (x, residual, iterations,
+    converged), in the order the runs start: a fixed_points call's
+    fallbacks, and any fixed_point solve made while it is patched."""
+    runs = []
+
+    def recorded(*args):
+        runs.append(None)
+        k = len(runs) - 1
+        runs[k] = yield from REAL_DAMPING(*args)
+        return runs[k]
+
+    monkeypatch.setattr(logit, "_damping", recorded)
+    return runs
+
+
+def fell_back(many, fallbacks):
+    """Which results of fixed_points came from its fallback damping runs."""
+    return [any(r.x is f[0] for f in fallbacks) for r in many]
 
 
 def assert_matches_single_solves(game, eta, seeds, many, fallbacks,
@@ -260,9 +271,9 @@ def assert_matches_single_solves(game, eta, seeds, many, fallbacks,
     when same_point; a fallback is fixed_point's own result, bit for bit,
     and any other result is a converged, stable corrector solve."""
     assert len(many) == len(seeds)
-    fell_back = [any(r is f for f in fallbacks) for r in many]
-    assert sum(fell_back) == len(fallbacks)
-    for x0, r, fell in zip(seeds, many, fell_back):
+    from_fallback = fell_back(many, fallbacks)
+    assert sum(from_fallback) == len(fallbacks)
+    for x0, r, fell in zip(seeds, many, from_fallback):
         single = gd.fixed_point(game, eta, x0, max_iter=max_iter)
         assert r.converged == single.converged
         assert (r.stability is None) == (single.stability is None)
@@ -291,19 +302,20 @@ def test_fixed_points_match_single_solves(name, monkeypatch):
 
 def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
     # with 3 corrector steps the uniform start (11 steps) falls back, and
-    # fixed_point stops at 600 of its 10202 steps; a start at the solution
-    # converges at once
+    # its damping run stops at a cap of 600 of its 10202 steps; a start at
+    # the solution converges at once
     g, _ = get_scenario("wheatstone").build_game()
     x_star = gd.fixed_points(g, 0.01, [gd.uniform_configuration(g)])[0].x
     seeds = [gd.uniform_configuration(g), x_star] + gd.monomorphic_vertices(g)
     monkeypatch.setattr(logit, "NEWTON_STEPS", 3)
-    fallbacks = record_fallbacks(monkeypatch, max_iter=600)
+    monkeypatch.setattr(logit, "MAX_ITER", 600)
+    fallbacks = record_fallbacks(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
         many = gd.fixed_points(g, 0.01, seeds)
-    assert many[0] is fallbacks[0] and many[0].iterations == 600
+    assert many[0].x is fallbacks[0][0] and many[0].iterations == 600
     assert not many[0].converged and many[1].converged and many[1].iterations == 0
     failed = sum(not r.converged for r in many)
-    assert failed == sum(not r.converged for r in fallbacks) >= 1
+    assert failed == sum(not f[3] for f in fallbacks) >= 1
     assert sum("no convergence" in m for m in caplog.messages) == failed
     assert_matches_single_solves(g, 0.01, seeds, many, fallbacks, max_iter=600)
 
@@ -370,14 +382,47 @@ def test_census_counts_coordination_fork(eta, n_stable):
 
 def test_uniform_coordination_start_falls_back_from_the_unstable_point(monkeypatch):
     # the corrector stops at once on the symmetric point, which is unstable at
-    # eta = 0.45, so the start is re-solved by fixed_point
+    # eta = 0.45, so the start is re-solved by fixed_point's damping
     g, _ = get_scenario("coordination").build_game()
     x0 = gd.uniform_configuration(g)
     fallbacks = record_fallbacks(monkeypatch)
     r, = gd.fixed_points(g, 0.45, [x0])
-    assert len(fallbacks) == 1 and r is fallbacks[0]
+    assert len(fallbacks) == 1 and r.x is fallbacks[0][0]
     assert r.converged and not r.stability.locally_stable
     assert_same_result(r, gd.fixed_point(g, 0.45, x0))
+
+
+def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
+    # with no corrector steps every start but the uniform one at eta 0.8 (a
+    # stable fixed point) falls back; the damping runs at four etas end at
+    # different steps, and a cap of 190 stops the two slowest
+    g, _ = get_scenario("coordination").build_game()
+    rng = np.random.default_rng(5)
+    seeds = ([gd.sample_configuration(g, rng) for _ in range(6)]
+             + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
+    etas = np.resize([0.45, 0.3, 0.8, 0.2], len(seeds))
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 0)
+    monkeypatch.setattr(logit, "MAX_ITER", 190)
+    fallbacks = record_fallbacks(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+        many = gd.fixed_points(g, etas, seeds)
+    warned = [m for m in caplog.messages if "no convergence" in m]
+    from_fallback = fell_back(many, fallbacks)
+    assert from_fallback == [True] * 6 + [False] + [True] * 2
+    assert [r.iterations for r in many] == [185, 53, 106, 36, 190, 139, 0, 30, 190]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+        lone = [gd.fixed_point(g, eta, x0, max_iter=190) for eta, x0 in zip(etas, seeds)]
+    # one warning per failed fallback, in start order, each fixed_point's own
+    assert warned == [m for m in caplog.messages if "no convergence" in m]
+    assert len(warned) == 2 == sum(not r.converged for r in many)
+    for eta, x0, r, single, fell in zip(etas, seeds, many, lone, from_fallback):
+        alone = gd.fixed_points(g, eta, [x0])[0]
+        if fell:
+            assert_same_result(r, single)
+            assert_same_result(r, alone)
+        else:
+            assert_same_start(r, alone)
 
 
 @st.composite
@@ -447,7 +492,8 @@ def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatc
     force_singular(monkeypatch, 0.37)
     fallbacks = record_fallbacks(monkeypatch)
     many = gd.fixed_points(g, etas, seeds)
-    assert [r.eta for r in fallbacks] == [0.37] * 4 and sum(etas == 0.37) == 4
+    assert len(fallbacks) == 4 and sum(etas == 0.37) == 4
+    assert [r.eta for r, fell in zip(many, fell_back(many, fallbacks)) if fell] == [0.37] * 4
     for eta, x0, r in zip(etas, seeds, many):
         assert r.eta == eta
         assert_same_start(r, gd.fixed_points(g, eta, [x0])[0])
