@@ -11,11 +11,9 @@ from .game import (
     EquilibriumReport,
     PopulationGame,
     ScalarFn,
-    best_response_sets,
     classify_equilibrium,
     cost_jacobian,
     evaluate_costs,
-    isolation_probe,
     monomorphic_vertices,
     potential,
     potential_symmetry_check,
@@ -28,7 +26,6 @@ from .logit import (
     ContractionReport,
     FixedPointResult,
     StabilityInfo,
-    StrictBasinEstimate,
     contraction_margin,
     fixed_point,
     fixed_points,
@@ -36,7 +33,6 @@ from .logit import (
     local_stability,
     logit_jacobian,
     logit_map,
-    strict_basin_estimate,
 )
 from .dynamics import (
     RateFit,
@@ -63,7 +59,6 @@ from .routing import (
     decoupled_check,
     enumerate_routes,
     link_flow,
-    route_costs,
     series_restriction_equivalence,
     stage_games,
     wardrop_check,
@@ -73,7 +68,6 @@ from .analysis import (
     NoiseSweep,
     bifurcation_scan,
     continuation_sweep,
-    limit_equilibria_estimate,
     lyapunov_check,
 )
 from .scenario import Scenario, ScenarioError, load_scenario

@@ -1,8 +1,8 @@
-"""Noise continuation, bifurcation scans, limit equilibria, Lyapunov checks.
+"""Noise continuation, bifurcation scans, Lyapunov checks.
 
 Fixed-point curves eta -> x^eta are traced by natural-parameter continuation
-(warm starts down a geometric grid, no arclength). Limits at the smallest
-eta estimate the accumulation set of fixed points as noise vanishes.
+(warm starts down a geometric grid, no arclength); a branch's point at the
+smallest eta is its terminal limit.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 
 from .game import (
     PopulationGame,
-    classify_equilibrium,
     monomorphic_vertices,
     sample_configuration,
     validate_configuration,
@@ -48,16 +47,6 @@ class EquilibriumCurve:
     @property
     def terminal_limit(self) -> np.ndarray:
         return self.points[-1]
-
-    @property
-    def terminal_eta(self) -> float:
-        return float(self.etas[-1])
-
-    def max_consecutive_jump(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        d = np.abs(np.diff(self.points, axis=0)).sum(axis=(1, 2))
-        return float(d.max())
 
 
 def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
@@ -150,40 +139,6 @@ def dedup_curves(curves) -> list[EquilibriumCurve]:
                 break
         if not dup:
             out.append(c)
-    return out
-
-
-@dataclass(frozen=True)
-class LimitPoint:
-    x: np.ndarray
-    eta: float
-    nash_violation: float
-    is_nash: bool
-    is_strict: bool
-    tail_shrinking: bool
-
-
-def limit_equilibria_estimate(game: PopulationGame, curves) -> list[LimitPoint]:
-    """Branch terminals as candidate limit equilibria, with Nash diagnostics.
-
-    Requires every branch to reach eta <= 1e-3; the terminal configuration
-    is then checked against the equilibrium inequalities at tolerance 1e-3.
-    ``tail_shrinking`` records whether the violation decreased over the last
-    stretch of the branch, the signature of a true vanishing-noise limit.
-    """
-    out = []
-    for c in curves:
-        if c.terminal_eta > 1e-3 * (1 + 1e-9):
-            raise ValueError(f"branch (seed {c.seed_index}) stops at eta="
-                             f"{c.terminal_eta:g}; continuation must reach 1e-3")
-        k_back = min(8, len(c.etas) - 1)
-        rep, rep_back = (classify_equilibrium(game, x, tol=1e-3)
-                         for x in (c.terminal_limit, c.points[-1 - k_back]))
-        shrinking = rep.max_violation <= rep_back.max_violation + 1e-12
-        out.append(LimitPoint(x=c.terminal_limit, eta=c.terminal_eta,
-                              nash_violation=rep.max_violation,
-                              is_nash=rep.is_nash, is_strict=rep.is_strict,
-                              tail_shrinking=shrinking))
     return out
 
 

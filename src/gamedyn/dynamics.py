@@ -278,15 +278,18 @@ class ReducedSystem:
 
 
 def recover_configuration_limit(game: PopulationGame, protocol: RevisionProtocol,
-                                w_star, residual_tol: float = 1e-8) -> np.ndarray:
-    """Configuration limit x* = G(cbar(w*)) at a reduced fixed point w*."""
+                                w_star) -> np.ndarray:
+    """Configuration limit x* = G(cbar(w*)) at a reduced fixed point w*.
+
+    w* must map to itself within an l1 residual of 1e-8.
+    """
     sys = ReducedSystem(game, protocol)
     w_star = np.asarray(w_star, dtype=float)
     x_star = sys.target(w_star)
     residual = float(np.abs(x_star.sum(axis=1) - w_star).sum())
-    if residual > residual_tol:
+    if residual > 1e-8:
         raise ValueError(f"w_star is not a reduced fixed point: residual "
-                         f"{residual:.3e} > {residual_tol:g}")
+                         f"{residual:.3e} > 1e-08")
     return x_star
 
 

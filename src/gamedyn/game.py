@@ -352,11 +352,6 @@ class PopulationGame:
             raise ConfigurationError(f"unknown action {action_id!r}")
         return self.actions.index(action_id)
 
-    def population_index(self, pop_id: str) -> int:
-        if pop_id not in self.populations:
-            raise ConfigurationError(f"unknown population {pop_id!r}")
-        return self.populations.index(pop_id)
-
     @property
     def active_populations(self) -> np.ndarray:
         return np.flatnonzero(self.masses > 0)
@@ -432,6 +427,9 @@ def vertex_configuration(game: PopulationGame, action_by_pop) -> np.ndarray:
     """Monomorphic configuration; accepts one action id or one per population."""
     if isinstance(action_by_pop, str):
         action_by_pop = [action_by_pop] * game.n_pops
+    if len(action_by_pop) != game.n_pops:
+        raise ConfigurationError(f"need one action per population ({game.n_pops}), "
+                                 f"got {len(action_by_pop)}")
     x = np.zeros((game.n_actions, game.n_pops))
     for p, aid in enumerate(action_by_pop):
         i = game.action_index(aid)
@@ -472,6 +470,9 @@ def monomorphic_vertices(game: PopulationGame) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Equilibrium tests
 
+# relative mass tolerance of classify_equilibrium, also its absolute cost tolerance
+NASH_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -481,19 +482,14 @@ class EquilibriumReport:
     violations: tuple
     cost_gap_alpha: float | None
 
-    @property
-    def max_violation(self) -> float:
-        """Largest cost excess over the population optimum among used actions."""
-        return max((g for *_ids, g in self.violations), default=0.0)
 
+def classify_equilibrium(game: PopulationGame, x) -> EquilibriumReport:
+    """Nash / strict / monomorphic test at relative mass tolerance NASH_TOL.
 
-def classify_equilibrium(game: PopulationGame, x, tol: float = 1e-8) -> EquilibriumReport:
-    """Nash / strict / monomorphic test at relative mass tolerance ``tol``.
-
-    An action counts as used when x_ip > tol * v_p; cost comparisons carry the
-    same absolute tolerance. Zero-mass populations are skipped.
+    An action counts as used when x_ip > NASH_TOL * v_p; cost comparisons
+    carry the same absolute tolerance. Zero-mass populations are skipped.
     """
-    x = validate_configuration(game, x, tol=max(tol, 1e-9))
+    x = validate_configuration(game, x, tol=NASH_TOL)
     c = evaluate_costs(game, x)
     violations = []
     monomorphic = True
@@ -501,12 +497,12 @@ def classify_equilibrium(game: PopulationGame, x, tol: float = 1e-8) -> Equilibr
     gaps = []
     for p in game.active_populations:
         s = game.action_set(p)
-        used = s[x[s, p] > tol * game.masses[p]]
+        used = s[x[s, p] > NASH_TOL * game.masses[p]]
         if len(used) != 1:
             monomorphic = False
         best = float(c[s, p].min())
         for i in used:
-            if c[i, p] > best + tol:
+            if c[i, p] > best + NASH_TOL:
                 j = int(s[np.argmin(c[s, p])])
                 violations.append((game.populations[p], game.actions[i],
                                    game.actions[j], float(c[i, p] - best)))
@@ -515,7 +511,7 @@ def classify_equilibrium(game: PopulationGame, x, tol: float = 1e-8) -> Equilibr
             if len(others):
                 gap = float((c[others, p] - c[used[0], p]).min())
                 gaps.append(gap)
-                if gap <= tol:
+                if gap <= NASH_TOL:
                     strict = False
         else:
             strict = False
@@ -525,97 +521,6 @@ def classify_equilibrium(game: PopulationGame, x, tol: float = 1e-8) -> Equilibr
     return EquilibriumReport(is_nash=is_nash, is_strict=is_strict,
                              is_monomorphic=monomorphic,
                              violations=tuple(violations), cost_gap_alpha=alpha)
-
-
-def best_response_sets(game: PopulationGame, x, tol: float = 0.0) -> dict[str, list[str]]:
-    """Per-population optimal-action sets, ties within ``tol`` all included."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    x = validate_configuration(game, x)
-    c = evaluate_costs(game, x)
-    out = {}
-    for p in range(game.n_pops):
-        s = game.action_set(p)
-        best = c[s, p].min()
-        out[game.populations[p]] = [game.actions[i] for i in s if c[i, p] <= best + tol]
-    return out
-
-
-def _transfer_probes(game: PopulationGame, x_star: np.ndarray, radius: float):
-    """Mass-transfer perturbations of x*: single moves and cross-population pairs.
-
-    Paired moves are what it takes to walk along equilibrium continua (e.g.
-    route games where one population's shift is compensated by another's).
-    """
-    moves = []  # (p, i, j): move mass from i to j within population p
-    for p in game.active_populations:
-        s = game.action_set(p)
-        for i in s:
-            if x_star[i, p] <= 0:
-                continue
-            for j in s:
-                if j != i:
-                    moves.append((p, i, j))
-    probes = []
-    delta = radius / 2.0
-    for (p, i, j) in moves:
-        d = min(delta, x_star[i, p])
-        if d <= 0:
-            continue
-        y = x_star.copy()
-        y[i, p] -= d
-        y[j, p] += d
-        probes.append(y)
-    delta2 = radius / 4.0
-    for (p, i, j), (q, k, l) in itertools.combinations(moves, 2):
-        if p == q:
-            continue
-        d = min(delta2, x_star[i, p], x_star[k, q])
-        if d <= 0:
-            continue
-        y = x_star.copy()
-        y[i, p] -= d
-        y[j, p] += d
-        y[k, q] -= d
-        y[l, q] += d
-        probes.append(y)
-    return probes
-
-
-def isolation_probe(game: PopulationGame, x_star, radius: float,
-                    rng: np.random.Generator | None = None) -> bool:
-    """Sampling evidence that x* is an isolated Nash equilibrium.
-
-    Returns False as soon as a configuration more than 1e-8 and at most
-    ``radius`` away from x* in l1 passes the Nash test at tolerance 1e-9.
-    Probes combine 200 uniform draws toward x* with structured mass transfers
-    (single and cross-population pairs). A True result is evidence, not proof.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    x_star = validate_configuration(game, x_star)
-    if not classify_equilibrium(game, x_star).is_nash:
-        raise ValueError("x_star must be a Nash equilibrium")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    probes = _transfer_probes(game, x_star, radius)
-    for _ in range(200):
-        z = sample_configuration(game, rng)
-        d = float(np.abs(z - x_star).sum())
-        if d <= 0:
-            continue
-        theta = min(1.0, radius * rng.uniform() / d)
-        probes.append(x_star + theta * (z - x_star))
-    tested = 0
-    for y in probes:
-        if float(np.abs(y - x_star).sum()) <= 1e-8:
-            continue
-        tested += 1
-        if classify_equilibrium(game, y, tol=1e-9).is_nash:
-            return False
-    if tested == 0:
-        raise ValueError("degenerate sampling: no distinct configurations exist "
-                         "within the requested radius")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .game import (
     validate_configuration,
     sample_configuration,
     monomorphic_vertices,
-    classify_equilibrium,
     cost_jacobian,
 )
 
@@ -232,11 +231,11 @@ def fixed_point(game: PopulationGame, eta: float, x0, *,
 
     The damping cap is sized from the l1 column norm of the map Jacobian.
     The effective tolerance never goes below the roundoff residual_floor.
-    The best iterate seen is always returned; non-convergence is reported in
-    the flags, never raised.
+    The best iterate seen is always returned, in an array of its own (never
+    x0 itself); non-convergence is reported in the flags, never raised.
     """
     x, r, it, converged = damped_iteration(
-        lambda y: logit_map(game, y, eta), validate_configuration(game, x0),
+        lambda y: logit_map(game, y, eta), validate_configuration(game, x0).copy(),
         *_sizing(game, eta), max_iter=max_iter)
     return _result(eta, x, r, it, converged, local_stability(game, x, eta) if converged else None)
 
@@ -290,7 +289,9 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     and warning bit for bit. No result depends on stack-mates; where several
     stable points coexist, a start may reach another one than Picard would.
     """
-    X = validate_configuration(game, np.array(x0s, dtype=float))
+    # a copy: fallbacks restart from its rows, so no result aliases a caller's start
+    X0 = validate_configuration(game, np.array(x0s, dtype=float))
+    X = X0.copy()
     etas = np.broadcast_to(np.asarray(eta, dtype=float), len(X))[:, None, None]
     qs, js = np.nonzero(game.mask.T)
     eye = np.eye(len(qs))
@@ -314,8 +315,8 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         d = np.zeros((len(live),) + game.mask.shape)
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
-    runs = {k: _damping(validate_configuration(game, x0), *_sizing(game, e.item()), MAX_ITER)
-            for k, (res, e, x0) in enumerate(zip(out, etas, x0s)) if res is None}
+    runs = {k: _damping(X0[k], *_sizing(game, e.item()), MAX_ITER)
+            for k, (res, e) in enumerate(zip(out, etas)) if res is None}
     trials = {k: next(run) for k, run in runs.items()}
     while trials:
         ks = list(trials)
@@ -415,146 +416,3 @@ def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
         else:
             lo = mid
     return hi
-
-
-# ---------------------------------------------------------------------------
-# Strict-equilibrium basin estimate
-
-
-@dataclass(frozen=True)
-class StrictBasinEstimate:
-    epsilon_bar: float
-    eta_epsilon: float
-    alpha: float
-    o_set_description: dict
-
-    def contains(self, game: PopulationGame, x, epsilon: float | None = None) -> bool:
-        """Membership in the per-population lower-bound set O_eps."""
-        eps = self.epsilon_bar if epsilon is None else epsilon
-        x = np.asarray(x, dtype=float)
-        for pop_id, (action_id, _) in self.o_set_description.items():
-            p = game.population_index(pop_id)
-            i = game.action_index(action_id)
-            if x[i, p] < game.masses[p] * (1.0 - eps) - 1e-12:
-                return False
-        return True
-
-
-def _basin_samples(game: PopulationGame, support: dict[int, int], eps: float,
-                   rng: np.random.Generator) -> list[np.ndarray]:
-    """Points of O_eps: up to 512 per-population corner deficits plus 50 random interiors.
-
-    Corners put the full deficit v_p*eps on a single alternative action; they
-    realize the worst cost gap when costs are monotone in the flows.
-    """
-    active = [int(p) for p in game.active_populations]
-    out = []
-    # corner configurations: all populations at full deficit, one alternative each
-    per_pop_corners = []
-    for p in active:
-        s = game.action_set(p)
-        sp = support[p]
-        alts = [j for j in s if j != sp]
-        cols = []
-        for j in alts:
-            col = np.zeros(game.n_actions)
-            col[sp] = game.masses[p] * (1.0 - eps)
-            col[j] = game.masses[p] * eps
-            cols.append(col)
-        if not cols:
-            col = np.zeros(game.n_actions)
-            col[sp] = game.masses[p]
-            cols.append(col)
-        per_pop_corners.append(cols)
-    counts = [len(c) for c in per_pop_corners]
-    total = int(np.prod(counts))
-    for flat in range(min(total, 512)):
-        x = np.zeros((game.n_actions, game.n_pops))
-        rem = flat
-        for k, p in enumerate(active):
-            rem, idx = divmod(rem, counts[k])
-            x[:, p] = per_pop_corners[k][idx]
-        out.append(x)
-    for _ in range(50):
-        x = np.zeros((game.n_actions, game.n_pops))
-        for p in range(game.n_pops):
-            s = game.action_set(p)
-            sp = support.get(p)
-            if sp is None or game.masses[p] == 0:
-                if len(s):
-                    x[s, p] = game.masses[p] / len(s)
-                continue
-            deficit = game.masses[p] * eps * rng.uniform()
-            x[sp, p] = game.masses[p] - deficit
-            alts = np.array([j for j in s if j != sp])
-            if len(alts):
-                g = rng.exponential(size=len(alts))
-                x[alts, p] = deficit * g / g.sum()
-            else:
-                x[sp, p] = game.masses[p]
-        out.append(x)
-    return out
-
-
-def strict_basin_estimate(game: PopulationGame, x_star, *,
-                          rng: np.random.Generator | None = None) -> StrictBasinEstimate:
-    """Basin radius and noise bound for a strict equilibrium.
-
-    epsilon_bar is the largest grid eps (20 linear steps 1 -> 0.05, then 10
-    geometric 0.04 -> 1e-3) such that every sampled point of O_eps (support
-    actions hold at least v_p(1-eps)) keeps the cost gap of every population
-    at or above alpha/2. eta_epsilon is the largest grid eta (60 geometric
-    steps 10 -> 1e-4) for which the map sends sampled O_epsilon_bar points
-    back into the set. Both are sampling estimates.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    x_star = validate_configuration(game, x_star)
-    rep = classify_equilibrium(game, x_star)
-    if not rep.is_strict:
-        raise ValueError("x_star is not a strict equilibrium")
-    alpha = rep.cost_gap_alpha
-    support = {}
-    for p in game.active_populations:
-        s = game.action_set(p)
-        support[int(p)] = int(s[np.argmax(x_star[s, p])])
-
-    def gap_ok(eps):
-        for x in _basin_samples(game, support, eps, rng):
-            c = evaluate_costs(game, x)
-            for p in game.active_populations:
-                s = game.action_set(p)
-                sp = support[int(p)]
-                others = s[s != sp]
-                if len(others) and float((c[others, p] - c[sp, p]).min()) < alpha / 2:
-                    return False
-        return True
-
-    epsilon_bar = None
-    for eps in np.concatenate([np.linspace(1.0, 0.05, 20), np.geomspace(0.04, 1e-3, 10)]):
-        if gap_ok(float(eps)):
-            epsilon_bar = float(eps)
-            break
-    if epsilon_bar is None:
-        raise ValueError("no grid epsilon kept the sampled cost gap above alpha/2")
-
-    def invariant_under(eta):
-        for x in _basin_samples(game, support, epsilon_bar, rng):
-            F = logit_map(game, x, eta)
-            for p in game.active_populations:
-                sp = support[int(p)]
-                if F[sp, p] < game.masses[p] * (1.0 - epsilon_bar) - 1e-12:
-                    return False
-        return True
-
-    eta_epsilon = None
-    for eta in np.geomspace(10.0, 1e-4, 60):
-        if invariant_under(float(eta)):
-            eta_epsilon = float(eta)
-            break
-    if eta_epsilon is None:
-        raise ValueError("no grid eta down to 1e-4 kept the sampled basin invariant")
-    desc = {game.populations[p]: (game.actions[support[p]],
-                                  float(game.masses[p] * (1.0 - epsilon_bar)))
-            for p in support}
-    return StrictBasinEstimate(epsilon_bar=epsilon_bar, eta_epsilon=eta_epsilon,
-                               alpha=float(alpha), o_set_description=desc)

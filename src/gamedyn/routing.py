@@ -362,14 +362,6 @@ def link_flow(route_set: RouteSet, x) -> np.ndarray:
     return route_set.incidence @ x.sum(axis=1)
 
 
-def route_costs(rgame: RoutingGame, y) -> np.ndarray:
-    """(routes, populations) cost matrix at a given link flow vector."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("link flows must be nonnegative")
-    return rgame.incidence.T @ rgame.link_costs(y)
-
-
 @dataclass(frozen=True)
 class WardropReport:
     is_wardrop_witness: bool
@@ -475,33 +467,19 @@ def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
 
 
 def series_restriction_equivalence(rgame: RoutingGame, protocol: RevisionProtocol,
-                                   x0, horizon: float, dt: float,
-                                   stage_x0s: list | None = None) -> float:
+                                   x0, horizon: float, dt: float) -> float:
     """Max link-flow gap between composite and standalone stage integrations.
 
-    Stage initial conditions default to the marginalization of x0; explicit
-    ones must induce the same initial stage link flows.
+    Each stage starts from the marginalization of x0.
     """
     x0 = validate_configuration(rgame.game, x0)
     stages = stage_games(rgame)
-    y0 = link_flow(rgame.route_set, x0)
+    y = integrate(rgame.game, protocol, x0, horizon, dt).link_flows(rgame.incidence)
     row = {lid: e for e, lid in enumerate(rgame.route_set.link_ids)}
-    inits = []
-    for k, sg in enumerate(stages):
-        xk0 = (marginal_stage_configuration(rgame, k, sg, x0)
-               if stage_x0s is None else np.asarray(stage_x0s[k], dtype=float))
-        yk0 = link_flow(sg.route_set, xk0)
-        ref = np.array([y0[row[lid]] for lid in sg.route_set.link_ids])
-        if np.abs(yk0 - ref).max() > 1e-9:
-            raise ValueError(f"stage {k} initial link flows inconsistent with "
-                             "the composite initial condition")
-        inits.append(xk0)
-    traj = integrate(rgame.game, protocol, x0, horizon, dt)
-    y = traj.link_flows(rgame.incidence)
     worst = 0.0
     for k, sg in enumerate(stages):
-        traj_k = integrate(sg.game, protocol, inits[k], horizon, dt)
-        yk = traj_k.link_flows(sg.incidence)
+        xk0 = marginal_stage_configuration(rgame, k, sg, x0)
+        yk = integrate(sg.game, protocol, xk0, horizon, dt).link_flows(sg.incidence)
         cols = [row[lid] for lid in sg.route_set.link_ids]
         worst = max(worst, float(np.abs(y[:, cols] - yk).max()))
     return worst

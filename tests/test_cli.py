@@ -14,7 +14,7 @@ import gamedyn as gd
 from gamedyn import analysis, cli
 from gamedyn.logit import fixed_point as real_fixed_point
 
-from conftest import SCENARIO_DIR, get_scenario
+from conftest import ALL_SCENARIOS, SCENARIO_DIR, get_scenario
 
 
 def short_pigou(tmp_path, x0="vertex:r2", horizon="1"):
@@ -136,6 +136,133 @@ def test_classify_explicit_game(tmp_path):
     text = (tmp_path / "classify.txt").read_text()
     assert "kind: explicit" in text
     assert "x0 monomorphic: false" in text
+
+
+# classify.txt of each bundled scenario at seed 11, byte for byte
+CLASSIFY_TXT = {
+    "constant": """\
+scenario: constant
+kind: explicit
+x0 nash: false
+x0 strict: false
+x0 monomorphic: false
+violation: population p1 uses a2, 1 above best (a1)
+""",
+    "coordination": """\
+scenario: coordination
+kind: explicit
+x0 nash: true
+x0 strict: false
+x0 monomorphic: false
+""",
+    "pigou": """\
+scenario: pigou
+kind: routing
+topology: parallel
+stage 1: o->d links e1,e2
+route r1: e1
+route r2: e2
+x0 link flow: 0,1
+x0 is equilibrium flow witness: false
+x0 nash: false
+x0 strict: false
+x0 monomorphic: true
+violation: population p1 uses r2, 1 above best (r1)
+""",
+    "parallel3": """\
+scenario: parallel3
+kind: routing
+topology: parallel
+stage 1: o->d links e1,e2,e3
+route r1: e1
+route r2: e2
+route r3: e3
+x0 link flow: 1,1,1
+x0 is equilibrium flow witness: false
+x0 nash: false
+x0 strict: false
+x0 monomorphic: false
+violation: population p1 uses r2, 2 above best (r1)
+violation: population p1 uses r3, 2 above best (r1)
+violation: population p2 uses r3, 1 above best (r1)
+""",
+    "homogeneous": """\
+scenario: homogeneous
+kind: routing
+topology: parallel
+stage 1: o->d links e1,e2
+route r1: e1
+route r2: e2
+x0 link flow: 2,0
+x0 is equilibrium flow witness: false
+x0 nash: false
+x0 strict: false
+x0 monomorphic: true
+violation: population p1 uses r1, 1 above best (r2)
+violation: population p2 uses r1, 1 above best (r2)
+""",
+    "tolls": """\
+scenario: tolls
+kind: routing
+topology: parallel
+stage 1: o->d links e1,e2
+route r1: e1
+route r2: e2
+x0 link flow: 1,1
+x0 is equilibrium flow witness: false
+x0 nash: false
+x0 strict: false
+x0 monomorphic: false
+violation: population p1 uses r2, 1 above best (r1)
+violation: population p2 uses r2, 2 above best (r1)
+""",
+    "series2": """\
+scenario: series2
+kind: routing
+topology: series_of_parallel
+stage 1: o->m links e1,e2
+stage 2: m->d links e3,e4
+route r1: e1,e3
+route r2: e1,e4
+route r3: e2,e3
+route r4: e2,e4
+x0 link flow: 1,1,1,1
+x0 is equilibrium flow witness: false
+x0 nash: false
+x0 strict: false
+x0 monomorphic: false
+violation: population p1 uses r2, 1 above best (r1)
+violation: population p1 uses r3, 1 above best (r1)
+violation: population p1 uses r4, 2 above best (r1)
+violation: population p2 uses r2, 1 above best (r1)
+violation: population p2 uses r3, 1 above best (r1)
+violation: population p2 uses r4, 2 above best (r1)
+""",
+    "wheatstone": """\
+scenario: wheatstone
+kind: routing
+topology: other
+route r1: e1,e3,e5
+route r2: e1,e4
+route r3: e2,e5
+x0 link flow: 2.6666666666666665,1.3333333333333333,1.3333333333333333,1.3333333333333333,2.6666666666666665
+x0 is equilibrium flow witness: false
+x0 nash: false
+x0 strict: false
+x0 monomorphic: false
+violation: population p1 uses r2, 1.3333333333333321 above best (r1)
+violation: population p1 uses r3, 14.666666666666668 above best (r1)
+violation: population p2 uses r1, 2.666666666666667 above best (r3)
+violation: population p2 uses r2, 3.9999999999999991 above best (r3)
+""",
+}
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_classify_txt_is_pinned(tmp_path, name):
+    scn = get_scenario(name)
+    assert cli.run("classify", scn, out_dir=tmp_path, seed=11, quiet=True) == 0
+    assert (tmp_path / "classify.txt").read_bytes() == CLASSIFY_TXT[name].encode()
 
 
 @pytest.mark.parametrize("name", ["pigou", "series2"])

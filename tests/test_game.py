@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import gamedyn as gd
-from gamedyn.game import central_difference
+from gamedyn.game import NASH_TOL, central_difference
 
 from conftest import ALL_SCENARIOS, get_scenario
 
@@ -95,7 +95,6 @@ def test_game_index_helpers():
     g, _ = get_scenario("parallel3").build_game()
     assert g.n_actions == 3 and g.n_pops == 2
     assert g.action_index("r2") == 1
-    assert g.population_index("p2") == 1
     assert g.total_mass() == pytest.approx(3.0)
     np.testing.assert_array_equal(g.action_set(0), [0, 1, 2])
     # pairs are population-major
@@ -334,6 +333,14 @@ def test_vertex_configuration_respects_mask():
         gd.vertex_configuration(g, ["a1", "a1"])
 
 
+def test_vertex_configuration_needs_one_action_per_population():
+    g, _ = get_scenario("parallel3").build_game()
+    for ids in (["r1"], ["r1", "r2", "r3"]):
+        with pytest.raises(gd.ConfigurationError,
+                           match=rf"one action per population \(2\), got {len(ids)}"):
+            gd.vertex_configuration(g, ids)
+
+
 # ---------------------------------------------------------------------------
 # Equilibrium classification
 
@@ -343,7 +350,7 @@ def test_coordination_vertices_are_strict():
     rep = gd.classify_equilibrium(g, gd.vertex_configuration(g, "a1"))
     assert rep.is_nash and rep.is_strict and rep.is_monomorphic
     assert rep.cost_gap_alpha == pytest.approx(1.0)
-    assert rep.max_violation == 0.0
+    assert rep.violations == ()
 
 
 def test_coordination_mixed_point_is_nash_not_strict():
@@ -358,40 +365,26 @@ def test_pigou_vertex_ties_are_not_strict():
     assert rep.is_nash and not rep.is_strict       # c_r1 = c_r2 = 1 at w1 = 1
 
 
+def test_classification_tolerance_edge():
+    # pigou at (1 - d, d): r1 costs 1 - d and r2 costs 1, so r2 counts as used,
+    # d above the best, once d > NASH_TOL; the strict gap is d
+    assert NASH_TOL == 1e-8
+    g, _ = get_scenario("pigou").build_game()
+    rep = gd.classify_equilibrium(g, np.array([[1 - 2e-8], [2e-8]]))
+    assert not rep.is_nash
+    (_, worse, _, gap), = rep.violations
+    assert worse == "r2" and gap == pytest.approx(2e-8, rel=1e-6)
+    rep = gd.classify_equilibrium(g, np.array([[1 - 5e-9], [5e-9]]))
+    assert rep.is_nash and rep.is_monomorphic and not rep.is_strict
+
+
 def test_nonequilibrium_reports_violation():
     g, _ = get_scenario("pigou").build_game()
     rep = gd.classify_equilibrium(g, np.array([[0.25], [0.75]]))
     assert not rep.is_nash
-    assert rep.max_violation == pytest.approx(0.75)   # r2 costs 1, r1 costs 0.25
-    assert any(v[0] == "p1" for v in rep.violations)
-
-
-def test_best_response_sets():
-    g, _ = get_scenario("pigou").build_game()
-    br = gd.best_response_sets(g, np.array([[0.25], [0.75]]))
-    assert br == {"p1": ["r1"]}
-    br = gd.best_response_sets(g, gd.vertex_configuration(g, "r1"), tol=1e-12)
-    assert br == {"p1": ["r1", "r2"]}
-
-
-def test_isolation_probe_isolated_vertex(rng):
-    g, _ = get_scenario("coordination").build_game()
-    assert gd.isolation_probe(g, gd.vertex_configuration(g, "a1"), 0.2, rng=rng)
-
-
-def test_isolation_probe_detects_continuum(rng):
-    # equal constant costs: every configuration is Nash
-    k = gd.ScalarFn.constant(1.0)
-    g = make_game([[k], [k]])
-    assert not gd.isolation_probe(g, gd.uniform_configuration(g), 0.2, rng=rng)
-
-
-def test_isolation_probe_input_checks(rng):
-    g, _ = get_scenario("coordination").build_game()
-    with pytest.raises(ValueError, match="radius"):
-        gd.isolation_probe(g, gd.vertex_configuration(g, "a1"), -1.0, rng=rng)
-    with pytest.raises(ValueError, match="Nash"):
-        gd.isolation_probe(g, np.array([[0.7], [0.3]]), 0.1, rng=rng)
+    (pop, worse, better, gap), = rep.violations
+    assert (pop, worse, better) == ("p1", "r2", "r1")
+    assert gap == pytest.approx(0.75)               # r2 costs 1, r1 costs 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,20 @@ def test_fixed_point_reports_nonconvergence(caplog):
     assert any("no convergence" in m for m in caplog.messages)
 
 
+def test_results_do_not_alias_the_start():
+    # the uniform start is already a fixed point: at eta 0.45 fixed_point
+    # stops at it, and at eta 0.3, where it is unstable, the fallback of
+    # fixed_points stops at it too; neither result may be x0 itself
+    g, _ = get_scenario("coordination").build_game()
+    for solve in (lambda x0: gd.fixed_point(g, 0.45, x0),
+                  lambda x0: gd.fixed_points(g, 0.3, [x0])[0]):
+        x0 = gd.uniform_configuration(g)
+        r = solve(x0)
+        assert r.iterations == 0 and np.array_equal(r.x, x0)
+        x0[0, 0] = 0.9
+        assert r.x[0, 0] == 0.5
+
+
 def assert_same_result(a, b):
     assert np.array_equal(a.x, b.x)
     assert (a.residual, a.iterations, a.converged, a.eta, a.stability) == \
@@ -639,37 +653,3 @@ def test_high_noise_threshold_rejects_bad_bracket():
     g, _ = get_scenario("coordination").build_game()
     with pytest.raises(ValueError, match="widen the bracket"):
         gd.high_noise_threshold(g, eta_lo=0.01, eta_hi=0.02)
-
-
-# ---------------------------------------------------------------------------
-# Strict-equilibrium basin estimate
-
-
-def test_strict_basin_estimate_coordination(rng):
-    g, _ = get_scenario("coordination").build_game()
-    est = gd.strict_basin_estimate(g, gd.vertex_configuration(g, "a1"), rng=rng)
-    assert est.alpha == pytest.approx(1.0)
-    # worst corner (1 - eps, eps) has cost gap 1 - 2 eps >= alpha/2 iff
-    # eps <= 1/4, which sits exactly on the default grid
-    assert est.epsilon_bar == pytest.approx(0.25)
-    # the invariance cutoff is eta <= 1/(2 ln 3); the estimate returns the
-    # largest default grid value below it
-    grid = np.geomspace(10.0, 1e-4, 60)
-    expected = grid[grid <= 0.5 / np.log(3.0)][0]
-    assert est.eta_epsilon == pytest.approx(expected, rel=1e-12)
-
-
-def test_strict_basin_membership(rng):
-    g, _ = get_scenario("coordination").build_game()
-    x_star = gd.vertex_configuration(g, "a1")
-    est = gd.strict_basin_estimate(g, x_star, rng=rng)
-    assert est.contains(g, x_star)
-    assert est.contains(g, np.array([[0.8], [0.2]]))
-    assert not est.contains(g, np.array([[0.6], [0.4]]))
-    assert est.contains(g, np.array([[0.6], [0.4]]), epsilon=0.5)
-
-
-def test_strict_basin_rejects_non_strict_point(rng):
-    g, _ = get_scenario("pigou").build_game()
-    with pytest.raises(ValueError, match="strict"):
-        gd.strict_basin_estimate(g, gd.vertex_configuration(g, "r1"), rng=rng)
