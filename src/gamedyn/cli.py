@@ -232,7 +232,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     lines = []
     required_ok = True
 
-    ok, worst = exact_target_check(protocol, game, samples=20, rng=rng)
+    ok, worst = exact_target_check(protocol, game, rng=rng)
     required_ok &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} exact_target "
                  f"max_violation={worst:.3e}")
@@ -249,7 +249,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     lines.append(f"{'PASS' if fp.converged else 'FAIL'} fixed_point "
                  f"residual={fp.residual:.3e}")
 
-    mono_ok, viol = monotonicity_check(protocol, game, samples=5, rng=rng)
+    mono_ok, viol = monotonicity_check(protocol, game, rng=rng)
     lines.append(f"INFO monotone: {str(mono_ok).lower()} ({len(viol)} violations)")
     sym_ok, asym = potential_symmetry_check(game, samples=5, rng=rng)
     lines.append(f"INFO potential_symmetry: {str(sym_ok).lower()} "
@@ -257,7 +257,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if rgame is not None:
         lines.append(f"INFO topology: {rgame.topology.kind}")
         if rgame.topology.kind == "series_of_parallel" and rgame.topology.n_stages >= 2:
-            rep = decoupled_check(protocol, rgame, samples=20, rng=rng)
+            rep = decoupled_check(protocol, rgame, rng=rng)
             lines.append(f"INFO decoupled: {str(rep.ok).lower()} "
                          f"max_error={rep.max_error:.3e}")
     path = out / "verify.txt"

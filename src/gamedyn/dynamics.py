@@ -1,6 +1,6 @@
 """Evolutionary dynamics x' = F(x) - x: protocols, integration, aggregation.
 
-A revision protocol is a target map on configurations or on cost matrices;
+A revision protocol is a map from cost matrices to target configurations;
 its properties (exact targets, monotone cost response, stage decoupling) are
 tested by sampling checks, never declared. Integration is classical
 fixed-step RK4 with no projection; mass conservation is a property of
@@ -9,7 +9,7 @@ exact-target protocols, so drift is monitored rather than corrected.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,34 +29,19 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RevisionProtocol:
-    """Exact-target revision protocol: x -> target configuration.
+    """Revision protocol: ``cost_fn(game, c)`` maps a cost matrix to a target.
 
-    ``cost_fn(game, c)`` computes the target from the cost matrix alone, which
-    makes the protocol cost-based; otherwise ``target_fn(game, x)`` is used
-    directly.
+    ``eta`` is the noise level when the protocol carries one.
     """
 
     name: str
-    params: dict = field(default_factory=dict)
-    target_fn: object = None
-    cost_fn: object = None
-
-    def __post_init__(self):
-        if self.cost_fn is None and self.target_fn is None:
-            raise ValueError("protocol needs target_fn or cost_fn")
-
-    @property
-    def cost_based(self) -> bool:
-        return self.cost_fn is not None
+    cost_fn: object
+    eta: float | None = None
 
     def target(self, game: PopulationGame, x: np.ndarray) -> np.ndarray:
-        if self.cost_based:
-            return np.asarray(self.cost_fn(game, evaluate_costs(game, x)), dtype=float)
-        return np.asarray(self.target_fn(game, x), dtype=float)
+        return np.asarray(self.cost_fn(game, evaluate_costs(game, x)), dtype=float)
 
     def target_from_costs(self, game: PopulationGame, c: np.ndarray) -> np.ndarray:
-        if not self.cost_based:
-            raise CapabilityError(f"protocol {self.name!r} is not cost-based")
         return np.asarray(self.cost_fn(game, np.asarray(c, dtype=float)), dtype=float)
 
 
@@ -68,8 +53,7 @@ def logit_protocol(eta: float) -> RevisionProtocol:
     def cost_fn(game, c):
         return softmax_target(game, c, eta)
 
-    return RevisionProtocol(name=f"logit[eta={eta:g}]", params={"eta": float(eta)},
-                            cost_fn=cost_fn)
+    return RevisionProtocol(name=f"logit[eta={eta:g}]", cost_fn=cost_fn, eta=float(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +61,11 @@ def logit_protocol(eta: float) -> RevisionProtocol:
 
 
 def exact_target_check(protocol: RevisionProtocol, game: PopulationGame,
-                       samples: int = 20, rng: np.random.Generator | None = None
-                       ) -> tuple[bool, float]:
-    """Sampled test of mass preservation and support: (violation <= 1e-9, max violation)."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+                       rng: np.random.Generator | None = None) -> tuple[bool, float]:
+    """Mass and support test on 20 samples: (violation <= 1e-9, max violation)."""
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         x = sample_configuration(game, rng)
         F = protocol.target(game, x)
         worst = max(worst, float(np.abs(F.sum(axis=0) - game.masses).max()))
@@ -94,20 +75,16 @@ def exact_target_check(protocol: RevisionProtocol, game: PopulationGame,
 
 
 def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
-                       samples: int = 10, rng: np.random.Generator | None = None
-                       ) -> tuple[bool, list]:
+                       rng: np.random.Generator | None = None) -> tuple[bool, list]:
     """Finite-difference sign test of the target's cost sensitivities.
 
-    On sampled cost matrices, dG_ip/dc_ip must be <= 1e-7, dG_ip/dc_jp >= -1e-7
+    On 5 sampled cost matrices, dG_ip/dc_ip must be <= 1e-7, dG_ip/dc_jp >= -1e-7
     for j != i within population p, and cross-population sensitivities must
     vanish (to 1e-7). Returns (ok, violations) with entries (kind, (i,p), (j,q), value).
     """
-    if not protocol.cost_based:
-        raise CapabilityError(f"protocol {protocol.name!r} is not cost-based; "
-                              "monotonicity is defined on cost matrices")
     rng = rng if rng is not None else np.random.default_rng(0)
     violations = []
-    for _ in range(samples):
+    for _ in range(5):
         c = evaluate_costs(game, sample_configuration(game, rng))
         dG = central_difference(lambda cc: protocol.target_from_costs(game, cc),
                                 c, 1e-6 * game.mask)
@@ -149,7 +126,6 @@ class Trajectory:
 
     times: np.ndarray          # (T,)
     states: np.ndarray         # (T, S, P)
-    protocol_name: str
     eta: float | None          # noise level when the protocol carries one
     mass_drift: float          # max |column sum - mass| over recorded states
     min_entry: float           # most negative recorded entry
@@ -200,9 +176,8 @@ def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
     min_entry = float(states.min())
     if drift > 1e-7:
         log.warning("mass drift %.3e exceeds the 1e-7 monitor bound", drift)
-    return Trajectory(times=times, states=states, protocol_name=protocol.name,
-                      eta=protocol.params.get("eta"), mass_drift=drift,
-                      min_entry=min_entry)
+    return Trajectory(times=times, states=states, eta=protocol.eta,
+                      mass_drift=drift, min_entry=min_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +195,11 @@ class ReducedFixedPoint:
 class ReducedSystem:
     """Autonomous dynamics of the per-action totals, w' = sum_p G_p(cbar(w)) - w.
 
-    Exists when the protocol is cost-based and every cost depends on the
-    configuration only through its own action's total mass.
+    Exists when every cost depends on the configuration only through its own
+    action's total mass.
     """
 
     def __init__(self, game: PopulationGame, protocol: RevisionProtocol):
-        if not protocol.cost_based:
-            raise CapabilityError("aggregate dynamics needs a cost-based protocol")
         if not game.costs.per_action_aggregate:
             raise CapabilityError("aggregate dynamics needs per-action aggregate "
                                   "costs (c_ip a function of w_i alone)")
@@ -302,7 +275,6 @@ class RateFit:
     """Least-squares exponential decay rate of an l1 distance sequence."""
 
     rate: float | None
-    intercept: float | None
     residual_rms: float | None
     n_points: int
     non_monotone: bool
@@ -315,8 +287,8 @@ def l1_contraction_test(traj_a: Trajectory, traj_b: Trajectory,
 
     ``aggregate`` fits the per-action total flows instead of full states.
     Points with distance at or below 1e-14 are dropped from the fit
-    (they are dominated by roundoff); an all-zero sequence yields an
-    undefined rate, flagged via ``defined=False``.
+    (they are dominated by roundoff); fewer than two distances above 1e-14
+    yield an undefined rate, flagged via ``defined=False``.
     """
     if not np.array_equal(traj_a.times, traj_b.times):
         raise ValueError("trajectories must share one time grid")
@@ -330,15 +302,14 @@ def l1_contraction_test(traj_a: Trajectory, traj_b: Trajectory,
     non_monotone = bool(np.any(grow))
     keep = d > 1e-14
     if keep.sum() < 2:
-        return RateFit(rate=None, intercept=None, residual_rms=None,
+        return RateFit(rate=None, residual_rms=None,
                        n_points=int(keep.sum()), non_monotone=non_monotone,
                        defined=False)
     t = traj_a.times[keep]
     logd = np.log(d[keep])
     A = np.vstack([t, np.ones_like(t)]).T
     coef, *_ = np.linalg.lstsq(A, logd, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
     resid = float(np.sqrt(np.mean((A @ coef - logd) ** 2)))
-    return RateFit(rate=-slope, intercept=intercept, residual_rms=resid,
+    return RateFit(rate=-float(coef[0]), residual_rms=resid,
                    n_points=int(keep.sum()), non_monotone=non_monotone,
                    defined=True)

@@ -38,7 +38,7 @@ class ScalarFn:
     finite differences stay well-defined just below y = 0.
     """
 
-    __slots__ = ("kind", "a", "b", "xs", "ys", "_cum")
+    __slots__ = ("kind", "a", "b", "xs", "ys", "_slopes", "_cum")
 
     def __init__(self, kind, a=0.0, b=0.0, xs=None, ys=None):
         self.kind = kind
@@ -53,12 +53,14 @@ class ScalarFn:
                 raise ValueError("table breakpoints must be strictly increasing")
             self.xs = xs
             self.ys = ys
+            self._slopes = np.diff(ys) / np.diff(xs)
             # cumulative trapezoid areas at the breakpoints, from xs[0]
             seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
             self._cum = np.concatenate([[0.0], np.cumsum(seg)])
         elif kind == "affine":
             self.xs = None
             self.ys = None
+            self._slopes = None
             self._cum = None
         else:
             raise ValueError(f"unknown scalar-fn kind {kind!r}")
@@ -84,20 +86,18 @@ class ScalarFn:
         lo = y_arr < self.xs[0]
         hi = y_arr > self.xs[-1]
         if np.any(lo):
-            s = self._edge_slope(0)
-            out = np.where(lo, self.ys[0] + s * (y_arr - self.xs[0]), out)
+            out = np.where(lo, self.ys[0] + self._slopes[0] * (y_arr - self.xs[0]), out)
         if np.any(hi):
-            s = self._edge_slope(-1)
-            out = np.where(hi, self.ys[-1] + s * (y_arr - self.xs[-1]), out)
+            out = np.where(hi, self.ys[-1] + self._slopes[-1] * (y_arr - self.xs[-1]), out)
         return float(out) if np.isscalar(y) else out
 
     def deriv(self, y):
         if self.kind == "affine":
             return self.a * np.ones_like(np.asarray(y, dtype=float)) if not np.isscalar(y) else self.a
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        idx = np.clip(np.searchsorted(self.xs, y_arr, side="right") - 1, 0, len(slopes) - 1)
-        out = slopes[idx]
+        idx = np.clip(np.searchsorted(self.xs, y_arr, side="right") - 1, 0,
+                      len(self._slopes) - 1)
+        out = self._slopes[idx]
         return float(out[0]) if np.isscalar(y) else out.reshape(np.shape(y))
 
     def integral(self, y):
@@ -109,20 +109,8 @@ class ScalarFn:
     def _antideriv(self, t):
         # signed area from xs[0] to t, with edge-slope extrapolation
         t = float(t)
-        if t <= self.xs[0]:
-            f = self(t)
-            return 0.5 * (f + self.ys[0]) * (t - self.xs[0])
-        if t >= self.xs[-1]:
-            f = self(t)
-            return self._cum[-1] + 0.5 * (f + self.ys[-1]) * (t - self.xs[-1])
-        k = int(np.searchsorted(self.xs, t, side="right") - 1)
-        f = self(t)
-        return self._cum[k] + 0.5 * (f + self.ys[k]) * (t - self.xs[k])
-
-    def _edge_slope(self, side):
-        if side == 0:
-            return (self.ys[1] - self.ys[0]) / (self.xs[1] - self.xs[0])
-        return (self.ys[-1] - self.ys[-2]) / (self.xs[-1] - self.xs[-2])
+        k = int(np.clip(np.searchsorted(self.xs, t, side="right") - 1, 0, len(self.xs) - 1))
+        return self._cum[k] + 0.5 * (self(t) + self.ys[k]) * (t - self.xs[k])
 
     def shifted(self, delta: float) -> "ScalarFn":
         """The same curve plus a constant offset."""

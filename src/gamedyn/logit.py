@@ -337,10 +337,6 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
 @dataclass(frozen=True)
 class ContractionReport:
     margin: float
-    rate_c: float
-    samples_used: int
-    certified: bool
-    eta: float
 
 
 def contraction_points(game: PopulationGame, sample_count: int = 200,
@@ -378,12 +374,7 @@ def contraction_margin(game: PopulationGame, eta: float,
     """
     if points is None:
         points = contraction_points(game, rng=rng)
-    margin = _margin_of(game, points)(eta)
-    certified = margin < 0.0
-    return ContractionReport(margin=margin,
-                             rate_c=-margin if certified else 0.0,
-                             samples_used=len(points), certified=certified,
-                             eta=float(eta))
+    return ContractionReport(margin=_margin_of(game, points)(eta))
 
 
 def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,

@@ -245,9 +245,8 @@ class TopologyClass:
         return len(self.stages) if self.stages else 0
 
 
-def classify_topology(graph: Multigraph, origin: str, destination: str,
-                      route_set: RouteSet | None = None) -> TopologyClass:
-    """Parallel / series-of-parallel / other, by cut-node decomposition.
+def classify_topology(rs: RouteSet) -> TopologyClass:
+    """Parallel / series-of-parallel / other, by cut-node decomposition of rs.
 
     Parallel means no link lies on two routes. Otherwise, interior nodes
     shared by every route (in a consistent order) split the routes into
@@ -255,11 +254,10 @@ def classify_topology(graph: Multigraph, origin: str, destination: str,
     stage link sets are disjoint, and the route set is the full product of
     stage segments.
     """
-    rs = route_set if route_set is not None else enumerate_routes(graph, origin, destination)
     used = rs.incidence.sum(axis=1)
     used_ids = tuple(lid for e, lid in enumerate(rs.link_ids) if used[e] > 0)
     if used.max() <= 1:
-        whole = Stage(origin=origin, destination=destination,
+        whole = Stage(origin=rs.origin, destination=rs.destination,
                       link_ids=used_ids, segments=rs.routes)
         return TopologyClass(kind="parallel", stages=(whole,),
                              route_stage_segments=tuple((r,) for r in range(rs.n_routes)))
@@ -273,7 +271,7 @@ def classify_topology(graph: Multigraph, origin: str, destination: str,
     for seq in rs.node_seqs[1:]:
         if [n for n in seq if n in common] != order:
             return other
-    cuts = [origin] + order + [destination]
+    cuts = [rs.origin] + order + [rs.destination]
     K = len(cuts) - 1
     seg_index: list[dict[tuple[str, ...], int]] = [{} for _ in range(K)]
     seg_lists: list[list[tuple[str, ...]]] = [[] for _ in range(K)]
@@ -346,7 +344,7 @@ def build_routing_game(graph: Multigraph, origin: str, destination: str,
     populations = tuple(populations)
     if tuple(link_costs.pop_ids) != populations:
         raise ValueError("link cost matrix population ids must match the game's")
-    topo = classify_topology(graph, origin, destination, route_set=rs)
+    topo = classify_topology(rs)
     field = RoutingCostField(rs.incidence, link_costs)
     mask = np.ones((rs.n_routes, len(populations)), dtype=bool)
     game = PopulationGame(populations=populations,
@@ -433,11 +431,10 @@ class DecoupledReport:
 
 
 def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
-                    samples: int = 50,
                     rng: np.random.Generator | None = None) -> DecoupledReport:
     """Does the composite target factor into independent per-stage choices?
 
-    For sampled configurations, compares H_r against the product of the
+    For 20 sampled configurations, compares H_r against the product of the
     standalone stage targets over r's segments, divided by v_p per extra
     stage, to 1e-10. Applies to series compositions only.
     """
@@ -449,7 +446,7 @@ def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
     game = rgame.game
     active = game.active_populations
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         x = sample_configuration(game, rng)
         H = protocol.target(game, x)
         stage_targets = []

@@ -16,8 +16,7 @@ def anti_logit_protocol(eta: float) -> gd.RevisionProtocol:
     """Deliberately broken kernel: weight grows with cost."""
     def cost_fn(game, c):
         return softmax_target(game, -np.asarray(c, dtype=float), eta)
-    return gd.RevisionProtocol(name="anti-logit", params={"eta": float(eta)},
-                               cost_fn=cost_fn)
+    return gd.RevisionProtocol(name="anti-logit", cost_fn=cost_fn, eta=float(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -27,23 +26,9 @@ def anti_logit_protocol(eta: float) -> gd.RevisionProtocol:
 def test_logit_protocol_metadata():
     pr = gd.logit_protocol(0.25)
     assert pr.name == "logit[eta=0.25]"
-    assert pr.cost_based
-    assert pr.params == {"eta": 0.25}
+    assert pr.eta == 0.25
     with pytest.raises(ValueError):
         gd.logit_protocol(0.0)
-
-
-def test_protocol_constructor_guards():
-    with pytest.raises(ValueError, match="target_fn or cost_fn"):
-        gd.RevisionProtocol(name="empty")
-    assert not gd.RevisionProtocol(name="state-only", target_fn=lambda g, x: x).cost_based
-
-
-def test_target_from_costs_needs_cost_fn():
-    pr = gd.RevisionProtocol(name="state-only", target_fn=lambda g, x: x)
-    g, _ = get_scenario("pigou").build_game()
-    with pytest.raises(gd.CapabilityError):
-        pr.target_from_costs(g, np.zeros((2, 1)))
 
 
 def test_exact_target_check_passes_logit_and_flags_leak(rng):
@@ -51,7 +36,8 @@ def test_exact_target_check_passes_logit_and_flags_leak(rng):
     ok, worst = gd.exact_target_check(gd.logit_protocol(0.5), g, rng=rng)
     assert ok and worst <= 1e-12
 
-    leaky = gd.RevisionProtocol(name="leaky", target_fn=lambda gm, x: 0.9 * x)
+    leaky = gd.RevisionProtocol(
+        name="leaky", cost_fn=lambda gm, c: 0.9 * softmax_target(gm, c, 0.5))
     ok, worst = gd.exact_target_check(leaky, g, rng=rng)
     assert not ok
     assert worst == pytest.approx(0.2, rel=1e-6)     # 10% of the heavier mass
@@ -69,13 +55,6 @@ def test_monotonicity_check_flags_anti_logit(rng):
     assert not ok
     kinds = {v[0] for v in violations}
     assert "own_cost_increasing" in kinds
-
-
-def test_monotonicity_check_needs_cost_based():
-    g, _ = get_scenario("pigou").build_game()
-    state_only = gd.RevisionProtocol(name="state-only", target_fn=lambda gm, x: x)
-    with pytest.raises(gd.CapabilityError):
-        gd.monotonicity_check(state_only, g)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +80,7 @@ def test_integrate_warns_on_ragged_horizon(caplog):
     assert len(traj.times) == 3 or len(traj.times) == 4
 
 
-def test_integrate_conserves_mass_and_positivity():
+def test_integrate_keeps_mass_and_positivity():
     g, _ = get_scenario("coordination").build_game()
     traj = gd.integrate(g, gd.logit_protocol(0.25),
                         gd.vertex_configuration(g, "a1"), 5.0, 0.01)
@@ -115,7 +94,7 @@ def test_integrate_conserves_mass_and_positivity():
 def test_integrate_rejects_negative_targets():
     g, _ = get_scenario("pigou").build_game()
     bad = gd.RevisionProtocol(
-        name="negative", target_fn=lambda gm, x: np.array([[1.2], [-0.2]]))
+        name="negative", cost_fn=lambda gm, c: np.array([[1.2], [-0.2]]))
     with pytest.raises(gd.ConfigurationError, match=r"r2.*p1"):
         gd.integrate(g, bad, gd.uniform_configuration(g), 1.0, 0.1)
 
@@ -150,10 +129,6 @@ def test_reduced_system_capability_gates():
     g, _ = get_scenario("wheatstone").build_game()    # costs couple the links
     with pytest.raises(gd.CapabilityError, match="per-action aggregate"):
         gd.ReducedSystem(g, gd.logit_protocol(0.2))
-    g2, _ = get_scenario("pigou").build_game()
-    state_only = gd.RevisionProtocol(name="state-only", target_fn=lambda gm, x: x)
-    with pytest.raises(gd.CapabilityError, match="cost-based"):
-        gd.ReducedSystem(g2, state_only)
 
 
 def test_reduced_matches_full_aggregate():

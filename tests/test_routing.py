@@ -160,7 +160,7 @@ def test_incomplete_route_set_is_not_series():
                           link_ids=rs.link_ids,
                           incidence=rs.incidence[:, :3],
                           node_seqs=rs.node_seqs[:3])
-    topo = gd.classify_topology(rg.graph, "o", "d", route_set=partial)
+    topo = gd.classify_topology(partial)
     assert topo.kind == "other"
 
 
