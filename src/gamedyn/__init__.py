@@ -18,6 +18,7 @@ from .game import (
     potential,
     potential_symmetry_check,
     sample_configuration,
+    sample_configurations,
     uniform_configuration,
     validate_configuration,
     vertex_configuration,

@@ -14,7 +14,7 @@ import numpy as np
 from .game import (
     PopulationGame,
     monomorphic_vertices,
-    sample_configuration,
+    sample_configurations,
     validate_configuration,
 )
 from .logit import (
@@ -172,8 +172,8 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     vertices = monomorphic_vertices(game)
     margin = _margin_of(game, contraction_points(game, 100, rng))
     m = multistart + len(vertices)
-    seeds = [x for _ in etas
-             for x in [sample_configuration(game, rng) for _ in range(multistart)] + vertices]
+    draws = np.split(sample_configurations(game, rng, len(etas) * multistart), len(etas))
+    seeds = [x for d in draws for x in [*d, *vertices]]
     results = fixed_points(game, np.repeat(etas, m), seeds)
     per_eta = []
     for k in range(len(etas)):

@@ -428,14 +428,22 @@ def vertex_configuration(game: PopulationGame, action_by_pop) -> np.ndarray:
     return x
 
 
+def sample_configurations(game: PopulationGame, rng: np.random.Generator,
+                          n: int) -> np.ndarray:
+    """n uniform draws (n,S,P) on the product of scaled simplices (exponential
+    spacings), from one rng call in the order of n sample_configuration calls."""
+    sets = [game.action_set(p) for p in range(game.n_pops)]
+    g = rng.exponential(size=(n, sum(map(len, sets))))
+    x = np.zeros((n, game.n_actions, game.n_pops))
+    for p, s in enumerate(sets):
+        gp, g = g[:, :len(s)], g[:, len(s):]
+        x[:, s, p] = game.masses[p] * gp / gp.sum(axis=1, keepdims=True)
+    return x
+
+
 def sample_configuration(game: PopulationGame, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw on the product of scaled simplices (exponential spacings)."""
-    x = np.zeros((game.n_actions, game.n_pops))
-    for p in range(game.n_pops):
-        s = game.action_set(p)
-        g = rng.exponential(size=len(s))
-        x[s, p] = game.masses[p] * g / g.sum()
-    return x
+    return sample_configurations(game, rng, 1)[0]
 
 
 def monomorphic_vertices(game: PopulationGame) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ from .game import (
     PopulationGame,
     evaluate_costs,
     validate_configuration,
-    sample_configuration,
+    sample_configurations,
     monomorphic_vertices,
     cost_jacobian,
 )
@@ -153,25 +153,27 @@ def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
-def _damping(x, rho, tol_of, max_iter: int, phi=None):
-    """The damping rule x <- (1-lam)x + lam phi(x), to an l1 residual of tol_of(x).
+def _damping(x, F, rho, tol_of, max_iter: int):
+    """The damping rule x <- (1-lam)x + lam F(x) from x and its map value F,
+    to an l1 residual of tol_of(x).
 
     The damped update has iteration matrix (1-lam)I + lam*J with J the
-    Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam = 1.5/(1+rho)
-    keeps the stiffest mode inside the unit disk with factor <= 0.5 to spare.
-    The cap has ceiling 0.5 at the start; every 250 steps it is re-sized at
-    the current iterate with ceiling 1 (and tol_of is re-read), since
-    stiffness varies across the polytope at small eta. lam halves whenever a
-    step still increases the residual, and creeps back toward the cap after a
-    run of accepted steps. Without phi, yields each point to map and is sent
-    its phi value. Returns (best x, its residual, iterations, converged).
+    Jacobian of the map; with rho(x) an upper bound on |eig(J)|, lam =
+    1.5/(1+rho) keeps the stiffest mode inside the unit disk with factor
+    <= 0.5 to spare. The cap has ceiling 0.5 at the start; every 250 steps it
+    is re-sized at the current iterate with ceiling 1 (and tol_of is re-read),
+    since stiffness varies across the polytope at small eta. lam halves
+    whenever a step still increases the residual, and creeps back toward the
+    cap after a run of accepted steps. The rule only decides: before each
+    step it yields (x, F, lam), and is sent the trial (1-lam)x + lam F, its
+    map value and its l1 residual. Returns (best x, its residual,
+    iterations, converged).
     """
     def cap_at(x, ceiling):
         return min(ceiling, 1.5 / (1.0 + rho(x)))
 
     cap = cap_at(x, 0.5)
     lam = cap
-    F = (yield x) if phi is None else phi(x)
     r = float(np.abs(F - x).sum())
     tol = tol_of(x)
     best_x, best_r = x, r
@@ -184,9 +186,7 @@ def _damping(x, rho, tol_of, max_iter: int, phi=None):
             lam = cap
             accepts = 0
             tol = tol_of(x)
-        x_new = (1.0 - lam) * x + lam * F
-        F_new = (yield x_new) if phi is None else phi(x_new)
-        r_new = float(np.abs(F_new - x_new).sum())
+        x_new, F_new, r_new = yield x, F, lam
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
         # genuine instability overshoots it within a few steps regardless
         if r_new <= 1.05 * r or lam <= 1e-7:
@@ -204,9 +204,16 @@ def _damping(x, rho, tol_of, max_iter: int, phi=None):
 
 
 def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
-    """The _damping rule from x, with its phi calls made inside; returns its result."""
+    """The _damping rule from x, one point at a time on the map phi; returns its result."""
+    run = _damping(x, phi(x), rho, tol_of, max_iter)
+    send = run.send
     try:
-        next(_damping(x, rho, tol_of, max_iter, phi))
+        x, F, lam = next(run)
+        while True:
+            x_new = (1.0 - lam) * x + lam * F
+            F_new = phi(x_new)
+            # ndarray.sum's reduction without its Python wrapper (~1.2M steps a sweep)
+            x, F, lam = send((x_new, F_new, float(np.add.reduce(np.abs(F_new - x_new), None))))
     except StopIteration as done:
         return done.value
 
@@ -284,9 +291,10 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     fixed_point's tolerance (1e-10, never below residual_floor). Only
     converged, locally stable results are kept, with iterations counting
     corrector steps. Every other start (unstable, stalled, singular, or not
-    done within NEWTON_STEPS) is re-solved from x0 by its own _damping run;
-    the runs step together on one stacked map, each giving fixed_point's result
-    and warning bit for bit. No result depends on stack-mates; where several
+    done within NEWTON_STEPS) is re-solved from x0 by its own _damping run.
+    The runs step together, one stacked blend, map and residual per step, each
+    giving fixed_point's result and warning bit for bit. No result depends on
+    stack-mates, not even in the last bit of its residual; where several
     stable points coexist, a start may reach another one than Picard would.
     """
     # a copy: fallbacks restart from its rows, so no result aliases a caller's start
@@ -304,7 +312,8 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         C, D = _noise_free_parts(game, X[live])
         J = _jacobians(game, C, D, etas[live])
         G = (softmax_target(game, C, etas[live]) - X[live])[:, js, qs]
-        r = np.abs(G).sum(axis=1)
+        # summed C-contiguous, so each row sums in the order it does alone
+        r = np.abs(np.ascontiguousarray(G)).sum(axis=1)
         done = r <= np.maximum(1e-10, residual_floor(game, C, etas[live, 0, 0]))
         for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
             if info.locally_stable:
@@ -315,18 +324,26 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         d = np.zeros((len(live),) + game.mask.shape)
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
-    runs = {k: _damping(X0[k], *_sizing(game, e.item()), MAX_ITER)
-            for k, (res, e) in enumerate(zip(out, etas)) if res is None}
-    trials = {k: next(run) for k, run in runs.items()}
-    while trials:
-        ks = list(trials)
-        F = softmax_target(game, evaluate_costs(game, np.stack(list(trials.values()))), etas[ks])
-        for k, f in zip(ks, F):
+    ks = [k for k, res in enumerate(out) if res is None]
+    F = softmax_target(game, evaluate_costs(game, X0[ks]), etas[ks]) if ks else []
+    runs = {k: _damping(X0[k], f, *_sizing(game, etas[k].item()), MAX_ITER)
+            for k, f in zip(ks, F)}
+    sent = dict.fromkeys(ks)                    # None starts each run
+    while True:
+        states = {}
+        for k, msg in sent.items():
             try:
-                trials[k] = runs[k].send(f)
+                states[k] = runs[k].send(msg)
             except StopIteration as stop:
                 runs[k] = stop.value            # its result; keys keep start order
-                del trials[k]
+        if not states:
+            break
+        ks = list(states)
+        X, F, lam = map(np.array, zip(*states.values()))
+        L = lam[:, None, None]
+        X = (1.0 - L) * X + L * F
+        F = softmax_target(game, evaluate_costs(game, X), etas[ks])
+        sent = dict(zip(ks, zip(X, F, np.abs(F - X).sum(axis=(1, 2)).tolist())))
     infos = _stabilities(_jacobians(game, *_noise_free_parts(
         game, [run[0] for run in runs.values()]), etas[list(runs)])) if runs else []
     for (k, (x, r, it, converged)), info in zip(runs.items(), infos):
@@ -343,9 +360,7 @@ def contraction_points(game: PopulationGame, sample_count: int = 200,
                        rng: np.random.Generator | None = None) -> list[np.ndarray]:
     """Sample set for contraction certification: uniform draws plus vertices."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    pts = [sample_configuration(game, rng) for _ in range(sample_count)]
-    pts.extend(monomorphic_vertices(game))
-    return pts
+    return [*sample_configurations(game, rng, sample_count), *monomorphic_vertices(game)]
 
 
 def _margin_of(game: PopulationGame, points):

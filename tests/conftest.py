@@ -26,3 +26,19 @@ def get_scenario(name: str) -> gd.Scenario:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+def wide_game() -> gd.PopulationGame:
+    """A generated game wider than any bundled one: 6 actions and 3
+    populations, the second of zero mass, with entry (a6, p3) masked. A
+    configuration holds 18 entries, 11 of them nonzero, and numpy sums a row
+    of more than 8 pairwise. Affine curves, slopes and intercepts drawn from
+    a fixed seed."""
+    rng = np.random.default_rng(2027)
+    mask = np.ones((6, 3), dtype=bool)
+    mask[5, 2] = False
+    grid = [[gd.ScalarFn.affine(*rng.uniform(0.2, 2.0, 2)) if mask[i, p] else None
+             for p in range(3)] for i in range(6)]
+    return gd.PopulationGame(populations=("p1", "p2", "p3"), masses=np.array([1.0, 0.0, 2.0]),
+                             actions=tuple(f"a{i + 1}" for i in range(6)), mask=mask,
+                             costs=gd.AggregateCostField(grid))

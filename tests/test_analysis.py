@@ -165,8 +165,10 @@ def test_census_corrector_counts(monkeypatch):
         return wrapper
 
     def recorded_damping(*args):
-        if not fallbacks:       # the first fallback starts after the corrector
-            corrector.extend([len(softmaxes), len(stacks)])
+        # the first fallback starts after the corrector and after the one
+        # stacked softmax that maps every fallback's start
+        if not fallbacks:
+            corrector.extend([len(softmaxes) - 1, len(stacks)])
         fallbacks.append(None)
         k = len(fallbacks) - 1
         fallbacks[k] = yield from real_damping(*args)
@@ -185,7 +187,8 @@ def test_census_corrector_counts(monkeypatch):
     assert (len(solves), steps, trials) == (1, 6, 6)
     # six fallbacks, in start order: one at a time they would map 819 points
     # (each its start, then one trial per damped step); stacked, they take
-    # one softmax per step of the longest run, and logit_map is never called
+    # one softmax for their starts and one per step of the longest run, and
+    # logit_map is never called
     iterations = [it for _, _, it, _ in fallbacks]
     assert iterations == [242, 198, 89, 73, 122, 89] and sum(iterations) + 6 == 819
     assert len(softmaxes) - corrector_softmaxes == 1 + max(iterations) == 243

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import gamedyn as gd
 from gamedyn.game import NASH_TOL, central_difference
 
-from conftest import ALL_SCENARIOS, get_scenario
+from conftest import ALL_SCENARIOS, get_scenario, wide_game
 
 
 def make_game(fns, masses=(1.0,), mask=None, actions=None):
@@ -313,6 +313,29 @@ def test_sample_configuration_is_feasible(rng):
         x = gd.sample_configuration(g, rng)
         gd.validate_configuration(g, x)
         assert x.min() >= 0.0
+
+
+def one_draw_per_population(g, rng):
+    """Uniform configuration from one exponential draw per population."""
+    x = np.zeros(g.mask.shape)
+    for p in range(g.n_pops):
+        s = g.action_set(p)
+        e = rng.exponential(size=len(s))
+        x[s, p] = g.masses[p] * e / e.sum()
+    return x
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ("wide",))
+def test_sample_configurations_equal_single_draws(name):
+    # one call for n draws uses the rng as n single draws do, and as one
+    # exponential draw per population does, and leaves it in the same state
+    g = wide_game() if name == "wide" else get_scenario(name).build_game()[0]
+    many_rng, one_rng, oracle_rng = (np.random.default_rng(17) for _ in range(3))
+    many = gd.sample_configurations(g, many_rng, 9)
+    assert many.shape == (9,) + g.mask.shape
+    assert np.array_equal(many, [gd.sample_configuration(g, one_rng) for _ in range(9)])
+    assert np.array_equal(many, [one_draw_per_population(g, oracle_rng) for _ in range(9)])
+    assert many_rng.random() == one_rng.random() == oracle_rng.random()
 
 
 def test_vertex_and_monomorphic_enumeration():

@@ -11,7 +11,7 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
-from conftest import ALL_SCENARIOS, get_scenario
+from conftest import ALL_SCENARIOS, get_scenario, wide_game
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -436,7 +436,40 @@ def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
             assert_same_result(r, single)
             assert_same_result(r, alone)
         else:
-            assert_same_start(r, alone)
+            assert_same_result(r, alone)
+
+
+@pytest.mark.parametrize("cap", [logit.MAX_ITER, 20])
+def test_fallback_stack_equals_fixed_point_on_a_wide_game(cap, monkeypatch):
+    # with no corrector steps every start falls back; a configuration of the
+    # generated game holds 18 entries, so numpy sums each slice's residual
+    # pairwise, and the stack at two etas must still give fixed_point's
+    # result bit for bit, zero-mass population and masked entry included.
+    # Converged residuals are sums of few-bit terms, exact in any order; a
+    # cap of 20 steps stops every run at a residual that is not
+    g = wide_game()
+    rng = np.random.default_rng(9)
+    seeds = [gd.sample_configuration(g, rng) for _ in range(7)] + [gd.uniform_configuration(g)]
+    etas = np.resize([0.5, 0.05], len(seeds))
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 0)
+    monkeypatch.setattr(logit, "MAX_ITER", cap)
+    fallbacks = record_fallbacks(monkeypatch)
+    many = gd.fixed_points(g, etas, seeds)
+    assert fell_back(many, fallbacks) == [True] * len(seeds)
+    assert all(r.converged == (cap > 20) for r in many)
+    for eta, x0, r in zip(etas, seeds, many):
+        assert_same_result(r, gd.fixed_point(g, eta, x0, max_iter=cap))
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_fixed_points_equal_lone_solves_in_every_field(name):
+    # no result depends on its stack-mates, not even in the last bit of its
+    # residual: 48 starts at six etas in one stack, each against its lone solve
+    g, _ = get_scenario(name).build_game()
+    etas = np.repeat(np.geomspace(1.0, 1e-3, 6), 8)
+    seeds = gd.sample_configurations(g, np.random.default_rng(11), len(etas))
+    for eta, x0, r in zip(etas, seeds, gd.fixed_points(g, etas, seeds)):
+        assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
 
 
 @st.composite
@@ -488,14 +521,6 @@ def force_singular(monkeypatch, eta_bad):
     monkeypatch.setattr(logit, "_jacobians", forced)
 
 
-def assert_same_start(a, b):
-    """Bit for bit, but for the residual, which may differ in the last ulp."""
-    assert np.array_equal(a.x, b.x)
-    assert (a.iterations, a.converged, a.eta, a.stability) == \
-        (b.iterations, b.converged, b.eta, b.stability)
-    assert abs(a.residual - b.residual) <= np.spacing(max(a.residual, b.residual))
-
-
 def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatch):
     # the starts at eta 0.37 meet a singular J - I at their first step and
     # fall back alone; their stack-mates at other etas go on with Newton
@@ -510,7 +535,7 @@ def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatc
     assert [r.eta for r, fell in zip(many, fell_back(many, fallbacks)) if fell] == [0.37] * 4
     for eta, x0, r in zip(etas, seeds, many):
         assert r.eta == eta
-        assert_same_start(r, gd.fixed_points(g, eta, [x0])[0])
+        assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
         if eta != 0.37:
             assert r.iterations <= logit.NEWTON_STEPS and r.stability.locally_stable
 
@@ -528,7 +553,7 @@ def test_fixed_points_with_mixed_etas_equal_lone_solves(game, etas, seed):
         force_singular(monkeypatch, 0.37)
         many = gd.fixed_points(game, etas, seeds)
         for eta, x0, r in zip(etas, seeds, many):
-            assert_same_start(r, gd.fixed_points(game, eta, [x0])[0])
+            assert_same_result(r, gd.fixed_points(game, eta, [x0])[0])
 
 
 def test_fixed_points_reject_a_bad_start_or_eta():
