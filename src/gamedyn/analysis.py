@@ -159,9 +159,9 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
 
     A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
     are one point. All starts, drawn eta by eta after the margin points, are
-    one fixed_points call (a Newton, then a damped-Picard stack), one eta per
-    start. Margins use one set of 100 sampled points plus the vertices, whose
-    costs and cost partials are built once for all etas.
+    one fixed_points call (Newton restarting unstable landings, then damped
+    Picard as the last resort), one eta per start. Margins use 100 sampled
+    points plus the vertices, whose costs and partials are built once.
     """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):

@@ -47,7 +47,7 @@ class RevisionProtocol:
 
 def logit_protocol(eta: float) -> RevisionProtocol:
     """The noisy best-response protocol at noise level eta."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
 
     def cost_fn(game, c):

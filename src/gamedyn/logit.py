@@ -55,7 +55,7 @@ def softmax_target(game: PopulationGame, c: np.ndarray, eta: float) -> np.ndarra
 
 def logit_map(game: PopulationGame, x, eta: float) -> np.ndarray:
     """Target configuration F(x, eta) of the noisy best-response map (of each slice of a stack)."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
     return softmax_target(game, evaluate_costs(game, x), eta)
@@ -79,7 +79,7 @@ def _noise_free_parts(game: PopulationGame, points) -> tuple[np.ndarray, np.ndar
 def _jacobians(game: PopulationGame, c: np.ndarray, D: np.ndarray,
                eta: float) -> np.ndarray:
     """Logit Jacobians (N,n,n) from _noise_free_parts (N,S,P), (N,P,S,n) at eta or (N,1,1) etas."""
-    if np.any(eta <= 0):
+    if not np.all(eta > 0):
         raise ValueError("eta must be positive")
     e, total = _shifted_exp(game, c, eta)
     pi = np.ascontiguousarray((e / total).swapaxes(-1, -2))     # (..., P, S)
@@ -110,8 +110,8 @@ class StabilityInfo:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """A solve's best point; iterations are corrector steps for the starts
-    fixed_points keeps from its corrector, damped steps otherwise."""
+    """A solve's best point; iterations are all corrector steps for the
+    starts fixed_points keeps from its corrector, damped steps otherwise."""
 
     x: np.ndarray
     residual: float
@@ -279,9 +279,24 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
                 np.concatenate([_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(A))]))
 
 
+def _restarts(game: PopulationGame, M: np.ndarray, X: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """Unstable points X, moved in place halfway to the polytope boundary
+    along v, the eigenvector of M = J - I with the largest real part of
+    eigenvalue, signed by v.(x0 - x); NaN where that is 0 or NaN. Each
+    population's rows of J sum to zero, so v keeps the masses."""
+    qs, js = np.nonzero(game.mask.T)
+    x = X[:, js, qs]
+    w, V = np.linalg.eig(M)
+    v = np.take_along_axis(V, w.real.argmax(axis=1)[:, None, None], axis=2)[..., 0].real
+    v *= np.sign((v * (X0[:, js, qs] - x)).sum(axis=1))[:, None]
+    t = np.fmin.reduce(np.divide(x, -v, out=np.full_like(x, np.nan), where=v < 0), axis=1)
+    X[:, js, qs] = x + 0.5 * t[:, None] * v
+    return X
+
+
 def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     """Fixed points from each start in x0s: a stacked Newton corrector, with
-    fixed_point's damped iteration, stacked too, as the fallback.
+    fixed_point's damped iteration, stacked too, as the last resort.
 
     eta is one value or one per start. Newton runs on G(x) = F(x) - x over
     game.valid_pairs for all unfinished starts at once; each step makes one
@@ -290,11 +305,13 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     keeps the masses; _armijo damps and clips it. A start converges at
     fixed_point's tolerance (1e-10, never below residual_floor). Only
     converged, locally stable results are kept, with iterations counting
-    corrector steps. Every other start (unstable, stalled, singular, or not
-    done within NEWTON_STEPS) is re-solved from x0 by its own _damping run.
-    The runs step together, one stacked blend, map and residual per step, each
-    giving fixed_point's result and warning bit for bit. No result depends on
-    stack-mates, not even in the last bit of its residual; where several
+    every corrector step. A start's first unstable landing skips the step's
+    update and rejoins the next step's stack at its _restarts point. Every
+    other start (no side, unstable twice, stalled, singular, or not done
+    within NEWTON_STEPS) is re-solved from x0 by its own _damping run. The
+    runs step together, one stacked blend, map and residual per step, each
+    giving fixed_point's result and warning bit for bit. No result depends
+    on stack-mates, not even in the last bit of its residual; where several
     stable points coexist, a start may reach another one than Picard would.
     """
     # a copy: fallbacks restart from its rows, so no result aliases a caller's start
@@ -305,6 +322,7 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     eye = np.eye(len(qs))
     out = [None] * len(X)
     live = np.arange(len(X))
+    restarted = np.zeros(len(X), dtype=bool)
     for step in range(NEWTON_STEPS + 1):
         live = live[np.isfinite(X[live]).all(axis=(1, 2))]
         if not len(live):
@@ -318,12 +336,19 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
             if info.locally_stable:
                 out[k] = _result(etas[k].item(), X[k].copy(), rk, step, True, info)
-        live, J, G, r = live[~done], J[~done], G[~done], r[~done]
-        if not len(live) or step == NEWTON_STEPS:
+        if step == NEWTON_STEPS:
             break
+        # first unstable landings restart; a NaN restart drops out next step
+        u = [i for i in np.flatnonzero(done & ~restarted[live]) if out[live[i]] is None]
+        ks = live[u]
+        restarted[ks] = True
+        if len(ks):
+            X[ks] = _restarts(game, J[u] - eye, X[ks], X0[ks])
+        live, J, G, r = live[~done], J[~done], G[~done], r[~done]
         d = np.zeros((len(live),) + game.mask.shape)
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
+        live = np.sort(np.concatenate([live, ks]))
     ks = [k for k, res in enumerate(out) if res is None]
     F = softmax_target(game, evaluate_costs(game, X0[ks]), etas[ks]) if ks else []
     runs = {k: _damping(X0[k], f, *_sizing(game, etas[k].item()), MAX_ITER)

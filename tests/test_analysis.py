@@ -150,13 +150,14 @@ def test_census_corrector_counts(monkeypatch):
     # exact work of the census on the coordination grid: one fixed_points
     # stack for all 5 etas, its corrector steps (one _noise_free_parts stack
     # each) and their trial evaluations (one softmax per step for the
-    # residual, the rest Armijo rounds), and the fallbacks' damping runs,
-    # stepped together with one stacked softmax per step
+    # residual, the rest Armijo rounds). Six starts land on the unstable
+    # symmetric point; each restarts once inside the corrector, and none
+    # falls back to a damping run
     g, _ = get_scenario("coordination").build_game()
-    maps, softmaxes, stacks, solves, fallbacks, corrector = [], [], [], [], [], []
-    real_map, real_softmax, real_parts, real_damping, real_solves = (
+    maps, softmaxes, stacks, solves, fallbacks, pushed = [], [], [], [], [], []
+    real_map, real_softmax, real_parts, real_restarts, real_solves = (
         logit.logit_map, logit.softmax_target, logit._noise_free_parts,
-        logit._damping, analysis.fixed_points)
+        logit._restarts, analysis.fixed_points)
 
     def counted(calls, fn):
         def wrapper(*args, **kwargs):
@@ -164,34 +165,23 @@ def test_census_corrector_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recorded_damping(*args):
-        # the first fallback starts after the corrector and after the one
-        # stacked softmax that maps every fallback's start
-        if not fallbacks:
-            corrector.extend([len(softmaxes) - 1, len(stacks)])
-        fallbacks.append(None)
-        k = len(fallbacks) - 1
-        fallbacks[k] = yield from real_damping(*args)
-        return fallbacks[k]
+    def recorded_restarts(game, M, X, X0):
+        pushed.extend([len(stacks) - 2] * len(X))
+        return real_restarts(game, M, X, X0)
 
     monkeypatch.setattr(logit, "logit_map", counted(maps, real_map))
     monkeypatch.setattr(logit, "softmax_target", counted(softmaxes, real_softmax))
     monkeypatch.setattr(logit, "_noise_free_parts", counted(stacks, real_parts))
-    monkeypatch.setattr(logit, "_damping", recorded_damping)
+    monkeypatch.setattr(logit, "_restarts", recorded_restarts)
+    monkeypatch.setattr(logit, "_damping", counted(fallbacks, logit._damping))
     monkeypatch.setattr(analysis, "fixed_points", counted(solves, real_solves))
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
-    corrector_softmaxes, corrector_stacks = corrector
-    steps = corrector_stacks - 1                    # one stack is the margins'
-    trials = corrector_softmaxes - steps
-    assert (len(solves), steps, trials) == (1, 6, 6)
-    # six fallbacks, in start order: one at a time they would map 819 points
-    # (each its start, then one trial per damped step); stacked, they take
-    # one softmax for their starts and one per step of the longest run, and
-    # logit_map is never called
-    iterations = [it for _, _, it, _ in fallbacks]
-    assert iterations == [242, 198, 89, 73, 122, 89] and sum(iterations) + 6 == 819
-    assert len(softmaxes) - corrector_softmaxes == 1 + max(iterations) == 243
+    steps = len(stacks) - 1                         # one stack is the margins'
+    trials = len(softmaxes) - steps
+    assert (len(solves), steps, trials, len(fallbacks)) == (1, 10, 10, 0)
+    # the restarted starts, by the corrector step at which they landed
+    assert pushed == [3, 3, 3, 4, 4, 4]
     assert not maps
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 

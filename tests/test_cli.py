@@ -107,6 +107,28 @@ def test_bifurcation_csv(tmp_path):
         assert nf == "1" and ns == "1"
 
 
+# bifurcation.csv "n_fixed_points,n_stable" columns of each bundled scenario
+# at seed 11, as runs of (rows, value) from the largest eta down
+BIFURCATION_COUNTS = {
+    "constant": [(30, "1,1")],
+    "coordination": [(11, "1,1"), (49, "2,2")],
+    "homogeneous": [(40, "1,1")],
+    "parallel3": [(40, "1,1")],
+    "pigou": [(40, "1,1")],
+    "series2": [(40, "1,1")],
+    "tolls": [(40, "1,1")],
+    "wheatstone": [(60, "1,1")],
+}
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_bifurcation_counts_are_pinned(tmp_path, name):
+    assert cli.run("bifurcation", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
+    lines = (tmp_path / "bifurcation.csv").read_text().splitlines()[1:]
+    assert [ln.split(",", 1)[1] for ln in lines] == \
+        [counts for rows, counts in BIFURCATION_COUNTS[name] for _ in range(rows)]
+
+
 # ---------------------------------------------------------------------------
 # classify / verify
 

@@ -406,6 +406,45 @@ def test_uniform_coordination_start_falls_back_from_the_unstable_point(monkeypat
     assert_same_result(r, gd.fixed_point(g, 0.45, x0))
 
 
+def record_restarts(monkeypatch):
+    """Record the start x0 of every start that _restarts pushes off an
+    unstable landing, in the order they are pushed."""
+    starts = []
+    real = logit._restarts
+
+    def recorded(game, M, X, X0):
+        starts.extend(X0.copy())
+        return real(game, M, X, X0)
+
+    monkeypatch.setattr(logit, "_restarts", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("eta", [0.45, 0.3, 0.1, 0.05, 0.02])
+def test_unstable_landings_restart_on_the_side_of_their_start(eta, monkeypatch):
+    # random starts near the middle land on the unstable symmetric point;
+    # each restarts inside the corrector and reaches the stable point on
+    # its start's side, the one damped Picard reaches from that start
+    g, _ = get_scenario("coordination").build_game()
+    share = np.random.default_rng(17).uniform(0.3, 0.7, 40)
+    seeds = [np.array([[s], [1.0 - s]]) for s in share]
+    fallbacks = record_fallbacks(monkeypatch)
+    restarted = record_restarts(monkeypatch)
+    many = gd.fixed_points(g, eta, seeds)
+    assert not fallbacks and len(restarted) >= 4
+    for x0, r in zip(seeds, many):
+        if not any(np.array_equal(x0, x) for x in restarted):
+            continue
+        assert r.converged and r.stability.locally_stable
+        assert r.iterations <= logit.NEWTON_STEPS
+        above = x0[0, 0] > 0.5
+        assert (r.x[0, 0] > 0.5) == above
+        if eta >= 0.05:
+            lo, hi = (0.5 + 1e-3, 1.0) if above else (0.0, 0.5 - 1e-3)
+            assert abs(r.x[0, 0] - coordination_share(eta, lo, hi)) <= 1e-10
+        assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-8
+
+
 def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
     # with no corrector steps every start but the uniform one at eta 0.8 (a
     # stable fixed point) falls back; the damping runs at four etas end at
@@ -564,6 +603,23 @@ def test_fixed_points_reject_a_bad_start_or_eta():
         gd.fixed_points(g, 0.5, seeds)
     with pytest.raises(ValueError, match="eta must be positive"):
         gd.fixed_points(g, [0.5, 0.0], seeds[:2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, x0: gd.logit_map(g, x0, np.nan),
+    lambda g, x0: gd.logit_jacobian(g, x0, np.nan),
+    lambda g, x0: gd.fixed_point(g, np.nan, x0),
+    lambda g, x0: gd.fixed_points(g, [0.5, np.nan], [x0, x0]),
+    lambda g, x0: gd.contraction_margin(g, np.nan),
+    lambda g, x0: gd.bifurcation_scan(g, [0.5, np.nan]),
+    lambda g, x0: gd.logit_protocol(np.nan),
+], ids=["logit_map", "logit_jacobian", "fixed_point", "fixed_points",
+        "contraction_margin", "bifurcation_scan", "logit_protocol"])
+def test_nan_eta_is_rejected(call):
+    # NaN passes an eta <= 0 check; each entry point must still refuse it
+    g, _ = get_scenario("coordination").build_game()
+    with pytest.raises(ValueError, match="eta must be positive"):
+        call(g, gd.uniform_configuration(g))
 
 
 def test_residual_floor_grows_as_eta_shrinks():
