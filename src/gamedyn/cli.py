@@ -58,61 +58,57 @@ def _x_headers(game: PopulationGame) -> list[str]:
     return [f"x_{a}_{p}" for a in game.actions for p in game.populations]
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_lines(path: Path, lines, rows=None) -> None:
+    """Write each text line, then each row of the float array rows as CSV with
+    17 significant digits, LF-terminated.
+
+    Rows go out 256 at a time, formatted by one precomposed template, so the
+    writer's memory does not grow with the file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
+        if rows is not None:
+            row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for k in range(0, len(rows), 256):
+                block = rows[k:k + 256]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, game: PopulationGame,
                          rgame: RoutingGame | None = None) -> None:
     header = ["t"] + _x_headers(game) + [f"w_{a}" for a in game.actions]
+    cols = [traj.times[:, None], traj.states.reshape(len(traj.times), -1),
+            traj.aggregate_flows()]
     if rgame is not None:
         header += [f"y_{lid}" for lid in rgame.route_set.link_ids]
-    w = traj.aggregate_flows()
-    y = traj.link_flows(rgame.incidence) if rgame is not None else None
-    lines = [",".join(header)]
-    for k, t in enumerate(traj.times):
-        vals = [t, *traj.states[k].reshape(-1), *w[k]]
-        if y is not None:
-            vals.extend(y[k])
-        lines.append(",".join(_fmt(v) for v in vals))
-    _write_lines(path, lines)
+        cols.append(traj.link_flows(rgame.incidence))
+    _write_lines(path, [",".join(header)], np.hstack(cols))
 
 
 def write_sweep_csv(path: Path, curves, game: PopulationGame) -> None:
     header = ["eta", "branch_id", "residual", "stable", "l1_margin"] + _x_headers(game)
-    lines = [",".join(header)]
     n_grid = max(len(c.etas) for c in curves)
-    for k in range(n_grid):
-        for b, c in enumerate(curves):
-            if k >= len(c.etas):
-                continue
-            vals = [_fmt(c.etas[k]), str(b), _fmt(c.residuals[k]),
-                    str(int(c.stable[k])), _fmt(c.l1_margins[k])]
-            vals += [_fmt(v) for v in c.points[k].reshape(-1)]
-            lines.append(",".join(vals))
-    _write_lines(path, lines)
+    rows = [[c.etas[k], b, c.residuals[k], c.stable[k], c.l1_margins[k],
+             *c.points[k].reshape(-1)]
+            for k in range(n_grid) for b, c in enumerate(curves) if k < len(c.etas)]
+    _write_lines(path, [",".join(header)], np.array(rows, dtype=float))
 
 
 def write_bifurcation_csv(path: Path, sweep) -> None:
-    lines = ["eta,n_fixed_points,n_stable"]
-    for eta, nf, ns in zip(sweep.etas, sweep.n_fixed_points, sweep.n_stable):
-        lines.append(f"{_fmt(eta)},{nf},{ns}")
-    _write_lines(path, lines)
+    _write_lines(path, ["eta,n_fixed_points,n_stable"],
+                 np.column_stack([sweep.etas, sweep.n_fixed_points, sweep.n_stable]))
 
 
 def write_fixed_point_csv(path: Path, result, game: PopulationGame) -> None:
     header = (["eta", "residual", "iterations", "converged", "l1_log_norm",
                "spectral_abscissa", "locally_stable"] + _x_headers(game))
     st = result.stability
-    vals = [_fmt(result.eta), _fmt(result.residual), str(result.iterations),
-            str(int(result.converged)),
-            _fmt(st.l1_log_norm) if st else "nan",
-            _fmt(st.spectral_abscissa) if st else "nan",
-            str(int(st.locally_stable)) if st else "0"]
-    vals += [_fmt(v) for v in result.x.reshape(-1)]
-    _write_lines(path, [",".join(header), ",".join(vals)])
+    stability = ((st.l1_log_norm, st.spectral_abscissa, st.locally_stable) if st
+                 else (np.nan, np.nan, 0))
+    vals = [result.eta, result.residual, result.iterations, result.converged,
+            *stability, *result.x.reshape(-1)]
+    _write_lines(path, [",".join(header)], np.array([vals], dtype=float))
 
 
 # ---------------------------------------------------------------------------

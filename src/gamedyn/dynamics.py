@@ -162,7 +162,7 @@ def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
 
     def f(state, step):
         F = protocol.target(game, state)
-        if F.min() < -1e-12:
+        if np.minimum.reduce(F, None) < -1e-12:
             i, p = np.unravel_index(np.argmin(F), F.shape)
             raise ConfigurationError(
                 f"protocol {protocol.name!r} produced negative target entry "

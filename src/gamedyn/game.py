@@ -242,7 +242,7 @@ class AggregateCostField(CostField):
                                   for f in row] for row in fns])
 
     def __call__(self, x):
-        return self.aggregate_cost(np.asarray(x, dtype=float).sum(axis=-1))
+        return self.aggregate_cost(np.add.reduce(np.asarray(x, dtype=float), -1))
 
     def flows(self, x):
         """(actions, populations) flow of each population through each curve row."""
@@ -356,7 +356,7 @@ def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
     if c.shape != shape:
         raise CostEvalError(f"cost field returned shape {c.shape}, "
                             f"expected {shape}")
-    if np.isfinite(c).all():
+    if np.logical_and.reduce(np.isfinite(c), None):
         return c
     bad = ~np.isfinite(c) & game.mask
     if np.any(bad):

@@ -39,8 +39,9 @@ def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
     overflows for eta down to 1e-4 with costs of any magnitude.
     """
     z = np.where(game.mask, c, np.inf)
-    e = np.exp((z.min(axis=-2, keepdims=True) - z) / eta)
-    return e, e.sum(axis=-2, keepdims=True)
+    # ufunc reductions skip ndarray.min/sum's Python wrappers (once per RK4 stage)
+    e = np.exp((np.minimum.reduce(z, -2, keepdims=True) - z) / eta)
+    return e, np.add.reduce(e, -2, keepdims=True)
 
 
 def softmax_target(game: PopulationGame, c: np.ndarray, eta: float) -> np.ndarray:

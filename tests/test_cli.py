@@ -1,14 +1,17 @@
 """End-to-end CLI checks: CSV layout, byte-level determinism, exit codes."""
 
+import hashlib
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamedyn as gd
 from gamedyn import analysis, cli
@@ -72,6 +75,59 @@ def test_simulate_random_x0_seed_determinism(tmp_path):
     c = (tmp_path / "c" / "trajectory.csv").read_bytes()
     assert a == b
     assert a != c
+
+
+# sha256 of trajectory.csv from simulate on each bundled scenario at seed 11
+# (numpy 2.4, x86-64). A new digest means the output bytes moved: find out why
+# before pinning it.
+TRAJECTORY_SHA256 = {
+    "constant": "1418adf7dac068c0ef3e16f32e6ee1e8f976e8a6104e038ad707ed5d65b6f867",
+    "coordination": "5e992db0ede1abbc1aa8e5b55733fc19259628744bd1a1910d1d25dbe0a9a187",
+    "homogeneous": "64becfcd97f17acc29becda28b527075b0f9a2505ef5815b81a7e89fb42d4b22",
+    "parallel3": "ae18c8943cfca058e8023e127eb9cf05277d1ce6fc1c7309ef09423dd44d7882",
+    "pigou": "49b246d409c4e560fe4a1c787d6ef3211db9d823945ab1c0c9d1025525c5fe32",
+    "series2": "3b58d0d681758b58bc0ff2ec882475057de5e68cb214230152bc83b3eb7bc95c",
+    "tolls": "a8b7b0ce9367140230c69f7791923078dc923c980691137b18769ce097116a05",
+    "wheatstone": "6fc5f696cbc58d9c965f487f281b0c7a655fcc3d91897faf57f21dd0ec036490",
+}
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_simulate_trajectory_bytes_are_pinned(tmp_path, name):
+    assert cli.run("simulate", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_SHA256[name]
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   2.2250738585072014e-308 / 3, np.finfo(float).max, -np.finfo(float).max]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.floats(width=64), st.sampled_from(_SPECIAL_FLOATS)),
+             min_size=width, max_size=width), min_size=1, max_size=4)))
+def test_csv_row_template_matches_fmt(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    cli._write_lines(path, ["h"], np.array(rows, dtype=float))
+    expected = "h\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_trajectory_writer_peak_memory_stays_below_the_file(tmp_path):
+    scn = get_scenario("pigou")
+    game, rgame = scn.build_game()
+    traj = gd.integrate(game, scn.build_protocol(), scn.initial_configuration(game, None),
+                        *scn.time_grid())
+    assert len(traj.times) == 5001
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        cli.write_trajectory_csv(path, traj, game, rgame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
