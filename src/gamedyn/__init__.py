@@ -2,7 +2,6 @@
 
 from .game import (
     AggregateCostField,
-    CallableCostField,
     CapabilityError,
     ConfigurationError,
     CostEvalError,

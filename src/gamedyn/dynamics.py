@@ -22,7 +22,7 @@ from .game import (
     validate_configuration,
     sample_configuration,
 )
-from .logit import MAX_ITER, damped_iteration, softmax_target
+from .logit import damped_iteration, softmax_target
 
 log = logging.getLogger(__name__)
 
@@ -106,20 +106,6 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
 # Integration
 
 
-def _rk4(f, x, n: int, dt: float) -> np.ndarray:
-    """n classical RK4 steps of x' = f(x, step) from x; returns all n+1 states."""
-    states = np.empty((n + 1,) + x.shape)
-    states[0] = x
-    for k in range(n):
-        k1 = f(x, k)
-        k2 = f(x + 0.5 * dt * k1, k)
-        k3 = f(x + 0.5 * dt * k2, k)
-        k4 = f(x + dt * k3, k)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[k + 1] = x
-    return states
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded solution of x' = target(x) - x on a fixed time grid."""
@@ -170,7 +156,15 @@ def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
                 f"step {step} (t={step * dt:g})")
         return F - state
 
-    states = _rk4(f, x, n, dt)
+    states = np.empty((n + 1,) + x.shape)
+    states[0] = x
+    for k in range(n):
+        k1 = f(x, k)
+        k2 = f(x + 0.5 * dt * k1, k)
+        k3 = f(x + 0.5 * dt * k2, k)
+        k4 = f(x + dt * k3, k)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[k + 1] = x
     times = dt * np.arange(n + 1)
     drift = float(np.abs(states.sum(axis=1) - game.masses).max())
     min_entry = float(states.min())
@@ -223,15 +217,7 @@ class ReducedSystem:
             raise ValueError(f"w0 has a non-finite entry: {w.tolist()!r}")
         return w
 
-    def integrate(self, w0, horizon: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """RK4 on the reduced field; returns (times, flows (T, S))."""
-        if dt <= 0 or horizon < dt:
-            raise ValueError("need dt > 0 and horizon >= dt")
-        w = self._start(w0)
-        n = int(round(horizon / dt))
-        return dt * np.arange(n + 1), _rk4(lambda v, k: self.field(v), w, n, dt)
-
-    def fixed_point(self, w0, max_iter: int = MAX_ITER) -> ReducedFixedPoint:
+    def fixed_point(self, w0) -> ReducedFixedPoint:
         """Aggregate fixed point w = sum_p G_p(cbar(w)) by damped_iteration.
 
         Converges at an l1 residual of 1e-10. The damping cap is sized from
@@ -242,7 +228,7 @@ class ReducedSystem:
             self._start(w0),
             lambda v: float(np.abs(self.jacobian_fd(v) + np.eye(self.game.n_actions)
                                    ).sum(axis=0).max()),
-            lambda v: 1e-10, max_iter=max_iter)
+            lambda v: 1e-10)
         return ReducedFixedPoint(w=w, residual=r, iterations=it, converged=converged)
 
     def jacobian_fd(self, w) -> np.ndarray:

@@ -211,8 +211,10 @@ class CurveGrid:
 class CostField:
     """Maps a configuration to the (actions x populations) cost matrix.
 
-    A stack (..., S, P) of configurations maps to the stack of matrices,
-    each equal bit for bit to its own evaluation.
+    A field is called on a configuration, and ``jacobian(x)`` gives its
+    partials d c_ip / d x_jq, (..., S,P,S,P) at x (..., S,P). A stack
+    (..., S, P) of configurations maps to the stack of matrices (and of
+    partials), each equal bit for bit to its own evaluation.
 
     ``per_action_aggregate`` marks fields whose costs depend on the
     configuration only through the per-action total mass w, entrywise
@@ -220,13 +222,6 @@ class CostField:
     """
 
     per_action_aggregate = False
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian(self, x: np.ndarray):
-        """Analytic partials d c_ip / d x_jq, (..., S,P,S,P) at x (..., S,P), or None."""
-        return None
 
     def aggregate_cost(self, w: np.ndarray) -> np.ndarray:
         raise CapabilityError("cost field does not factor through per-action aggregates")
@@ -257,19 +252,6 @@ class AggregateCostField(CostField):
         for i in range(slopes.shape[-2]):
             D[..., i, :, i, :] = slopes[..., i, :, None]  # d c_ip / d x_iq for every q
         return D
-
-
-class CallableCostField(CostField):
-    """Wraps an evaluator of one configuration; its partials are finite differences."""
-
-    def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
-        self._func = func
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 2:
-            return np.array([self(y) for y in x])
-        return np.asarray(self._func(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +537,10 @@ def _fd_cost_jacobian(game: PopulationGame, x: np.ndarray) -> np.ndarray:
 def cost_jacobian(game: PopulationGame, x) -> np.ndarray:
     """Partials d c_ip / d x_jq, (..., S,P,S,P) at x (..., S,P), each slice bit for bit its own.
 
-    Uses the field's analytic partials when present, otherwise central
-    finite differences over the valid (j, q) entries, one slice at a time.
+    The partials are the field's own ``jacobian(x)``.
     """
     x = np.asarray(x, dtype=float)
-    D = game.costs.jacobian(x)
-    if D is None:
-        D = [_fd_cost_jacobian(game, y) for y in x.reshape((-1,) + game.mask.shape)]
-    return np.reshape(np.asarray(D, dtype=float), x.shape + game.mask.shape)
+    return np.reshape(np.asarray(game.costs.jacobian(x), dtype=float), x.shape + game.mask.shape)
 
 
 def potential_symmetry_check(game: PopulationGame, samples: int = 10,

@@ -23,7 +23,7 @@ from .game import (
 
 log = logging.getLogger(__name__)
 
-# damped steps before a fixed-point solve gives up
+# damped steps before damped_iteration gives up
 MAX_ITER = 10 ** 5
 # corrector steps before a fixed_points start falls back to fixed_point
 NEWTON_STEPS = 50
@@ -111,8 +111,9 @@ class StabilityInfo:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """A solve's best point; iterations are all corrector steps for the
-    starts fixed_points keeps from its corrector, damped steps otherwise."""
+    """A solve's best point. iterations counts corrector steps for the starts
+    fixed_points keeps from its corrector, and damped_iteration steps for
+    every fixed_point solve."""
 
     x: np.ndarray
     residual: float
@@ -154,40 +155,39 @@ def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
-def _damping(x, F, rho, tol_of, max_iter: int):
-    """The damping rule x <- (1-lam)x + lam F(x) from x and its map value F,
-    to an l1 residual of tol_of(x).
+def damped_iteration(phi, x, rho, tol_of):
+    """Damped Picard x <- (1-lam)x + lam*phi(x) from x, to an l1 residual of
+    tol_of(x), in at most MAX_ITER steps.
 
     The damped update has iteration matrix (1-lam)I + lam*J with J the
-    Jacobian of the map; with rho(x) an upper bound on |eig(J)|, lam =
+    Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam =
     1.5/(1+rho) keeps the stiffest mode inside the unit disk with factor
     <= 0.5 to spare. The cap has ceiling 0.5 at the start; every 250 steps it
     is re-sized at the current iterate with ceiling 1 (and tol_of is re-read),
     since stiffness varies across the polytope at small eta. lam halves
     whenever a step still increases the residual, and creeps back toward the
-    cap after a run of accepted steps. The rule only decides: before each
-    step it yields (x, F, lam), and is sent the trial (1-lam)x + lam F, its
-    map value and its l1 residual. Returns (best x, its residual,
+    cap after a run of accepted steps. Returns (best x, its residual,
     iterations, converged).
     """
     def cap_at(x, ceiling):
         return min(ceiling, 1.5 / (1.0 + rho(x)))
 
-    cap = cap_at(x, 0.5)
-    lam = cap
+    F = phi(x)
+    cap = lam = cap_at(x, 0.5)
     r = float(np.abs(F - x).sum())
     tol = tol_of(x)
     best_x, best_r = x, r
-    accepts = 0
-    it = 0
-    while it < max_iter and best_r > tol:
+    accepts = it = 0
+    while it < MAX_ITER and best_r > tol:
         it += 1
         if it % 250 == 0:
-            cap = cap_at(x, 1.0)
-            lam = cap
+            cap = lam = cap_at(x, 1.0)
             accepts = 0
             tol = tol_of(x)
-        x_new, F_new, r_new = yield x, F, lam
+        x_new = (1.0 - lam) * x + lam * F
+        F_new = phi(x_new)
+        # ndarray.sum's reduction without its Python wrapper (~1.2M steps a sweep)
+        r_new = float(np.add.reduce(np.abs(F_new - x_new), None))
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
         # genuine instability overshoots it within a few steps regardless
         if r_new <= 1.05 * r or lam <= 1e-7:
@@ -204,48 +204,24 @@ def _damping(x, F, rho, tol_of, max_iter: int):
     return best_x, best_r, it, best_r <= tol
 
 
-def damped_iteration(phi, x, rho, tol_of, *, max_iter: int):
-    """The _damping rule from x, one point at a time on the map phi; returns its result."""
-    run = _damping(x, phi(x), rho, tol_of, max_iter)
-    send = run.send
-    try:
-        x, F, lam = next(run)
-        while True:
-            x_new = (1.0 - lam) * x + lam * F
-            F_new = phi(x_new)
-            # ndarray.sum's reduction without its Python wrapper (~1.2M steps a sweep)
-            x, F, lam = send((x_new, F_new, float(np.add.reduce(np.abs(F_new - x_new), None))))
-    except StopIteration as done:
-        return done.value
-
-
-def _sizing(game: PopulationGame, eta: float):
-    """fixed_point's rho and tol_of for damping logit_map at eta."""
-    return (lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-            lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)))
-
-
-def _result(eta: float, x, r, it, converged, stability) -> FixedPointResult:
-    """A damped solve's result; one that did not converge is logged."""
-    if not converged:
-        log.warning("fixed_point: no convergence after %d iterations "
-                    "(eta=%g, residual=%.3e)", it, eta, r)
-    return FixedPointResult(x, r, it, converged, float(eta), stability)
-
-
-def fixed_point(game: PopulationGame, eta: float, x0, *,
-                max_iter: int = MAX_ITER) -> FixedPointResult:
+def fixed_point(game: PopulationGame, eta: float, x0) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
 
     The damping cap is sized from the l1 column norm of the map Jacobian.
     The effective tolerance never goes below the roundoff residual_floor.
     The best iterate seen is always returned, in an array of its own (never
-    x0 itself); non-convergence is reported in the flags, never raised.
+    x0 itself); non-convergence is logged and reported in the flags, never
+    raised.
     """
     x, r, it, converged = damped_iteration(
         lambda y: logit_map(game, y, eta), validate_configuration(game, x0).copy(),
-        *_sizing(game, eta), max_iter=max_iter)
-    return _result(eta, x, r, it, converged, local_stability(game, x, eta) if converged else None)
+        lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
+        lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)))
+    if not converged:
+        log.warning("fixed_point: no convergence after %d iterations "
+                    "(eta=%g, residual=%.3e)", it, eta, r)
+    return FixedPointResult(x, r, it, converged, float(eta),
+                            local_stability(game, x, eta) if converged else None)
 
 
 def _armijo(game: PopulationGame, eta: np.ndarray, X, d, r) -> np.ndarray:
@@ -297,7 +273,7 @@ def _restarts(game: PopulationGame, M: np.ndarray, X: np.ndarray, X0: np.ndarray
 
 def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     """Fixed points from each start in x0s: a stacked Newton corrector, with
-    fixed_point's damped iteration, stacked too, as the last resort.
+    fixed_point as the last resort.
 
     eta is one value or one per start. Newton runs on G(x) = F(x) - x over
     game.valid_pairs for all unfinished starts at once; each step makes one
@@ -309,13 +285,12 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     every corrector step. A start's first unstable landing skips the step's
     update and rejoins the next step's stack at its _restarts point. Every
     other start (no side, unstable twice, stalled, singular, or not done
-    within NEWTON_STEPS) is re-solved from x0 by its own _damping run. The
-    runs step together, one stacked blend, map and residual per step, each
-    giving fixed_point's result and warning bit for bit. No result depends
-    on stack-mates, not even in the last bit of its residual; where several
-    stable points coexist, a start may reach another one than Picard would.
+    within NEWTON_STEPS) is re-solved from x0 by one fixed_point call, in
+    start order; its result and warning are fixed_point's own. No result
+    depends on stack-mates, not even in the last bit of its residual; where
+    several stable points coexist, a start may reach another one than Picard
+    would.
     """
-    # a copy: fallbacks restart from its rows, so no result aliases a caller's start
     X0 = validate_configuration(game, np.array(x0s, dtype=float))
     X = X0.copy()
     etas = np.broadcast_to(np.asarray(eta, dtype=float), len(X))[:, None, None]
@@ -336,7 +311,7 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         done = r <= np.maximum(1e-10, residual_floor(game, C, etas[live, 0, 0]))
         for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
             if info.locally_stable:
-                out[k] = _result(etas[k].item(), X[k].copy(), rk, step, True, info)
+                out[k] = FixedPointResult(X[k].copy(), rk, step, True, etas[k].item(), info)
         if step == NEWTON_STEPS:
             break
         # first unstable landings restart; a NaN restart drops out next step
@@ -350,30 +325,9 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
         live = np.sort(np.concatenate([live, ks]))
-    ks = [k for k, res in enumerate(out) if res is None]
-    F = softmax_target(game, evaluate_costs(game, X0[ks]), etas[ks]) if ks else []
-    runs = {k: _damping(X0[k], f, *_sizing(game, etas[k].item()), MAX_ITER)
-            for k, f in zip(ks, F)}
-    sent = dict.fromkeys(ks)                    # None starts each run
-    while True:
-        states = {}
-        for k, msg in sent.items():
-            try:
-                states[k] = runs[k].send(msg)
-            except StopIteration as stop:
-                runs[k] = stop.value            # its result; keys keep start order
-        if not states:
-            break
-        ks = list(states)
-        X, F, lam = map(np.array, zip(*states.values()))
-        L = lam[:, None, None]
-        X = (1.0 - L) * X + L * F
-        F = softmax_target(game, evaluate_costs(game, X), etas[ks])
-        sent = dict(zip(ks, zip(X, F, np.abs(F - X).sum(axis=(1, 2)).tolist())))
-    infos = _stabilities(_jacobians(game, *_noise_free_parts(
-        game, [run[0] for run in runs.values()]), etas[list(runs)])) if runs else []
-    for (k, (x, r, it, converged)), info in zip(runs.items(), infos):
-        out[k] = _result(etas[k].item(), x, r, it, converged, info if converged else None)
+    for k, res in enumerate(out):
+        if res is None:
+            out[k] = fixed_point(game, etas[k].item(), X0[k])
     return out
 
 

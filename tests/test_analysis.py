@@ -152,7 +152,7 @@ def test_census_corrector_counts(monkeypatch):
     # each) and their trial evaluations (one softmax per step for the
     # residual, the rest Armijo rounds). Six starts land on the unstable
     # symmetric point; each restarts once inside the corrector, and none
-    # falls back to a damping run
+    # falls back to fixed_point
     g, _ = get_scenario("coordination").build_game()
     maps, softmaxes, stacks, solves, fallbacks, pushed = [], [], [], [], [], []
     real_map, real_softmax, real_parts, real_restarts, real_solves = (
@@ -173,7 +173,7 @@ def test_census_corrector_counts(monkeypatch):
     monkeypatch.setattr(logit, "softmax_target", counted(softmaxes, real_softmax))
     monkeypatch.setattr(logit, "_noise_free_parts", counted(stacks, real_parts))
     monkeypatch.setattr(logit, "_restarts", recorded_restarts)
-    monkeypatch.setattr(logit, "_damping", counted(fallbacks, logit._damping))
+    monkeypatch.setattr(logit, "fixed_point", counted(fallbacks, logit.fixed_point))
     monkeypatch.setattr(analysis, "fixed_points", counted(solves, real_solves))
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamedyn as gd
-from gamedyn import analysis, cli
-from gamedyn.logit import fixed_point as real_fixed_point
+from gamedyn import cli, logit
 
 from conftest import ALL_SCENARIOS, SCENARIO_DIR, get_scenario
 
@@ -97,6 +96,28 @@ def test_simulate_trajectory_bytes_are_pinned(tmp_path, name):
     assert cli.run("simulate", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == TRAJECTORY_SHA256[name]
+
+
+# sha256 of fixed_point.csv from fixed-point on each bundled scenario at seed 11
+# (numpy 2.4, x86-64): the damped solver's x, residual, iteration count and
+# stability, byte for byte
+FIXED_POINT_SHA256 = {
+    "constant": "d587f905bfcbf4cc5a4a560cd184ccab8e3a26a148a0764abbe5a2e9f6b3dda9",
+    "coordination": "ef2aa06ed3f969446fd72d0f6e57c74b26e1bfa8adf33d53b2b5ba1f278affdc",
+    "homogeneous": "f0ccc4b3c6329cb6a5c41c6963db29a1285d14ca334dc70567ea2c0e3f5f891e",
+    "parallel3": "3e42f098d28462de53b6c1c6a31cadf786a8cb63510e6ccdd11ac2be31e6bd1e",
+    "pigou": "54315fcfb32f014b11c81599ccc993e623011e5d1b51d7c43f155236a16015e4",
+    "series2": "b98396810e28ec65da744af5785b794d63392a25849f09658dd9eef929e7bdda",
+    "tolls": "8dd1553e914da758cf5b04877953d490204eb7b0967f4d387d21e5f86014ef2f",
+    "wheatstone": "b4beb92c10b267017b9ac4373160d75a649fcc119d0cb304910b17e1ab6eabed",
+}
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_fixed_point_csv_bytes_are_pinned(tmp_path, name):
+    assert cli.run("fixed-point", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
+    digest = hashlib.sha256((tmp_path / "fixed_point.csv").read_bytes()).hexdigest()
+    assert digest == FIXED_POINT_SHA256[name]
 
 
 _SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -381,9 +402,7 @@ def test_main_exit_1_on_bad_scenario(tmp_path, capsys):
 
 def test_main_exit_2_on_unconverged_solve(tmp_path, monkeypatch, capsys):
     scn_path = SCENARIO_DIR / "pigou.scn"
-    monkeypatch.setattr(
-        cli, "fixed_point",
-        lambda game, eta, x0, **kw: real_fixed_point(game, eta, x0, max_iter=1))
+    monkeypatch.setattr(logit, "MAX_ITER", 1)
     code = cli.main(["fixed-point", "--scenario", str(scn_path),
                      "--out", str(tmp_path), "--quiet"])
     assert code == 2
@@ -394,10 +413,8 @@ def test_main_exit_2_on_unconverged_solve(tmp_path, monkeypatch, capsys):
 
 
 def no_branch_converges(tmp_path, monkeypatch, capsys, command, name):
-    """Run command with every continuation solve capped at one iteration."""
-    monkeypatch.setattr(
-        analysis, "fixed_point",
-        lambda game, eta, x0, **kw: real_fixed_point(game, eta, x0, max_iter=1))
+    """Run command with every damped solve capped at one iteration."""
+    monkeypatch.setattr(logit, "MAX_ITER", 1)
     code = cli.main([command, "--scenario", str(SCENARIO_DIR / f"{name}.scn"),
                      "--out", str(tmp_path), "--quiet"])
     assert code == 2

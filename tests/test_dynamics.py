@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import gamedyn as gd
+from gamedyn import logit
 from gamedyn.logit import softmax_target
 
 from conftest import get_scenario
@@ -131,34 +132,12 @@ def test_reduced_system_capability_gates():
         gd.ReducedSystem(g, gd.logit_protocol(0.2))
 
 
-def test_reduced_matches_full_aggregate():
-    g, _ = get_scenario("parallel3").build_game()
-    pr = gd.logit_protocol(0.5)
-    x0 = gd.uniform_configuration(g)
-    traj = gd.integrate(g, pr, x0, 5.0, 0.01)
-    sys = gd.ReducedSystem(g, pr)
-    _, flows = sys.integrate(x0.sum(axis=1), 5.0, 0.01)
-    gap = float(np.abs(traj.aggregate_flows() - flows).max())
-    assert gap <= 1e-8
-
-
 def test_reduced_jacobian_columns_sum_to_minus_one(rng):
     g, _ = get_scenario("parallel3").build_game()
     sys = gd.ReducedSystem(g, gd.logit_protocol(0.5))
     w = rng.uniform(0.2, 1.2, size=g.n_actions)
     J = sys.jacobian_fd(w)
     np.testing.assert_allclose(J.sum(axis=0), -1.0, atol=1e-6)
-
-
-def test_reduced_total_mass_relaxes_exponentially():
-    # the target always carries total mass v, so m' = v - m exactly
-    g, _ = get_scenario("pigou").build_game()
-    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
-    w0 = np.array([0.2, 0.2])
-    times, flows = sys.integrate(w0, 5.0, 0.01)
-    m = flows.sum(axis=1)
-    expected = 1.0 + (0.4 - 1.0) * np.exp(-times)
-    np.testing.assert_allclose(m, expected, atol=1e-6)
 
 
 def test_reduced_fixed_point_matches_scalar_oracle():
@@ -172,18 +151,19 @@ def test_reduced_fixed_point_matches_scalar_oracle():
     assert fp.w.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("name, eta, w0, max_iter, iterations, converged", [
+@pytest.mark.parametrize("name, eta, w0, cap, iterations, converged", [
     ("parallel3", 0.5, None, 10 ** 5, 47, True),
     ("pigou", 0.25, (0.5, 0.5), 10 ** 5, 11, True),
     ("pigou", 0.25, (0.5, 0.5), 2, 2, False),
 ])
-def test_reduced_fixed_point_iteration_counts(name, eta, w0, max_iter, iterations,
-                                              converged):
+def test_reduced_fixed_point_iteration_counts(name, eta, w0, cap, iterations,
+                                              converged, monkeypatch):
     # exact counts pin the damping rule shared with the full-state solver
     g, _ = get_scenario(name).build_game()
     sys = gd.ReducedSystem(g, gd.logit_protocol(eta))
     w0 = gd.uniform_configuration(g).sum(axis=1) if w0 is None else np.array(w0)
-    fp = sys.fixed_point(w0, max_iter=max_iter)
+    monkeypatch.setattr(logit, "MAX_ITER", cap)
+    fp = sys.fixed_point(w0)
     assert fp.iterations == iterations and fp.converged is converged
 
 
@@ -206,21 +186,9 @@ def test_recover_configuration_limit_rejects_non_fixed_flow():
                                        np.array([0.9, 0.1]))
 
 
-def test_reduced_integrate_validates_input():
+def test_reduced_start_is_checked():
     g, _ = get_scenario("pigou").build_game()
-    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
-    with pytest.raises(ValueError):
-        sys.integrate(np.zeros(3), 1.0, 0.01)
-    with pytest.raises(ValueError):
-        sys.integrate(np.zeros(2), 1.0, -0.1)
-
-
-@pytest.mark.parametrize("method", ["integrate", "fixed_point"])
-def test_reduced_start_is_checked(method):
-    g, _ = get_scenario("pigou").build_game()
-    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
-    run = (lambda w0: sys.integrate(w0, 1.0, 0.01)) if method == "integrate" \
-        else sys.fixed_point
+    run = gd.ReducedSystem(g, gd.logit_protocol(0.25)).fixed_point
     with pytest.raises(ValueError, match=r"w0 must have shape \(2,\), got \(3,\)"):
         run(np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):

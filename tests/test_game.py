@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import gamedyn as gd
 from gamedyn.game import NASH_TOL, central_difference
 
-from conftest import ALL_SCENARIOS, get_scenario, wide_game
+from conftest import ALL_SCENARIOS, CallableCostField, get_scenario, wide_game
 
 
 def make_game(fns, masses=(1.0,), mask=None, actions=None):
@@ -125,7 +125,7 @@ def test_evaluate_costs_matches_curves():
 
 
 def test_evaluate_costs_flags_nonfinite():
-    bad = gd.CallableCostField(lambda x: np.array([[np.nan], [1.0]]))
+    bad = CallableCostField(lambda x: np.array([[np.nan], [1.0]]))
     g = gd.PopulationGame(populations=("p1",), masses=np.array([1.0]),
                           actions=("a1", "a2"), mask=np.ones((2, 1), dtype=bool),
                           costs=bad)
@@ -148,7 +148,7 @@ def table_routing_game():
 
 
 def callable_copy(g):
-    return dataclasses.replace(g, costs=gd.CallableCostField(g.costs))
+    return dataclasses.replace(g, costs=CallableCostField(g.costs, g.mask, g.masses))
 
 
 STACK_GAMES = {
@@ -220,7 +220,7 @@ def test_evaluate_costs_on_a_stack_names_a_bad_entry_of_one_slice():
 
     g = gd.PopulationGame(populations=("p1", "p2"), masses=np.array([1.0, 1.0]),
                           actions=("a1", "a2"), mask=np.ones((2, 2), dtype=bool),
-                          costs=gd.CallableCostField(costs))
+                          costs=CallableCostField(costs))
     X = np.stack([gd.uniform_configuration(g), gd.vertex_configuration(g, "a2"),
                   gd.vertex_configuration(g, "a1")])
     assert np.all(np.isfinite(gd.evaluate_costs(g, X[:2])))
@@ -236,7 +236,7 @@ def test_evaluate_costs_on_a_stack_names_a_bad_entry_of_one_slice():
 
 
 def test_evaluate_costs_flags_bad_shape():
-    bad = gd.CallableCostField(lambda x: np.zeros(3))
+    bad = CallableCostField(lambda x: np.zeros(3))
     g = gd.PopulationGame(populations=("p1",), masses=np.array([1.0]),
                           actions=("a1", "a2"), mask=np.ones((2, 1), dtype=bool),
                           costs=bad)
@@ -245,7 +245,7 @@ def test_evaluate_costs_flags_bad_shape():
 
 
 def test_aggregate_cost_capability_gate():
-    field = gd.CallableCostField(lambda x: x.sum(axis=1, keepdims=True))
+    field = CallableCostField(lambda x: x.sum(axis=1, keepdims=True))
     with pytest.raises(gd.CapabilityError):
         field.aggregate_cost(np.array([1.0]))
 
@@ -420,13 +420,13 @@ def test_cost_jacobian_analytic_matches_fd(rng):
         x = gd.sample_configuration(g, rng)
         D = gd.cost_jacobian(g, x)
         # the same costs behind a callable field, whose partials are differences
-        D_fd = gd.cost_jacobian(dataclasses.replace(g, costs=gd.CallableCostField(g.costs)), x)
+        D_fd = gd.cost_jacobian(callable_copy(g), x)
         np.testing.assert_allclose(D, D_fd, atol=1e-6, err_msg=name)
 
 
 def test_callable_cost_field_partials_are_finite_differences(rng):
     # the wrapped field is pigou's: c = (w1, 1), so dc_1/dx_1 = 1, all else 0
-    field = gd.CallableCostField(
+    field = CallableCostField(
         lambda x: np.array([[x.sum(axis=1)[0]], [1.0]]))
     g = gd.PopulationGame(populations=("p1",), masses=np.array([1.0]),
                           actions=("a1", "a2"), mask=np.ones((2, 1), dtype=bool),
@@ -459,7 +459,7 @@ def test_potential_symmetry_check_symmetric_and_not(rng):
     assert ok and worst <= 1e-6
 
     # c_a1 depends on the a2 flow but not vice versa: asymmetric by one unit
-    field = gd.CallableCostField(
+    field = CallableCostField(
         lambda x: np.array([[x.sum(axis=1)[1]], [0.0]]))
     g2 = gd.PopulationGame(populations=("p1",), masses=np.array([1.0]),
                            actions=("a1", "a2"), mask=np.ones((2, 1), dtype=bool),

@@ -11,7 +11,7 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
-from conftest import ALL_SCENARIOS, get_scenario, wide_game
+from conftest import ALL_SCENARIOS, CallableCostField, get_scenario, wide_game
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -154,9 +154,10 @@ def off_mask_game(off_values, valid_bad=None):
             c[0, 0] = valid_bad
         return c
 
+    masses = np.array([1.0, 0.5, 2.0])
     return gd.PopulationGame(
-        populations=("p1", "p2", "p3"), masses=np.array([1.0, 0.5, 2.0]),
-        actions=("a1", "a2", "a3"), mask=mask, costs=gd.CallableCostField(costs))
+        populations=("p1", "p2", "p3"), masses=masses,
+        actions=("a1", "a2", "a3"), mask=mask, costs=CallableCostField(costs, mask, masses))
 
 
 OFF_MASK_VALUES = [np.nan, np.inf, -np.inf]
@@ -225,10 +226,11 @@ def test_fixed_point_iteration_counts(eta, iterations):
     assert r.converged and r.iterations == iterations
 
 
-def test_fixed_point_reports_nonconvergence(caplog):
+def test_fixed_point_reports_nonconvergence(caplog, monkeypatch):
     g, _ = get_scenario("wheatstone").build_game()
+    monkeypatch.setattr(logit, "MAX_ITER", 3)
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-        r = gd.fixed_point(g, 0.005, gd.uniform_configuration(g), max_iter=3)
+        r = gd.fixed_point(g, 0.005, gd.uniform_configuration(g))
     assert not r.converged
     assert r.stability is None
     assert np.isfinite(r.residual) and r.iterations == 3
@@ -255,32 +257,29 @@ def assert_same_result(a, b):
         (b.residual, b.iterations, b.converged, b.eta, b.stability)
 
 
-REAL_DAMPING = logit._damping
+REAL_FIXED_POINT = logit.fixed_point
 
 
 def record_fallbacks(monkeypatch):
-    """Record what each damping run returns, (x, residual, iterations,
-    converged), in the order the runs start: a fixed_points call's
-    fallbacks, and any fixed_point solve made while it is patched."""
+    """Record what each fixed_point solve that fixed_points makes returns,
+    (x, residual, iterations, converged), in the order the solves run."""
     runs = []
 
     def recorded(*args):
-        runs.append(None)
-        k = len(runs) - 1
-        runs[k] = yield from REAL_DAMPING(*args)
-        return runs[k]
+        r = REAL_FIXED_POINT(*args)
+        runs.append((r.x, r.residual, r.iterations, r.converged))
+        return r
 
-    monkeypatch.setattr(logit, "_damping", recorded)
+    monkeypatch.setattr(logit, "fixed_point", recorded)
     return runs
 
 
 def fell_back(many, fallbacks):
-    """Which results of fixed_points came from its fallback damping runs."""
+    """Which results of fixed_points came from its fallback fixed_point solves."""
     return [any(r.x is f[0] for f in fallbacks) for r in many]
 
 
-def assert_matches_single_solves(game, eta, seeds, many, fallbacks,
-                                 max_iter=logit.MAX_ITER, same_point=True):
+def assert_matches_single_solves(game, eta, seeds, many, fallbacks, same_point=True):
     """fixed_points' contract: fixed_point's flags, with x within 1e-9 l1
     when same_point; a fallback is fixed_point's own result, bit for bit,
     and any other result is a converged, stable corrector solve."""
@@ -288,7 +287,7 @@ def assert_matches_single_solves(game, eta, seeds, many, fallbacks,
     from_fallback = fell_back(many, fallbacks)
     assert sum(from_fallback) == len(fallbacks)
     for x0, r, fell in zip(seeds, many, from_fallback):
-        single = gd.fixed_point(game, eta, x0, max_iter=max_iter)
+        single = gd.fixed_point(game, eta, x0)
         assert r.converged == single.converged
         assert (r.stability is None) == (single.stability is None)
         if r.stability is not None:
@@ -331,7 +330,7 @@ def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
     failed = sum(not r.converged for r in many)
     assert failed == sum(not f[3] for f in fallbacks) >= 1
     assert sum("no convergence" in m for m in caplog.messages) == failed
-    assert_matches_single_solves(g, 0.01, seeds, many, fallbacks, max_iter=600)
+    assert_matches_single_solves(g, 0.01, seeds, many, fallbacks)
 
 
 @pytest.mark.parametrize("steps, n_fallbacks", [(0, 7), (1, 7), (3, 4), (4, 1)])
@@ -447,7 +446,7 @@ def test_unstable_landings_restart_on_the_side_of_their_start(eta, monkeypatch):
 
 def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
     # with no corrector steps every start but the uniform one at eta 0.8 (a
-    # stable fixed point) falls back; the damping runs at four etas end at
+    # stable fixed point) falls back; the fallback solves at four etas end at
     # different steps, and a cap of 190 stops the two slowest
     g, _ = get_scenario("coordination").build_game()
     rng = np.random.default_rng(5)
@@ -465,7 +464,7 @@ def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
     assert [r.iterations for r in many] == [185, 53, 106, 36, 190, 139, 0, 30, 190]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-        lone = [gd.fixed_point(g, eta, x0, max_iter=190) for eta, x0 in zip(etas, seeds)]
+        lone = [gd.fixed_point(g, eta, x0) for eta, x0 in zip(etas, seeds)]
     # one warning per failed fallback, in start order, each fixed_point's own
     assert warned == [m for m in caplog.messages if "no convergence" in m]
     assert len(warned) == 2 == sum(not r.converged for r in many)
@@ -481,11 +480,9 @@ def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
 @pytest.mark.parametrize("cap", [logit.MAX_ITER, 20])
 def test_fallback_stack_equals_fixed_point_on_a_wide_game(cap, monkeypatch):
     # with no corrector steps every start falls back; a configuration of the
-    # generated game holds 18 entries, so numpy sums each slice's residual
-    # pairwise, and the stack at two etas must still give fixed_point's
-    # result bit for bit, zero-mass population and masked entry included.
-    # Converged residuals are sums of few-bit terms, exact in any order; a
-    # cap of 20 steps stops every run at a residual that is not
+    # generated game holds 18 entries, and the fallbacks at two etas must
+    # give fixed_point's result bit for bit, zero-mass population and masked
+    # entry included, both converged and stopped by a cap of 20 steps
     g = wide_game()
     rng = np.random.default_rng(9)
     seeds = [gd.sample_configuration(g, rng) for _ in range(7)] + [gd.uniform_configuration(g)]
@@ -497,7 +494,7 @@ def test_fallback_stack_equals_fixed_point_on_a_wide_game(cap, monkeypatch):
     assert fell_back(many, fallbacks) == [True] * len(seeds)
     assert all(r.converged == (cap > 20) for r in many)
     for eta, x0, r in zip(etas, seeds, many):
-        assert_same_result(r, gd.fixed_point(g, eta, x0, max_iter=cap))
+        assert_same_result(r, gd.fixed_point(g, eta, x0))
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

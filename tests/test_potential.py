@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gamedyn as gd
 
-from conftest import ALL_SCENARIOS, get_scenario
+from conftest import ALL_SCENARIOS, CallableCostField, get_scenario
 
 AFF = gd.ScalarFn.affine
 
@@ -136,7 +136,7 @@ def test_potential_capability_gates():
     callable_field = gd.PopulationGame(
         populations=("p1",), masses=np.array([1.0]), actions=("a1", "a2"),
         mask=np.ones((2, 1), dtype=bool),
-        costs=gd.CallableCostField(lambda x: x.sum(axis=1)[:, None]))
+        costs=CallableCostField(lambda x: x.sum(axis=1)[:, None]))
     with pytest.raises(gd.CapabilityError, match="grid of curves"):
         gd.potential(callable_field)
 
