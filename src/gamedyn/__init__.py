@@ -37,12 +37,10 @@ from .logit import (
 from .dynamics import (
     RateFit,
     ReducedSystem,
-    RevisionProtocol,
     Trajectory,
     exact_target_check,
     integrate,
     l1_contraction_test,
-    logit_protocol,
     monotonicity_check,
     recover_configuration_limit,
 )

@@ -30,7 +30,6 @@ from .dynamics import (
     Trajectory,
     exact_target_check,
     integrate,
-    logit_protocol,
     monotonicity_check,
 )
 from .analysis import continuation_sweep, bifurcation_scan
@@ -117,9 +116,8 @@ def write_fixed_point_csv(path: Path, result, game: PopulationGame) -> None:
 
 def _cmd_simulate(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
-    protocol = scn.build_protocol()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
-    traj = integrate(game, protocol, x0, *scn.time_grid())
+    traj = integrate(game, scn.eta(), x0, *scn.time_grid())
     path = out / "trajectory.csv"
     write_trajectory_csv(path, traj, game, rgame)
     if not quiet:
@@ -223,29 +221,29 @@ def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
 
 def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
-    protocol = scn.build_protocol()
+    eta = scn.eta()
     rng = _derive_rng(seed, 3)
     lines = []
     required_ok = True
 
-    ok, worst = exact_target_check(protocol, game, rng=rng)
+    ok, worst = exact_target_check(eta, game, rng=rng)
     required_ok &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} exact_target "
                  f"max_violation={worst:.3e}")
 
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
-    traj = integrate(game, protocol, x0, *scn.time_grid(horizon=2.0))
+    traj = integrate(game, eta, x0, *scn.time_grid(horizon=2.0))
     ok = traj.mass_drift <= 1e-7 and traj.min_entry >= -1e-9
     required_ok &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} trajectory_validity "
                  f"drift={traj.mass_drift:.3e} min_entry={traj.min_entry:.3e}")
 
-    fp = fixed_point(game, scn.eta(), x0)
+    fp = fixed_point(game, eta, x0)
     required_ok &= fp.converged
     lines.append(f"{'PASS' if fp.converged else 'FAIL'} fixed_point "
                  f"residual={fp.residual:.3e}")
 
-    mono_ok, viol = monotonicity_check(protocol, game, rng=rng)
+    mono_ok, viol = monotonicity_check(eta, game, rng=rng)
     lines.append(f"INFO monotone: {str(mono_ok).lower()} ({len(viol)} violations)")
     sym_ok, asym = potential_symmetry_check(game, samples=5, rng=rng)
     lines.append(f"INFO potential_symmetry: {str(sym_ok).lower()} "
@@ -253,7 +251,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if rgame is not None:
         lines.append(f"INFO topology: {rgame.topology.kind}")
         if rgame.topology.kind == "series_of_parallel" and rgame.topology.n_stages >= 2:
-            rep = decoupled_check(protocol, rgame, rng=rng)
+            rep = decoupled_check(eta, rgame, rng=rng)
             lines.append(f"INFO decoupled: {str(rep.ok).lower()} "
                          f"max_error={rep.max_error:.3e}")
     path = out / "verify.txt"
@@ -280,11 +278,10 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
         raise ScenarioError("scenario lacks the expected diamond routes "
                             "(e1,e4) and (e2,e5)") from None
     eta = 0.2
-    protocol = logit_protocol(eta)
     trajs = []
     for idx, fname in ((ia, "wheatstone_traj_1.csv"), (ib, "wheatstone_traj_2.csv")):
         x0 = vertex_configuration(game, rs.names[idx])
-        traj = integrate(game, protocol, x0, horizon=50.0, dt=0.01)
+        traj = integrate(game, eta, x0, horizon=50.0, dt=0.01)
         write_trajectory_csv(out / fname, traj, game, rgame)
         trajs.append(traj)
     gap = float(np.abs(trajs[0].terminal - trajs[1].terminal).sum())

@@ -1,10 +1,10 @@
-"""Evolutionary dynamics x' = F(x) - x: protocols, integration, aggregation.
+"""Logit dynamics x' = F(x, eta) - x: sampling checks, integration, aggregation.
 
-A revision protocol is a map from cost matrices to target configurations;
-its properties (exact targets, monotone cost response, stage decoupling) are
-tested by sampling checks, never declared. Integration is classical
-fixed-step RK4 with no projection; mass conservation is a property of
-exact-target protocols, so drift is monitored rather than corrected.
+Each entry point takes the noise level eta of the logit target F. The
+target's properties (exact targets, monotone cost response, stage
+decoupling) are tested by sampling checks, never declared. Integration is
+classical fixed-step RK4 with no projection; mass conservation is a
+property of exact targets, so drift is monitored rather than corrected.
 """
 from __future__ import annotations
 
@@ -16,65 +16,42 @@ import numpy as np
 from .game import (
     PopulationGame,
     CapabilityError,
-    ConfigurationError,
     central_difference,
     evaluate_costs,
     validate_configuration,
     sample_configuration,
 )
-from .logit import damped_iteration, softmax_target
+from .logit import damped_iteration, logit_map, softmax_target
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RevisionProtocol:
-    """Revision protocol: ``cost_fn(game, c)`` maps a cost matrix to a target.
-
-    ``eta`` is the noise level when the protocol carries one.
-    """
-
-    name: str
-    cost_fn: object
-    eta: float | None = None
-
-    def target(self, game: PopulationGame, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.cost_fn(game, evaluate_costs(game, x)), dtype=float)
-
-    def target_from_costs(self, game: PopulationGame, c: np.ndarray) -> np.ndarray:
-        return np.asarray(self.cost_fn(game, np.asarray(c, dtype=float)), dtype=float)
-
-
-def logit_protocol(eta: float) -> RevisionProtocol:
-    """The noisy best-response protocol at noise level eta."""
+def _positive(eta) -> float:
+    """eta as a float; NaN and eta <= 0 are refused."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-
-    def cost_fn(game, c):
-        return softmax_target(game, c, eta)
-
-    return RevisionProtocol(name=f"logit[eta={eta:g}]", cost_fn=cost_fn, eta=float(eta))
+    return float(eta)
 
 
 # ---------------------------------------------------------------------------
-# Capability checks
+# Sampling checks
 
 
-def exact_target_check(protocol: RevisionProtocol, game: PopulationGame,
+def exact_target_check(eta: float, game: PopulationGame,
                        rng: np.random.Generator | None = None) -> tuple[bool, float]:
     """Mass and support test on 20 samples: (violation <= 1e-9, max violation)."""
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
         x = sample_configuration(game, rng)
-        F = protocol.target(game, x)
+        F = logit_map(game, x, eta)
         worst = max(worst, float(np.abs(F.sum(axis=0) - game.masses).max()))
         worst = max(worst, float(np.abs(np.where(game.mask, 0.0, F)).max()))
         worst = max(worst, float(max(0.0, -(F.min()))))
     return worst <= 1e-9, worst
 
 
-def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
+def monotonicity_check(eta: float, game: PopulationGame,
                        rng: np.random.Generator | None = None) -> tuple[bool, list]:
     """Finite-difference sign test of the target's cost sensitivities.
 
@@ -82,11 +59,12 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
     for j != i within population p, and cross-population sensitivities must
     vanish (to 1e-7). Returns (ok, violations) with entries (kind, (i,p), (j,q), value).
     """
+    eta = _positive(eta)
     rng = rng if rng is not None else np.random.default_rng(0)
     violations = []
     for _ in range(5):
         c = evaluate_costs(game, sample_configuration(game, rng))
-        dG = central_difference(lambda cc: protocol.target_from_costs(game, cc),
+        dG = central_difference(lambda cc: softmax_target(game, cc, eta),
                                 c, 1e-6 * game.mask)
         for (j, q) in game.valid_pairs:
             for (i, p) in game.valid_pairs:
@@ -108,11 +86,11 @@ def monotonicity_check(protocol: RevisionProtocol, game: PopulationGame,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded solution of x' = target(x) - x on a fixed time grid."""
+    """Recorded solution of x' = F(x, eta) - x on a fixed time grid."""
 
     times: np.ndarray          # (T,)
     states: np.ndarray         # (T, S, P)
-    eta: float | None          # noise level when the protocol carries one
+    eta: float                 # noise level
     mass_drift: float          # max |column sum - mass| over recorded states
     min_entry: float           # most negative recorded entry
 
@@ -133,9 +111,10 @@ class Trajectory:
         return self.aggregate_flows() @ np.asarray(incidence, dtype=float).T
 
 
-def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
+def integrate(game: PopulationGame, eta: float, x0,
               horizon: float, dt: float) -> Trajectory:
     """Fixed-step RK4 integration with states recorded at every step."""
+    eta = _positive(eta)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if horizon < dt:
@@ -146,23 +125,16 @@ def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
         log.warning("horizon %g is not a multiple of dt %g; integrating to %g",
                     horizon, dt, n * dt)
 
-    def f(state, step):
-        F = protocol.target(game, state)
-        if np.minimum.reduce(F, None) < -1e-12:
-            i, p = np.unravel_index(np.argmin(F), F.shape)
-            raise ConfigurationError(
-                f"protocol {protocol.name!r} produced negative target entry "
-                f"{F[i, p]!r} at ({game.actions[i]}, {game.populations[p]}), "
-                f"step {step} (t={step * dt:g})")
-        return F - state
+    def f(state):
+        return softmax_target(game, evaluate_costs(game, state), eta) - state
 
     states = np.empty((n + 1,) + x.shape)
     states[0] = x
     for k in range(n):
-        k1 = f(x, k)
-        k2 = f(x + 0.5 * dt * k1, k)
-        k3 = f(x + 0.5 * dt * k2, k)
-        k4 = f(x + dt * k3, k)
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         states[k + 1] = x
     times = dt * np.arange(n + 1)
@@ -170,7 +142,7 @@ def integrate(game: PopulationGame, protocol: RevisionProtocol, x0,
     min_entry = float(states.min())
     if drift > 1e-7:
         log.warning("mass drift %.3e exceeds the 1e-7 monitor bound", drift)
-    return Trajectory(times=times, states=states, eta=protocol.eta,
+    return Trajectory(times=times, states=states, eta=eta,
                       mass_drift=drift, min_entry=min_entry)
 
 
@@ -193,17 +165,17 @@ class ReducedSystem:
     action's total mass.
     """
 
-    def __init__(self, game: PopulationGame, protocol: RevisionProtocol):
+    def __init__(self, game: PopulationGame, eta: float):
+        self.eta = _positive(eta)
         if not game.costs.per_action_aggregate:
             raise CapabilityError("aggregate dynamics needs per-action aggregate "
                                   "costs (c_ip a function of w_i alone)")
         self.game = game
-        self.protocol = protocol
 
     def target(self, w: np.ndarray) -> np.ndarray:
         """Configuration-valued target G(cbar(w)) at aggregate flow w."""
         c = self.game.costs.aggregate_cost(np.asarray(w, dtype=float))
-        return self.protocol.target_from_costs(self.game, c)
+        return softmax_target(self.game, c, self.eta)
 
     def field(self, w: np.ndarray) -> np.ndarray:
         return self.target(w).sum(axis=1) - np.asarray(w, dtype=float)
@@ -236,13 +208,12 @@ class ReducedSystem:
         return central_difference(self.field, w, 1e-6)
 
 
-def recover_configuration_limit(game: PopulationGame, protocol: RevisionProtocol,
-                                w_star) -> np.ndarray:
+def recover_configuration_limit(game: PopulationGame, eta: float, w_star) -> np.ndarray:
     """Configuration limit x* = G(cbar(w*)) at a reduced fixed point w*.
 
     w* must map to itself within an l1 residual of 1e-8.
     """
-    sys = ReducedSystem(game, protocol)
+    sys = ReducedSystem(game, eta)
     w_star = np.asarray(w_star, dtype=float)
     x_star = sys.target(w_star)
     residual = float(np.abs(x_star.sum(axis=1) - w_star).sum())

@@ -19,7 +19,7 @@ class ConfigurationError(ValueError):
 
 
 class CapabilityError(ValueError):
-    """An operation needs a capability the cost field or protocol lacks."""
+    """An operation needs a capability the cost field lacks."""
 
 
 class CostEvalError(RuntimeError):

@@ -26,7 +26,7 @@ log = logging.getLogger(__name__)
 # damped steps before damped_iteration gives up
 MAX_ITER = 10 ** 5
 # corrector steps before a fixed_points start falls back to fixed_point
-NEWTON_STEPS = 50
+NEWTON_STEPS = 100
 
 
 def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):

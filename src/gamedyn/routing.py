@@ -3,8 +3,8 @@
 Actions are node-simple origin-destination routes; costs are sums of link
 costs evaluated at the induced link flows y = A x 1, with per-population
 link cost functions. Includes topology classification (parallel stages and
-their series compositions) and the factorization test for stage-decoupled
-protocols.
+their series compositions) and the test that the logit target factors into
+independent per-stage choices.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from .game import (
     validate_configuration,
     sample_configuration,
 )
-from .dynamics import RevisionProtocol, integrate
+from .dynamics import integrate
+from .logit import logit_map
 
 ROUTE_GUARD = 10 ** 6
 
@@ -430,7 +431,7 @@ class DecoupledReport:
         return self.ok
 
 
-def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
+def decoupled_check(eta: float, rgame: RoutingGame,
                     rng: np.random.Generator | None = None) -> DecoupledReport:
     """Does the composite target factor into independent per-stage choices?
 
@@ -448,11 +449,11 @@ def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
     worst = 0.0
     for _ in range(20):
         x = sample_configuration(game, rng)
-        H = protocol.target(game, x)
+        H = logit_map(game, x, eta)
         stage_targets = []
         for k, sg in enumerate(stages):
             xk = marginal_stage_configuration(rgame, k, sg, x)
-            stage_targets.append(protocol.target(sg.game, xk))
+            stage_targets.append(logit_map(sg.game, xk, eta))
         for r, idxs in enumerate(topo.route_stage_segments):
             for p in active:
                 pred = 1.0
@@ -463,7 +464,7 @@ def decoupled_check(protocol: RevisionProtocol, rgame: RoutingGame,
     return DecoupledReport(ok=bool(worst <= 1e-10), max_error=float(worst))
 
 
-def series_restriction_equivalence(rgame: RoutingGame, protocol: RevisionProtocol,
+def series_restriction_equivalence(rgame: RoutingGame, eta: float,
                                    x0, horizon: float, dt: float) -> float:
     """Max link-flow gap between composite and standalone stage integrations.
 
@@ -471,12 +472,12 @@ def series_restriction_equivalence(rgame: RoutingGame, protocol: RevisionProtoco
     """
     x0 = validate_configuration(rgame.game, x0)
     stages = stage_games(rgame)
-    y = integrate(rgame.game, protocol, x0, horizon, dt).link_flows(rgame.incidence)
+    y = integrate(rgame.game, eta, x0, horizon, dt).link_flows(rgame.incidence)
     row = {lid: e for e, lid in enumerate(rgame.route_set.link_ids)}
     worst = 0.0
     for k, sg in enumerate(stages):
         xk0 = marginal_stage_configuration(rgame, k, sg, x0)
-        yk = integrate(sg.game, protocol, xk0, horizon, dt).link_flows(sg.incidence)
+        yk = integrate(sg.game, eta, xk0, horizon, dt).link_flows(sg.incidence)
         cols = [row[lid] for lid in sg.route_set.link_ids]
         worst = max(worst, float(np.abs(y[:, cols] - yk).max()))
     return worst

@@ -36,7 +36,6 @@ from .game import (
     vertex_configuration,
     sample_configuration,
 )
-from .dynamics import RevisionProtocol, logit_protocol
 from .routing import Multigraph, LinkCostMatrix, RoutingGame, build_routing_game
 
 
@@ -68,14 +67,11 @@ class Scenario:
             return rgame.game, rgame
         return self._build_explicit(pops, masses), None
 
-    def build_protocol(self) -> RevisionProtocol:
+    def eta(self) -> float:
         name = self.dynamics.get("protocol")
         if name != "logit":
             raise ScenarioError(f"{self.path}: unsupported protocol {name!r} "
                                 "(only 'logit' ships)")
-        return logit_protocol(self.eta())
-
-    def eta(self) -> float:
         if "eta" not in self.dynamics:
             raise ScenarioError(f"{self.path}: [dynamics] needs eta")
         try:
@@ -374,5 +370,5 @@ def load_scenario(path) -> Scenario:
     scn = Scenario(name=p.stem, path=str(p), kind=kind, records=records,
                    dynamics=dynamics, run=run)
     scn.build_game()       # validate cross-references eagerly
-    scn.build_protocol()
+    scn.eta()
     return scn

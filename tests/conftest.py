@@ -1,5 +1,5 @@
 """Shared fixtures. Bundled scenarios are parsed once per session; games and
-protocols are rebuilt per use (they are cheap and the builders are pure).
+routing views are rebuilt per use (they are cheap and the builders are pure).
 """
 
 from pathlib import Path

@@ -21,10 +21,10 @@ def route_vertex(game, rgame, links):
 def test_criterion_1_wheatstone_two_starts_one_limit():
     scn = get_scenario("wheatstone")
     game, rgame = scn.build_game()
-    protocol = gd.logit_protocol(0.2)
+    eta = 0.2
     t0 = time.perf_counter()
     terminals = [
-        gd.integrate(game, protocol, route_vertex(game, rgame, links),
+        gd.integrate(game, eta, route_vertex(game, rgame, links),
                      horizon=50.0, dt=0.01).terminal
         for links in (("e1", "e4"), ("e2", "e5"))
     ]
@@ -101,11 +101,10 @@ def test_criterion_4_contraction_at_certified_noise():
         eta_hat = gd.high_noise_threshold(game)
         c_hat = -gd.contraction_margin(game, eta_hat).margin
 
-        protocol = gd.logit_protocol(eta_hat)
         rng = np.random.default_rng(911 + idx)
-        ta = gd.integrate(game, protocol, gd.sample_configuration(game, rng),
+        ta = gd.integrate(game, eta_hat, gd.sample_configuration(game, rng),
                           horizon=5.0, dt=0.01)
-        tb = gd.integrate(game, protocol, gd.sample_configuration(game, rng),
+        tb = gd.integrate(game, eta_hat, gd.sample_configuration(game, rng),
                           horizon=5.0, dt=0.01)
         d = np.abs(ta.states - tb.states).sum(axis=(1, 2))
         bound = d[0] * np.exp(-(c_hat - 0.05) * ta.times)
@@ -124,21 +123,21 @@ def test_criterion_5_parallel_aggregate_reduction():
     for name in ("pigou", "parallel3"):
         scn = get_scenario(name)
         game, _ = scn.build_game()
-        protocol = gd.logit_protocol(scn.eta())
+        eta = scn.eta()
 
         rng = np.random.default_rng(5150)
         xa = gd.sample_configuration(game, rng)
         xb = gd.sample_configuration(game, rng)
-        ta = gd.integrate(game, protocol, xa, horizon=10.0, dt=0.01)
-        tb = gd.integrate(game, protocol, xb, horizon=10.0, dt=0.01)
+        ta = gd.integrate(game, eta, xa, horizon=10.0, dt=0.01)
+        tb = gd.integrate(game, eta, xb, horizon=10.0, dt=0.01)
         fit = gd.l1_contraction_test(ta, tb, aggregate=True)
         assert fit.defined
 
-        sys = gd.ReducedSystem(game, protocol)
+        sys = gd.ReducedSystem(game, eta)
         fp = sys.fixed_point(gd.uniform_configuration(game).sum(axis=1))
         assert fp.converged
-        x_star = gd.recover_configuration_limit(game, protocol, fp.w)
-        t_long = gd.integrate(game, protocol, xa, horizon=30.0, dt=0.01)
+        x_star = gd.recover_configuration_limit(game, eta, fp.w)
+        t_long = gd.integrate(game, eta, xa, horizon=30.0, dt=0.01)
         err = float(np.abs(t_long.terminal - x_star).sum())
         print(f"[criterion 5] {name}: fitted rate {fit.rate:.4f}  "
               f"terminal vs lifted fixed point {err:.3e}")
@@ -150,7 +149,7 @@ def test_criterion_6_series_stage_equivalence():
     scn = get_scenario("series2")
     game, rgame = scn.build_game()
     worst = gd.series_restriction_equivalence(
-        rgame, scn.build_protocol(), gd.uniform_configuration(game),
+        rgame, scn.eta(), gd.uniform_configuration(game),
         horizon=30.0, dt=0.01)
     print(f"[criterion 6] max stage flow discrepancy {worst:.3e}")
     assert worst <= 1e-6
@@ -189,9 +188,9 @@ def test_criterion_7_oracle_equivalences():
     err_fp = abs(float(fp.x[0, 0]) - w_star)
 
     game_w, _ = get_scenario("wheatstone").build_game()
-    protocol = gd.logit_protocol(0.2)
+    eta_w = 0.2
     x0 = gd.uniform_configuration(game_w)
-    t1, t2, t3 = (gd.integrate(game_w, protocol, x0, horizon=2.0, dt=dt).terminal
+    t1, t2, t3 = (gd.integrate(game_w, eta_w, x0, horizon=2.0, dt=dt).terminal
                   for dt in (0.01, 0.005, 0.0025))
     ratio = float(np.abs(t1 - t2).sum() / np.abs(t2 - t3).sum())
     print(f"[criterion 7] jacobian max rel err {worst_rel:.3e}  "
@@ -221,7 +220,7 @@ def test_criterion_8_potential_lyapunov_suite():
         eta = scn.eta()
         V = gd.potential(game)
         x0 = scn.initial_configuration(game, np.random.default_rng(3))
-        traj = gd.integrate(game, gd.logit_protocol(eta), x0,
+        traj = gd.integrate(game, eta, x0,
                             horizon=10.0, dt=0.01)
         rep = gd.lyapunov_check(game, traj, eta, V, tol=1e-8)
         uphills.append(f"{name} {rep.max_uphill:.2e}")

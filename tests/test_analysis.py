@@ -208,8 +208,7 @@ def test_entropy_term_closed_forms():
 def test_lyapunov_check_descends_on_coordination():
     g, _ = get_scenario("coordination").build_game()
     eta = 0.25
-    traj = gd.integrate(g, gd.logit_protocol(eta), np.array([[0.9], [0.1]]),
-                        10.0, 0.01)
+    traj = gd.integrate(g, eta, np.array([[0.9], [0.1]]), 10.0, 0.01)
     rep = gd.lyapunov_check(g, traj, eta, gd.potential(g))
     assert rep.ok and bool(rep)
     assert rep.max_uphill <= 1e-10
@@ -218,7 +217,6 @@ def test_lyapunov_check_descends_on_coordination():
 
 def test_lyapunov_check_rejects_eta_mismatch():
     g, _ = get_scenario("coordination").build_game()
-    traj = gd.integrate(g, gd.logit_protocol(0.25), gd.uniform_configuration(g),
-                        1.0, 0.1)
+    traj = gd.integrate(g, 0.25, gd.uniform_configuration(g), 1.0, 0.1)
     with pytest.raises(ValueError, match="does not match"):
         gd.lyapunov_check(g, traj, 0.5, gd.potential(g))

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: CSV layout, byte-level determinism, exit codes."""
 
+import ast
 import hashlib
 import os
 import re
@@ -138,7 +139,7 @@ def test_csv_row_template_matches_fmt(tmp_path_factory, rows):
 def test_trajectory_writer_peak_memory_stays_below_the_file(tmp_path):
     scn = get_scenario("pigou")
     game, rgame = scn.build_game()
-    traj = gd.integrate(game, scn.build_protocol(), scn.initial_configuration(game, None),
+    traj = gd.integrate(game, scn.eta(), scn.initial_configuration(game, None),
                         *scn.time_grid())
     assert len(traj.times) == 5001
     path = tmp_path / "trajectory.csv"
@@ -543,3 +544,18 @@ def test_import_loads_only_numpy_outside_the_stdlib():
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['numpy']"
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SCENARIO_DIR.parent.glob("*.py") if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(module):
+    # __init__.py imports to re-export; every other module imports to use
+    tree = ast.parse((SCENARIO_DIR.parent / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == []

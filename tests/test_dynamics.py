@@ -1,4 +1,4 @@
-"""Revision protocols, RK4 integration, aggregate reduction, rate fits."""
+"""Sampling checks, RK4 integration, aggregate reduction, rate fits."""
 
 import logging
 
@@ -7,52 +7,40 @@ import pytest
 from scipy.optimize import brentq
 
 import gamedyn as gd
-from gamedyn import logit
+from gamedyn import dynamics, logit
 from gamedyn.logit import softmax_target
 
 from conftest import get_scenario
 
 
-def anti_logit_protocol(eta: float) -> gd.RevisionProtocol:
-    """Deliberately broken kernel: weight grows with cost."""
-    def cost_fn(game, c):
-        return softmax_target(game, -np.asarray(c, dtype=float), eta)
-    return gd.RevisionProtocol(name="anti-logit", cost_fn=cost_fn, eta=float(eta))
-
-
 # ---------------------------------------------------------------------------
-# Protocol plumbing
+# Sampling checks
 
 
-def test_logit_protocol_metadata():
-    pr = gd.logit_protocol(0.25)
-    assert pr.name == "logit[eta=0.25]"
-    assert pr.eta == 0.25
-    with pytest.raises(ValueError):
-        gd.logit_protocol(0.0)
-
-
-def test_exact_target_check_passes_logit_and_flags_leak(rng):
+def test_exact_target_check_passes_logit_and_flags_leak(rng, monkeypatch):
     g, _ = get_scenario("parallel3").build_game()
-    ok, worst = gd.exact_target_check(gd.logit_protocol(0.5), g, rng=rng)
+    ok, worst = gd.exact_target_check(0.5, g, rng=rng)
     assert ok and worst <= 1e-12
 
-    leaky = gd.RevisionProtocol(
-        name="leaky", cost_fn=lambda gm, c: 0.9 * softmax_target(gm, c, 0.5))
-    ok, worst = gd.exact_target_check(leaky, g, rng=rng)
+    monkeypatch.setattr(dynamics, "logit_map",
+                        lambda gm, x, eta: 0.9 * logit.logit_map(gm, x, eta))
+    ok, worst = gd.exact_target_check(0.5, g, rng=rng)
     assert not ok
     assert worst == pytest.approx(0.2, rel=1e-6)     # 10% of the heavier mass
 
 
 def test_monotonicity_check_logit_ok(rng):
     g, _ = get_scenario("pigou").build_game()
-    ok, violations = gd.monotonicity_check(gd.logit_protocol(0.5), g, rng=rng)
+    ok, violations = gd.monotonicity_check(0.5, g, rng=rng)
     assert ok and violations == []
 
 
-def test_monotonicity_check_flags_anti_logit(rng):
+def test_monotonicity_check_flags_anti_logit(rng, monkeypatch):
+    # deliberately broken kernel: weight grows with cost
+    monkeypatch.setattr(dynamics, "softmax_target",
+                        lambda gm, c, eta: softmax_target(gm, -c, eta))
     g, _ = get_scenario("pigou").build_game()
-    ok, violations = gd.monotonicity_check(anti_logit_protocol(0.5), g, rng=rng)
+    ok, violations = gd.monotonicity_check(0.5, g, rng=rng)
     assert not ok
     kinds = {v[0] for v in violations}
     assert "own_cost_increasing" in kinds
@@ -64,27 +52,25 @@ def test_monotonicity_check_flags_anti_logit(rng):
 
 def test_integrate_validates_grid():
     g, _ = get_scenario("pigou").build_game()
-    pr = gd.logit_protocol(0.25)
+    eta = 0.25
     x0 = gd.uniform_configuration(g)
     with pytest.raises(ValueError, match="dt"):
-        gd.integrate(g, pr, x0, 1.0, 0.0)
+        gd.integrate(g, eta, x0, 1.0, 0.0)
     with pytest.raises(ValueError, match="horizon"):
-        gd.integrate(g, pr, x0, 0.001, 0.01)
+        gd.integrate(g, eta, x0, 0.001, 0.01)
 
 
 def test_integrate_warns_on_ragged_horizon(caplog):
     g, _ = get_scenario("pigou").build_game()
     with caplog.at_level(logging.WARNING, logger="gamedyn.dynamics"):
-        traj = gd.integrate(g, gd.logit_protocol(0.25),
-                            gd.uniform_configuration(g), 0.25, 0.1)
+        traj = gd.integrate(g, 0.25, gd.uniform_configuration(g), 0.25, 0.1)
     assert any("not a multiple" in m for m in caplog.messages)
     assert len(traj.times) == 3 or len(traj.times) == 4
 
 
 def test_integrate_keeps_mass_and_positivity():
     g, _ = get_scenario("coordination").build_game()
-    traj = gd.integrate(g, gd.logit_protocol(0.25),
-                        gd.vertex_configuration(g, "a1"), 5.0, 0.01)
+    traj = gd.integrate(g, 0.25, gd.vertex_configuration(g, "a1"), 5.0, 0.01)
     assert traj.mass_drift <= 1e-12
     assert traj.min_entry >= -1e-9
     assert traj.eta == 0.25
@@ -92,18 +78,9 @@ def test_integrate_keeps_mass_and_positivity():
     np.testing.assert_array_equal(traj.terminal, traj.states[-1])
 
 
-def test_integrate_rejects_negative_targets():
-    g, _ = get_scenario("pigou").build_game()
-    bad = gd.RevisionProtocol(
-        name="negative", cost_fn=lambda gm, c: np.array([[1.2], [-0.2]]))
-    with pytest.raises(gd.ConfigurationError, match=r"r2.*p1"):
-        gd.integrate(g, bad, gd.uniform_configuration(g), 1.0, 0.1)
-
-
 def test_trajectory_flow_views():
     g, rgame = get_scenario("pigou").build_game()
-    traj = gd.integrate(g, gd.logit_protocol(0.25),
-                        gd.vertex_configuration(g, "r2"), 1.0, 0.1)
+    traj = gd.integrate(g, 0.25, gd.vertex_configuration(g, "r2"), 1.0, 0.1)
     w = traj.aggregate_flows()
     assert w.shape == (11, 2)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -113,9 +90,9 @@ def test_trajectory_flow_views():
 
 def test_rk4_step_halving_is_fourth_order():
     g, _ = get_scenario("pigou").build_game()
-    pr = gd.logit_protocol(0.25)
+    eta = 0.25
     x0 = gd.vertex_configuration(g, "r2")
-    terms = [gd.integrate(g, pr, x0, 2.0, dt).terminal
+    terms = [gd.integrate(g, eta, x0, 2.0, dt).terminal
              for dt in (0.02, 0.01, 0.005)]
     e1 = float(np.abs(terms[0] - terms[1]).sum())
     e2 = float(np.abs(terms[1] - terms[2]).sum())
@@ -129,12 +106,12 @@ def test_rk4_step_halving_is_fourth_order():
 def test_reduced_system_capability_gates():
     g, _ = get_scenario("wheatstone").build_game()    # costs couple the links
     with pytest.raises(gd.CapabilityError, match="per-action aggregate"):
-        gd.ReducedSystem(g, gd.logit_protocol(0.2))
+        gd.ReducedSystem(g, 0.2)
 
 
 def test_reduced_jacobian_columns_sum_to_minus_one(rng):
     g, _ = get_scenario("parallel3").build_game()
-    sys = gd.ReducedSystem(g, gd.logit_protocol(0.5))
+    sys = gd.ReducedSystem(g, 0.5)
     w = rng.uniform(0.2, 1.2, size=g.n_actions)
     J = sys.jacobian_fd(w)
     np.testing.assert_allclose(J.sum(axis=0), -1.0, atol=1e-6)
@@ -142,7 +119,7 @@ def test_reduced_jacobian_columns_sum_to_minus_one(rng):
 
 def test_reduced_fixed_point_matches_scalar_oracle():
     g, _ = get_scenario("pigou").build_game()
-    sys = gd.ReducedSystem(g, gd.logit_protocol(0.25))
+    sys = gd.ReducedSystem(g, 0.25)
     fp = sys.fixed_point(np.array([0.5, 0.5]))
     assert fp.converged
     w_star = brentq(lambda w: 1.0 / (1.0 + np.exp((w - 1.0) / 0.25)) - w,
@@ -160,7 +137,7 @@ def test_reduced_fixed_point_iteration_counts(name, eta, w0, cap, iterations,
                                               converged, monkeypatch):
     # exact counts pin the damping rule shared with the full-state solver
     g, _ = get_scenario(name).build_game()
-    sys = gd.ReducedSystem(g, gd.logit_protocol(eta))
+    sys = gd.ReducedSystem(g, eta)
     w0 = gd.uniform_configuration(g).sum(axis=1) if w0 is None else np.array(w0)
     monkeypatch.setattr(logit, "MAX_ITER", cap)
     fp = sys.fixed_point(w0)
@@ -169,10 +146,10 @@ def test_reduced_fixed_point_iteration_counts(name, eta, w0, cap, iterations,
 
 def test_recover_configuration_limit_roundtrip():
     g, _ = get_scenario("parallel3").build_game()
-    pr = gd.logit_protocol(0.5)
-    sys = gd.ReducedSystem(g, pr)
+    eta = 0.5
+    sys = gd.ReducedSystem(g, eta)
     fp = sys.fixed_point(gd.uniform_configuration(g).sum(axis=1))
-    x_star = gd.recover_configuration_limit(g, pr, fp.w)
+    x_star = gd.recover_configuration_limit(g, eta, fp.w)
     gd.validate_configuration(g, x_star)
     np.testing.assert_allclose(x_star.sum(axis=1), fp.w, atol=1e-9)
     # x_star is a fixed point of the full map as well
@@ -182,13 +159,13 @@ def test_recover_configuration_limit_roundtrip():
 def test_recover_configuration_limit_rejects_non_fixed_flow():
     g, _ = get_scenario("pigou").build_game()
     with pytest.raises(ValueError, match="not a reduced fixed point"):
-        gd.recover_configuration_limit(g, gd.logit_protocol(0.25),
+        gd.recover_configuration_limit(g, 0.25,
                                        np.array([0.9, 0.1]))
 
 
 def test_reduced_start_is_checked():
     g, _ = get_scenario("pigou").build_game()
-    run = gd.ReducedSystem(g, gd.logit_protocol(0.25)).fixed_point
+    run = gd.ReducedSystem(g, 0.25).fixed_point
     with pytest.raises(ValueError, match=r"w0 must have shape \(2,\), got \(3,\)"):
         run(np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
@@ -202,9 +179,9 @@ def test_reduced_start_is_checked():
 def test_l1_contraction_constant_costs_rate_is_one():
     # with a flow-independent target, differences obey d' = -d exactly
     g, _ = get_scenario("constant").build_game()
-    pr = gd.logit_protocol(1.0)
-    ta = gd.integrate(g, pr, gd.vertex_configuration(g, "a1"), 10.0, 0.01)
-    tb = gd.integrate(g, pr, gd.vertex_configuration(g, "a2"), 10.0, 0.01)
+    eta = 1.0
+    ta = gd.integrate(g, eta, gd.vertex_configuration(g, "a1"), 10.0, 0.01)
+    tb = gd.integrate(g, eta, gd.vertex_configuration(g, "a2"), 10.0, 0.01)
     fit = gd.l1_contraction_test(ta, tb)
     assert fit.defined and not fit.non_monotone
     assert fit.rate == pytest.approx(1.0, abs=0.01)
@@ -213,10 +190,10 @@ def test_l1_contraction_constant_costs_rate_is_one():
 
 def test_l1_contraction_identical_starts_is_undefined():
     g, _ = get_scenario("constant").build_game()
-    pr = gd.logit_protocol(1.0)
+    eta = 1.0
     x0 = gd.uniform_configuration(g)
-    ta = gd.integrate(g, pr, x0, 1.0, 0.1)
-    tb = gd.integrate(g, pr, x0, 1.0, 0.1)
+    ta = gd.integrate(g, eta, x0, 1.0, 0.1)
+    tb = gd.integrate(g, eta, x0, 1.0, 0.1)
     fit = gd.l1_contraction_test(ta, tb)
     assert not fit.defined
     assert fit.rate is None and fit.n_points == 0
@@ -224,17 +201,17 @@ def test_l1_contraction_identical_starts_is_undefined():
 
 def test_l1_contraction_requires_shared_grid():
     g, _ = get_scenario("constant").build_game()
-    pr = gd.logit_protocol(1.0)
-    ta = gd.integrate(g, pr, gd.vertex_configuration(g, "a1"), 1.0, 0.1)
-    tb = gd.integrate(g, pr, gd.vertex_configuration(g, "a2"), 1.0, 0.05)
+    eta = 1.0
+    ta = gd.integrate(g, eta, gd.vertex_configuration(g, "a1"), 1.0, 0.1)
+    tb = gd.integrate(g, eta, gd.vertex_configuration(g, "a2"), 1.0, 0.05)
     with pytest.raises(ValueError, match="time grid"):
         gd.l1_contraction_test(ta, tb)
 
 
 def test_l1_contraction_aggregate_mode():
     g, _ = get_scenario("pigou").build_game()
-    pr = gd.logit_protocol(0.25)
-    ta = gd.integrate(g, pr, gd.vertex_configuration(g, "r1"), 8.0, 0.01)
-    tb = gd.integrate(g, pr, gd.vertex_configuration(g, "r2"), 8.0, 0.01)
+    eta = 0.25
+    ta = gd.integrate(g, eta, gd.vertex_configuration(g, "r1"), 8.0, 0.01)
+    tb = gd.integrate(g, eta, gd.vertex_configuration(g, "r2"), 8.0, 0.01)
     fit = gd.l1_contraction_test(ta, tb, aggregate=True)
     assert fit.defined and fit.rate is not None and fit.rate >= 0.9

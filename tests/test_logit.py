@@ -352,14 +352,22 @@ def test_fixed_points_respect_the_step_cap(steps, n_fallbacks, monkeypatch):
     assert (many[1].x[0, 0] > 0.5) == (steps < 4)
 
 
-def test_fixed_points_converge_where_picard_stalls_on_tolls():
-    # a start from the seed-11 census on which damped Picard stalls (residual
+@pytest.mark.parametrize("x0", [
+    [[0.9435801079269924, 0.9211775575355341],
+     [0.05641989207300761, 0.07882244246446587]],
+    [[0.7555950004661288, 0.931222741572553],
+     [0.24440499953387126, 0.06877725842744696]],
+], ids=["census-seed-11", "census-seed-3"])
+def test_fixed_points_converge_where_picard_stalls_on_tolls(x0, monkeypatch):
+    # starts from the tolls census on which damped Picard stalls (residual
     # ~1 after 1e5 steps); the corrector converges to the stable equilibrium
+    # (from the seed-3 start only after 53 steps) without a fallback
     g, _ = get_scenario("tolls").build_game()
     eta = 0.0012151833063783375
-    x0 = np.array([[0.9435801079269924, 0.9211775575355341],
-                   [0.05641989207300761, 0.07882244246446587]])
+    x0 = np.array(x0)
+    fallbacks = record_fallbacks(monkeypatch)
     r, = gd.fixed_points(g, eta, [x0])
+    assert not fallbacks
     assert r.converged and r.stability.locally_stable
     assert r.iterations <= logit.NEWTON_STEPS
 
@@ -609,9 +617,10 @@ def test_fixed_points_reject_a_bad_start_or_eta():
     lambda g, x0: gd.fixed_points(g, [0.5, np.nan], [x0, x0]),
     lambda g, x0: gd.contraction_margin(g, np.nan),
     lambda g, x0: gd.bifurcation_scan(g, [0.5, np.nan]),
-    lambda g, x0: gd.logit_protocol(np.nan),
+    lambda g, x0: gd.integrate(g, np.nan, x0, 1.0, 0.1),
+    lambda g, x0: gd.ReducedSystem(g, np.nan),
 ], ids=["logit_map", "logit_jacobian", "fixed_point", "fixed_points",
-        "contraction_margin", "bifurcation_scan", "logit_protocol"])
+        "contraction_margin", "bifurcation_scan", "integrate", "ReducedSystem"])
 def test_nan_eta_is_rejected(call):
     # NaN passes an eta <= 0 check; each entry point must still refuse it
     g, _ = get_scenario("coordination").build_game()

@@ -214,20 +214,21 @@ def test_stage_games_needs_series():
 
 def test_decoupled_check_logit_factorizes(rng):
     _, rg = get_scenario("series2").build_game()
-    rep = gd.decoupled_check(gd.logit_protocol(0.5), rg, rng=rng)
+    rep = gd.decoupled_check(0.5, rg, rng=rng)
     assert rep.ok and bool(rep)
     assert rep.max_error <= 1e-10
 
 
-def test_decoupled_check_flags_coupled_kernel(rng):
+def test_decoupled_check_flags_coupled_kernel(rng, monkeypatch):
     # inverse-cost weights do not factor over stage sums
-    def cost_fn(game, c):
+    def inverse_cost(game, x, eta):
+        c = gd.evaluate_costs(game, x)
         wts = np.where(game.mask, 1.0 / (1.0 + np.maximum(c, 0.0)), 0.0)
         return game.masses * wts / wts.sum(axis=0)
 
-    coupled = gd.RevisionProtocol(name="inverse-cost", cost_fn=cost_fn)
+    monkeypatch.setattr(routing, "logit_map", inverse_cost)
     _, rg = get_scenario("series2").build_game()
-    rep = gd.decoupled_check(coupled, rg, rng=rng)
+    rep = gd.decoupled_check(0.5, rg, rng=rng)
     assert not rep.ok
     assert rep.max_error > 1e-3
 
@@ -235,8 +236,7 @@ def test_decoupled_check_flags_coupled_kernel(rng):
 def test_series_restriction_equivalence_small_horizon():
     _, rg = get_scenario("series2").build_game()
     x0 = gd.uniform_configuration(rg.game)
-    gap = gd.series_restriction_equivalence(rg, gd.logit_protocol(0.5),
-                                            x0, 5.0, 0.01)
+    gap = gd.series_restriction_equivalence(rg, 0.5, x0, 5.0, 0.01)
     assert gap <= 1e-9
 
 
@@ -244,11 +244,10 @@ def test_single_route_stage_flow_is_constant():
     rg = single_exit_series_game()
     assert rg.topology.kind == "series_of_parallel"
     x0 = gd.uniform_configuration(rg.game)
-    traj = gd.integrate(rg.game, gd.logit_protocol(0.5), x0, 5.0, 0.01)
+    traj = gd.integrate(rg.game, 0.5, x0, 5.0, 0.01)
     y = traj.link_flows(rg.incidence)
     e3 = rg.route_set.link_ids.index("e3")
     # every unit of mass crosses the mandatory link at all times
     np.testing.assert_allclose(y[:, e3], 2.0, atol=1e-12)
-    gap = gd.series_restriction_equivalence(rg, gd.logit_protocol(0.5),
-                                            x0, 5.0, 0.01)
+    gap = gd.series_restriction_equivalence(rg, 0.5, x0, 5.0, 0.01)
     assert gap <= 1e-9

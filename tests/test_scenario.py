@@ -40,7 +40,7 @@ def load_text(tmp_path, text, name="case.scn"):
 def test_bundled_scenarios_load_and_build(name):
     scn = get_scenario(name)
     game, rgame = scn.build_game()
-    assert scn.build_protocol().eta == scn.eta() > 0
+    assert scn.eta() > 0
     assert (rgame is not None) == (scn.kind == "routing")
     if rgame is not None:
         assert rgame.game.actions == game.actions
