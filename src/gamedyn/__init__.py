@@ -23,7 +23,6 @@ from .game import (
     vertex_configuration,
 )
 from .logit import (
-    ContractionReport,
     FixedPointResult,
     StabilityInfo,
     contraction_margin,

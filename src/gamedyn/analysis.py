@@ -17,13 +17,7 @@ from .game import (
     sample_configurations,
     validate_configuration,
 )
-from .logit import (
-    fixed_point,
-    fixed_points,
-    FixedPointResult,
-    contraction_points,
-    _margin_of,
-)
+from .logit import fixed_point, fixed_points, FixedPointResult
 from .dynamics import Trajectory
 
 log = logging.getLogger(__name__)
@@ -53,19 +47,22 @@ def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
                        steps: int, seeds) -> list[EquilibriumCurve]:
     """Warm-started fixed-point curves down a geometric eta grid.
 
-    Solves use fixed_point's defaults. Warm starts are secant predictions
-    from the last two points. When the solver lands on a locally unstable
-    point, a retry pulled 1e-3 of the way toward the seed decides whether
-    this branch actually forks off (pitchforks leave the symmetric point
-    unstable; an exactly symmetric iterate would never leave it). Branches
-    identical along the whole grid (within SAME_POINT_L1 pointwise) are
-    merged.
+    Each grid point is one fixed_point solve from a warm start, the secant
+    prediction from the last two points. When the solver lands on a locally
+    unstable point, a retry pulled 1e-3 of the way toward the seed decides
+    whether this branch actually forks off (pitchforks leave the symmetric
+    point unstable; an exactly symmetric iterate would never leave it).
+    Branches identical along the whole grid (within SAME_POINT_L1 pointwise)
+    are merged.
     """
     if not (eta_hi > eta_lo > 0):
         raise ValueError("need eta_hi > eta_lo > 0")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     grid = np.geomspace(eta_hi, eta_lo, steps)
+    if np.any(np.diff(grid) >= 0):
+        raise ValueError("eta grid must be strictly decreasing; widen the bracket "
+                         "or lower steps")
     curves = [_trace_branch(game, grid, seed, si) for si, seed in enumerate(seeds)]
     curves = [c for c in curves if c is not None]
     if not curves:
@@ -144,11 +141,10 @@ def dedup_curves(curves) -> list[EquilibriumCurve]:
 
 @dataclass(frozen=True)
 class NoiseSweep:
-    """Multistart fixed-point census per eta, with contraction margins."""
+    """Multistart fixed-point census per eta."""
 
     etas: np.ndarray
     results: tuple                 # tuple per eta of FixedPointResult
-    margins: np.ndarray
     n_fixed_points: np.ndarray
     n_stable: np.ndarray
 
@@ -158,10 +154,9 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
     A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
-    are one point. All starts, drawn eta by eta after the margin points, are
-    one fixed_points call (Newton restarting unstable landings, then damped
-    Picard as the last resort), one eta per start. Margins use 100 sampled
-    points plus the vertices, whose costs and partials are built once.
+    are one point. All starts, drawn eta by eta, are one fixed_points call
+    (Newton restarting unstable landings, then damped Picard as the last
+    resort), one eta per start.
     """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
@@ -170,9 +165,10 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
         raise ValueError("multistart must be at least 4")
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
-    margin = _margin_of(game, contraction_points(game, 100, rng))
     m = multistart + len(vertices)
-    draws = np.split(sample_configurations(game, rng, len(etas) * multistart), len(etas))
+    # skip the 100 draws margins once took, so starts and counts hold at every seed
+    draws = np.split(sample_configurations(game, rng, 100 + len(etas) * multistart)[100:],
+                     len(etas))
     seeds = [x for d in draws for x in [*d, *vertices]]
     results = fixed_points(game, np.repeat(etas, m), seeds)
     per_eta = []
@@ -184,7 +180,6 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
                 found.append(r)
         per_eta.append(tuple(found))
     return NoiseSweep(etas=etas, results=tuple(per_eta),
-                      margins=np.array([margin(float(eta)) for eta in etas]),
                       n_fixed_points=np.array([len(f) for f in per_eta]),
                       n_stable=np.array([sum(r.stability.locally_stable for r in f)
                                          for f in per_eta]))
@@ -223,7 +218,7 @@ def lyapunov_check(game: PopulationGame, trajectory: Trajectory, eta: float,
     The trajectory must have been produced at the same eta; uphill steps are
     tolerated up to tol * (1 + |V|) per step.
     """
-    if trajectory.eta is None or abs(trajectory.eta - eta) > 1e-12 * max(1.0, eta):
+    if abs(trajectory.eta - eta) > 1e-12 * max(1.0, eta):
         raise ValueError(f"trajectory eta {trajectory.eta!r} does not match "
                          f"requested eta {eta!r}")
     vals = np.array([potential_evaluator(x) + eta * entropy_term(game, x)

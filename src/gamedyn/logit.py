@@ -95,9 +95,8 @@ def logit_jacobian(game: PopulationGame, x, eta: float) -> np.ndarray:
 
     Rows and columns run over game.valid_pairs (population-major), with
     d F_ip / d x_jq = (v_p / eta) * pi_ip * (sum_s pi_sp dc_sp/dx_jq - dc_ip/dx_jq)
-    and pi the softmax weights. Cost partials come from the field's analytic
-    form when present, otherwise central finite differences. Contraction
-    margins run the same kernel on a stack of points.
+    and pi the softmax weights. Cost partials come from the field's own
+    jacobian. Contraction margins run the same kernel on a stack of points.
     """
     return _jacobians(game, *_noise_free_parts(game, [x]), eta)[0]
 
@@ -331,45 +330,30 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     return out
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    margin: float
-
-
-def contraction_points(game: PopulationGame, sample_count: int = 200,
-                       rng: np.random.Generator | None = None) -> list[np.ndarray]:
-    """Sample set for contraction certification: uniform draws plus vertices."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return [*sample_configurations(game, rng, sample_count), *monomorphic_vertices(game)]
-
-
-def _margin_of(game: PopulationGame, points):
-    """eta -> sampled margin over a fixed point set (see contraction_margin).
+def _margin_of(game: PopulationGame, rng: np.random.Generator | None):
+    """eta -> sampled margin over 200 draws plus the vertices (see contraction_margin).
 
     Costs and cost partials do not depend on eta, so they are built once
     here; each eta then costs one stacked softmax, one stacked product and
     one column measure over all points.
     """
-    if len(points) == 0:
-        raise ValueError("contraction margin needs at least one point")
-    C, D = _noise_free_parts(game, points)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    C, D = _noise_free_parts(game, [*sample_configurations(game, rng, 200),
+                                    *monomorphic_vertices(game)])
     eye = np.eye(D.shape[-1])
     return lambda eta: float(np.max(_column_measure(_jacobians(game, C, D, eta) - eye)))
 
 
 def contraction_margin(game: PopulationGame, eta: float,
-                       rng: np.random.Generator | None = None,
-                       points: list[np.ndarray] | None = None) -> ContractionReport:
+                       rng: np.random.Generator | None = None) -> float:
     """Sampled column-dominance margin of J_F - I over the configuration set.
 
-    ``points`` defaults to contraction_points(game, 200, rng). margin < 0 on
-    every sample certifies an l1 contraction at rate -margin on the samples
-    (evidence, not proof: the true condition quantifies over all of the
-    polytope).
+    The samples are 200 uniform draws from rng plus the vertices. margin < 0
+    on every sample certifies an l1 contraction at rate -margin on the
+    samples (evidence, not proof: the true condition quantifies over all of
+    the polytope).
     """
-    if points is None:
-        points = contraction_points(game, rng=rng)
-    return ContractionReport(margin=_margin_of(game, points)(eta))
+    return _margin_of(game, rng)(eta)
 
 
 def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
@@ -384,7 +368,7 @@ def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
     """
     if not (0 < eta_lo < eta_hi):
         raise ValueError("need 0 < eta_lo < eta_hi")
-    margin = _margin_of(game, contraction_points(game, rng=rng))
+    margin = _margin_of(game, rng)
 
     def certified(eta):
         return margin(eta) < 0.0

@@ -122,7 +122,10 @@ class Scenario:
         return horizon, dt
 
     def noise_bracket(self, steps: int) -> tuple[float, float, int]:
-        """(eta_hi, eta_lo, steps <= MAX_STEPS) of a noise grid; eta defaults 2 and 1e-3."""
+        """(eta_hi, eta_lo, steps <= MAX_STEPS) of a strictly decreasing noise grid.
+
+        eta_hi and eta_lo default to 2 and 1e-3.
+        """
         eta_hi = self.run_float("eta_hi", 2.0)
         eta_lo = self.run_float("eta_lo", 1e-3)
         steps = self.run_int("steps", steps)
@@ -132,6 +135,10 @@ class Scenario:
         if steps > MAX_STEPS:
             raise ScenarioError(f"{self.path}: [run] steps = {steps} "
                                 f"exceeds the {MAX_STEPS} step limit")
+        if np.any(np.diff(np.geomspace(eta_hi, eta_lo, steps)) >= 0):
+            raise ScenarioError(f"{self.path}: [run] eta_hi = {eta_hi!r} and eta_lo = "
+                                f"{eta_lo!r} are too close for steps = {steps}: the "
+                                "noise grid is not strictly decreasing")
         return eta_hi, eta_lo, steps
 
     def seed(self) -> int:

@@ -99,7 +99,7 @@ def test_criterion_4_contraction_at_certified_noise():
     for idx, name in enumerate(ALL_SCENARIOS):
         game, _ = get_scenario(name).build_game()
         eta_hat = gd.high_noise_threshold(game)
-        c_hat = -gd.contraction_margin(game, eta_hat).margin
+        c_hat = -gd.contraction_margin(game, eta_hat)
 
         rng = np.random.default_rng(911 + idx)
         ta = gd.integrate(game, eta_hat, gd.sample_configuration(game, rng),
@@ -109,7 +109,7 @@ def test_criterion_4_contraction_at_certified_noise():
         d = np.abs(ta.states - tb.states).sum(axis=(1, 2))
         bound = d[0] * np.exp(-(c_hat - 0.05) * ta.times)
         excess = float((d - bound).max())
-        m_inf = gd.contraction_margin(game, 1e6).margin
+        m_inf = gd.contraction_margin(game, 1e6)
         lines.append(f"[criterion 4] {name}: eta_hat {eta_hat:.4f} "
                      f"c_hat {c_hat:+.4f} envelope excess {excess:.3e} "
                      f"margin(1e6) {m_inf:+.6f}")

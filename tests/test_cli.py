@@ -432,6 +432,10 @@ def test_reproduce_wheatstone_exit_2_when_no_branch_converges(tmp_path, monkeypa
     no_branch_converges(tmp_path, monkeypatch, capsys, "reproduce-wheatstone", "wheatstone")
 
 
+# eta_hi > eta_lo, but the 200-point geometric grid between them repeats a float
+NARROW_BRACKET = {"eta_hi": "1.0", "eta_lo": "0.99999999999999", "steps": "200"}
+
+
 @pytest.mark.parametrize("command, name, values, cause", [
     ("sweep", "pigou", {"eta_lo": "3"}, "needs eta_hi > eta_lo > 0"),
     ("bifurcation", "pigou", {"eta_lo": "3"}, "needs eta_hi > eta_lo > 0"),
@@ -457,6 +461,10 @@ def test_reproduce_wheatstone_exit_2_when_no_branch_converges(tmp_path, monkeypa
     ("bifurcation", "pigou", {"steps": "1000000000000000"},
      "[run] steps = 1000000000000000 exceeds the 1000000 step limit"),
     ("simulate", "pigou", {"x0": "vertex: zz"}, "bad x0 'vertex: zz': unknown action 'zz'"),
+    *[(command, name, NARROW_BRACKET, "[run] eta_hi = 1.0 and eta_lo = 0.99999999999999 "
+       "are too close for steps = 200")
+      for command, name in [("bifurcation", "coordination"), ("sweep", "coordination"),
+                            ("reproduce-wheatstone", "wheatstone")]],
 ])
 def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, values,
                                             cause):
@@ -559,3 +567,14 @@ def test_module_uses_every_name_it_imports(module):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SCENARIO_DIR.parent.glob("*.py")))
+def test_module_imports_no_private_name_of_another(module):
+    # a leading underscore marks a name as its own module's business
+    tree = ast.parse((SCENARIO_DIR.parent / module).read_text())
+    private = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("gamedyn"))
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
