@@ -58,7 +58,6 @@ from .routing import (
     link_flow,
     series_restriction_equivalence,
     stage_games,
-    wardrop_check,
 )
 from .analysis import (
     EquilibriumCurve,

@@ -53,7 +53,8 @@ def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
     whether this branch actually forks off (pitchforks leave the symmetric
     point unstable; an exactly symmetric iterate would never leave it).
     Branches identical along the whole grid (within SAME_POINT_L1 pointwise)
-    are merged.
+    are merged. A seed that fails at eta_hi gives no branch, so the list is
+    empty when every seed fails there.
     """
     if not (eta_hi > eta_lo > 0):
         raise ValueError("need eta_hi > eta_lo > 0")
@@ -64,10 +65,7 @@ def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
         raise ValueError("eta grid must be strictly decreasing; widen the bracket "
                          "or lower steps")
     curves = [_trace_branch(game, grid, seed, si) for si, seed in enumerate(seeds)]
-    curves = [c for c in curves if c is not None]
-    if not curves:
-        raise ValueError("every seed failed at eta_hi; raise eta_hi or fix seeds")
-    return dedup_curves(curves)
+    return dedup_curves([c for c in curves if c is not None])
 
 
 def _project_configuration(game: PopulationGame, x) -> np.ndarray:

@@ -33,7 +33,7 @@ from .dynamics import (
     monotonicity_check,
 )
 from .analysis import continuation_sweep, bifurcation_scan
-from .routing import RouteError, RoutingGame, link_flow, decoupled_check, wardrop_check
+from .routing import RouteError, RoutingGame, link_flow, decoupled_check
 from .scenario import Scenario, ScenarioError, load_scenario
 
 log = logging.getLogger(__name__)
@@ -148,11 +148,9 @@ def _sweep_seeds(game: PopulationGame) -> list[np.ndarray]:
 
 def _sweep_to_csv(path: Path, game: PopulationGame, bracket, seeds) -> list:
     """Continuation branches from seeds over the noise bracket, written to path."""
-    try:
-        curves = continuation_sweep(game, *bracket, seeds)
-    except ValueError as e:
-        raise NumericalFailure(f"no continuation branch converged "
-                               f"at eta_hi={bracket[0]}") from e
+    curves = continuation_sweep(game, *bracket, seeds)
+    if not curves:
+        raise NumericalFailure(f"no continuation branch converged at eta_hi={bracket[0]}")
     write_sweep_csv(path, curves, game)
     return curves
 
@@ -187,6 +185,7 @@ def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
 def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, rgame = scn.build_game()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
+    rep = classify_equilibrium(game, x0)
     lines = [f"scenario: {scn.name}", f"kind: {scn.kind}"]
     if rgame is not None:
         topo = rgame.topology
@@ -197,12 +196,9 @@ def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
                              f"links {','.join(st.link_ids)}")
         for name, links in zip(rgame.route_set.names, rgame.route_set.routes):
             lines.append(f"route {name}: {','.join(links)}")
-        wr = wardrop_check(rgame, x0)
-        lines.append(f"x0 link flow: {','.join(_fmt(v) for v in wr.y)}")
-        rep = wr.equilibrium
-        lines.append(f"x0 is equilibrium flow witness: {str(wr.is_wardrop_witness).lower()}")
-    else:
-        rep = classify_equilibrium(game, x0)
+        y = link_flow(rgame.route_set, x0)
+        lines.append(f"x0 link flow: {','.join(_fmt(v) for v in y)}")
+        lines.append(f"x0 is equilibrium flow witness: {str(rep.is_nash).lower()}")
     lines.append(f"x0 nash: {str(rep.is_nash).lower()}")
     lines.append(f"x0 strict: {str(rep.is_strict).lower()}")
     lines.append(f"x0 monomorphic: {str(rep.is_monomorphic).lower()}")
@@ -251,9 +247,8 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if rgame is not None:
         lines.append(f"INFO topology: {rgame.topology.kind}")
         if rgame.topology.kind == "series_of_parallel" and rgame.topology.n_stages >= 2:
-            rep = decoupled_check(eta, rgame, rng=rng)
-            lines.append(f"INFO decoupled: {str(rep.ok).lower()} "
-                         f"max_error={rep.max_error:.3e}")
+            ok, worst = decoupled_check(eta, rgame, rng=rng)
+            lines.append(f"INFO decoupled: {str(ok).lower()} max_error={worst:.3e}")
     path = out / "verify.txt"
     _write_lines(path, lines)
     if not quiet:

@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 MAX_ITER = 10 ** 5
 # corrector steps before a fixed_points start falls back to fixed_point
 NEWTON_STEPS = 100
+# largest l1 residual tolerance a solve accepts, per unit of mass (at least 1)
+TOL_BOUND = 1e-6
 
 
 def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
@@ -154,6 +156,14 @@ def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
     return 256.0 * np.finfo(float).eps * max(1.0, game.total_mass()) * (1.0 + cabs / eta)
 
 
+def _tolerance(game: PopulationGame, c: np.ndarray, eta):
+    """l1 residual tolerance of a solve at eta (per slice of a stack): 1e-10,
+    never below residual_floor. Where that passes TOL_BOUND * max(1, V), no
+    residual means anything, so it is NaN: no residual meets it."""
+    tol = np.maximum(1e-10, residual_floor(game, c, eta))
+    return np.where(tol <= TOL_BOUND * max(1.0, game.total_mass()), tol, np.nan)
+
+
 def damped_iteration(phi, x, rho, tol_of):
     """Damped Picard x <- (1-lam)x + lam*phi(x) from x, to an l1 residual of
     tol_of(x), in at most MAX_ITER steps.
@@ -207,18 +217,21 @@ def fixed_point(game: PopulationGame, eta: float, x0) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
 
     The damping cap is sized from the l1 column norm of the map Jacobian.
-    The effective tolerance never goes below the roundoff residual_floor.
+    The effective tolerance never goes below the roundoff residual_floor;
+    where that floor passes TOL_BOUND the solve stops there, unconverged.
     The best iterate seen is always returned, in an array of its own (never
-    x0 itself); non-convergence is logged and reported in the flags, never
-    raised.
+    x0 itself); non-convergence is logged with the floor and reported in the
+    flags, never raised.
     """
     x, r, it, converged = damped_iteration(
         lambda y: logit_map(game, y, eta), validate_configuration(game, x0).copy(),
         lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-        lambda y: max(1e-10, residual_floor(game, evaluate_costs(game, y), eta)))
+        lambda y: float(_tolerance(game, evaluate_costs(game, y), eta)))
     if not converged:
-        log.warning("fixed_point: no convergence after %d iterations "
-                    "(eta=%g, residual=%.3e)", it, eta, r)
+        log.warning("fixed_point: no convergence after %d iterations (eta=%g, "
+                    "residual=%.3e, roundoff floor=%.3e, bound=%.3e)", it, eta, r,
+                    residual_floor(game, evaluate_costs(game, x), eta),
+                    TOL_BOUND * max(1.0, game.total_mass()))
     return FixedPointResult(x, r, it, converged, float(eta),
                             local_stability(game, x, eta) if converged else None)
 
@@ -279,12 +292,12 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     _noise_free_parts and _jacobians stack and one np.linalg.solve on the
     stack of J - I. Each population's rows of J sum to zero, so the step
     keeps the masses; _armijo damps and clips it. A start converges at
-    fixed_point's tolerance (1e-10, never below residual_floor). Only
-    converged, locally stable results are kept, with iterations counting
-    every corrector step. A start's first unstable landing skips the step's
-    update and rejoins the next step's stack at its _restarts point. Every
-    other start (no side, unstable twice, stalled, singular, or not done
-    within NEWTON_STEPS) is re-solved from x0 by one fixed_point call, in
+    fixed_point's tolerance (_tolerance). Only converged, locally stable
+    results are kept, with iterations counting every corrector step. A
+    start's first unstable landing skips the step's update and rejoins the
+    next step's stack at its _restarts point. Every other start (no side,
+    unstable twice, stalled, singular, past TOL_BOUND, or not done within
+    NEWTON_STEPS) is re-solved from x0 by one fixed_point call, in
     start order; its result and warning are fixed_point's own. No result
     depends on stack-mates, not even in the last bit of its residual; where
     several stable points coexist, a start may reach another one than Picard
@@ -307,7 +320,8 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         G = (softmax_target(game, C, etas[live]) - X[live])[:, js, qs]
         # summed C-contiguous, so each row sums in the order it does alone
         r = np.abs(np.ascontiguousarray(G)).sum(axis=1)
-        done = r <= np.maximum(1e-10, residual_floor(game, C, etas[live, 0, 0]))
+        tol = _tolerance(game, C, etas[live, 0, 0])
+        done = r <= tol
         for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
             if info.locally_stable:
                 out[k] = FixedPointResult(X[k].copy(), rk, step, True, etas[k].item(), info)
@@ -319,7 +333,10 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         restarted[ks] = True
         if len(ks):
             X[ks] = _restarts(game, J[u] - eye, X[ks], X0[ks])
-        live, J, G, r = live[~done], J[~done], G[~done], r[~done]
+        # a start past TOL_BOUND (NaN tol) is neither done nor goes on: its
+        # fixed_point fallback stops at once
+        go = r > tol
+        live, J, G, r = live[go], J[go], G[go], r[go]
         d = np.zeros((len(live),) + game.mask.shape)
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)

@@ -18,8 +18,6 @@ from .game import (
     CostField,
     CapabilityError,
     CurveGrid,
-    classify_equilibrium,
-    EquilibriumReport,
     validate_configuration,
     sample_configuration,
 )
@@ -61,16 +59,12 @@ class Multigraph:
                 raise ValueError(f"link {link.id!r} is a self-loop")
             out.append(link)
         self.links = tuple(out)
-        self._by_id = {l.id: l for l in self.links}
         adj: dict[str, list[Link]] = {n: [] for n in self.nodes}
         for l in self.links:
             adj[l.tail].append(l)
         for n in adj:
             adj[n].sort(key=lambda l: l.id)
         self._adj = adj
-
-    def link(self, link_id: str) -> Link:
-        return self._by_id[link_id]
 
     def out_links(self, node: str) -> list[Link]:
         return self._adj[node]
@@ -123,25 +117,26 @@ def enumerate_routes(graph: Multigraph, origin: str, destination: str) -> RouteS
     visited = {origin}
     path: list[str] = []
     path_nodes: list[str] = [origin]
-
-    def dfs(node):
-        for link in graph.out_links(node):
-            if link.head == destination:
-                routes.append(tuple(path + [link.id]))
-                nodes_of.append(tuple(path_nodes + [destination]))
-                if len(routes) > ROUTE_GUARD:
-                    raise RouteError(f"more than {ROUTE_GUARD} routes; "
-                                     "graph too large for explicit enumeration")
-            elif link.head not in visited:
-                visited.add(link.head)
-                path.append(link.id)
-                path_nodes.append(link.head)
-                dfs(link.head)
+    # one out-link iterator per node on the path, so depth costs no recursion
+    stack = [iter(graph.out_links(origin))]
+    while stack:
+        link = next(stack[-1], None)
+        if link is None:
+            stack.pop()
+            if path:
                 path.pop()
-                path_nodes.pop()
-                visited.remove(link.head)
-
-    dfs(origin)
+                visited.remove(path_nodes.pop())
+        elif link.head == destination:
+            routes.append(tuple(path + [link.id]))
+            nodes_of.append(tuple(path_nodes + [destination]))
+            if len(routes) > ROUTE_GUARD:
+                raise RouteError(f"more than {ROUTE_GUARD} routes; "
+                                 "graph too large for explicit enumeration")
+        elif link.head not in visited:
+            visited.add(link.head)
+            path.append(link.id)
+            path_nodes.append(link.head)
+            stack.append(iter(graph.out_links(link.head)))
     if not routes:
         raise RouteError(f"destination {destination!r} not reachable from {origin!r}")
     link_ids = graph.link_ids
@@ -292,11 +287,7 @@ def classify_topology(rs: RouteSet) -> TopologyClass:
     for k in range(K):
         lset = set(itertools.chain.from_iterable(seg_lists[k]))
         stage_links.append(lset)
-        counts: dict[str, int] = {}
-        for seg in seg_lists[k]:
-            for lid in seg:
-                counts[lid] = counts.get(lid, 0) + 1
-        if max(counts.values()) > 1:
+        if sum(map(len, seg_lists[k])) > len(lset):
             return other
     for a in range(K):
         for b in range(a + 1, K):
@@ -361,21 +352,6 @@ def link_flow(route_set: RouteSet, x) -> np.ndarray:
     return route_set.incidence @ x.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class WardropReport:
-    is_wardrop_witness: bool
-    y: np.ndarray
-    equilibrium: EquilibriumReport
-
-
-def wardrop_check(rgame: RoutingGame, x) -> WardropReport:
-    """Link flow of x plus whether x witnesses it as an equilibrium flow (tol 1e-8)."""
-    x = validate_configuration(rgame.game, x)
-    rep = classify_equilibrium(rgame.game, x)
-    return WardropReport(is_wardrop_witness=rep.is_nash,
-                         y=link_flow(rgame.route_set, x), equilibrium=rep)
-
-
 # ---------------------------------------------------------------------------
 # Series compositions and decoupled dynamics
 
@@ -383,9 +359,11 @@ def wardrop_check(rgame: RoutingGame, x) -> WardropReport:
 def stage_games(rgame: RoutingGame) -> list[RoutingGame]:
     """Standalone routing game per stage of a series decomposition.
 
-    Each stage keeps the full populations and masses; its route set must
-    coincide with the stage's segments (recombinant paths inside a stage
-    would break the correspondence and raise).
+    Each stage keeps the full populations and masses; its routes must be the
+    stage's segments in the same order, so stage route k is segment k
+    (recombinant paths inside a stage would break the correspondence and
+    raise). Every segment starts with a link of its own, so both orders are
+    the lexicographic order of those first links.
     """
     topo = rgame.topology
     if topo.stages is None or topo.n_stages < 2:
@@ -393,75 +371,57 @@ def stage_games(rgame: RoutingGame) -> list[RoutingGame]:
                               f"{topo.kind!r} with {topo.n_stages} stage(s)")
     out = []
     for stage in topo.stages:
-        links = [rgame.graph.link(lid) for lid in stage.link_ids]
-        nodes = []
-        for l in links:
-            for n in (l.tail, l.head):
-                if n not in nodes:
-                    nodes.append(n)
-        sub = Multigraph(nodes, links)
+        links = [l for l in rgame.graph.links if l.id in stage.link_ids]
+        sub = Multigraph(dict.fromkeys(n for l in links for n in (l.tail, l.head)), links)
         costs = rgame.link_costs.restrict(stage.link_ids)
         sg = build_routing_game(sub, stage.origin, stage.destination, costs,
                                 rgame.game.populations, rgame.game.masses)
-        if set(sg.route_set.routes) != set(stage.segments):
+        if sg.route_set.routes != stage.segments:
             raise CapabilityError(f"stage {stage.origin}->{stage.destination} has "
-                                  "routes outside the series decomposition")
+                                  "routes outside the series decomposition "
+                                  "or in another order")
         out.append(sg)
     return out
 
 
 def marginal_stage_configuration(rgame: RoutingGame, stage_idx: int,
-                                 stage_game: RoutingGame, x: np.ndarray) -> np.ndarray:
+                                 x: np.ndarray) -> np.ndarray:
     """Stage configuration: composite route masses summed per stage segment."""
     topo = rgame.topology
-    xk = np.zeros((stage_game.game.n_actions, stage_game.game.n_pops))
-    segs = topo.stages[stage_idx].segments
+    xk = np.zeros((len(topo.stages[stage_idx].segments), rgame.game.n_pops))
     for r, idxs in enumerate(topo.route_stage_segments):
-        seg = segs[idxs[stage_idx]]
-        xk[stage_game.route_set.index_of(seg), :] += x[r, :]
+        xk[idxs[stage_idx]] += x[r]
     return xk
 
 
-@dataclass(frozen=True)
-class DecoupledReport:
-    ok: bool
-    max_error: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def decoupled_check(eta: float, rgame: RoutingGame,
-                    rng: np.random.Generator | None = None) -> DecoupledReport:
+                    rng: np.random.Generator | None = None) -> tuple[bool, float]:
     """Does the composite target factor into independent per-stage choices?
 
     For 20 sampled configurations, compares H_r against the product of the
     standalone stage targets over r's segments, divided by v_p per extra
-    stage, to 1e-10. Applies to series compositions only.
+    stage, to 1e-10. Applies to series compositions only. Returns (ok,
+    max_error).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     stages = stage_games(rgame)
     topo = rgame.topology
-    seg_route_idx = [[sg.route_set.index_of(seg) for seg in st.segments]
-                     for sg, st in zip(stages, topo.stages)]
     game = rgame.game
     active = game.active_populations
     worst = 0.0
     for _ in range(20):
         x = sample_configuration(game, rng)
         H = logit_map(game, x, eta)
-        stage_targets = []
-        for k, sg in enumerate(stages):
-            xk = marginal_stage_configuration(rgame, k, sg, x)
-            stage_targets.append(logit_map(sg.game, xk, eta))
+        stage_targets = [logit_map(sg.game, marginal_stage_configuration(rgame, k, x), eta)
+                         for k, sg in enumerate(stages)]
         for r, idxs in enumerate(topo.route_stage_segments):
             for p in active:
                 pred = 1.0
-                for k, sg in enumerate(stages):
-                    pred *= stage_targets[k][seg_route_idx[k][idxs[k]], p]
+                for k in range(len(stages)):
+                    pred *= stage_targets[k][idxs[k], p]
                 pred /= game.masses[p] ** (len(stages) - 1)
                 worst = max(worst, abs(H[r, p] - pred))
-    return DecoupledReport(ok=bool(worst <= 1e-10), max_error=float(worst))
+    return bool(worst <= 1e-10), float(worst)
 
 
 def series_restriction_equivalence(rgame: RoutingGame, eta: float,
@@ -476,7 +436,7 @@ def series_restriction_equivalence(rgame: RoutingGame, eta: float,
     row = {lid: e for e, lid in enumerate(rgame.route_set.link_ids)}
     worst = 0.0
     for k, sg in enumerate(stages):
-        xk0 = marginal_stage_configuration(rgame, k, sg, x0)
+        xk0 = marginal_stage_configuration(rgame, k, x0)
         yk = integrate(sg.game, eta, xk0, horizon, dt).link_flows(sg.incidence)
         cols = [row[lid] for lid in sg.route_set.link_ids]
         worst = max(worst, float(np.abs(y[:, cols] - yk).max()))

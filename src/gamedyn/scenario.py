@@ -81,6 +81,9 @@ class Scenario:
                                 f"{self.dynamics['eta']!r} is not a number") from None
         if not 0 < eta < np.inf:
             raise ScenarioError(f"{self.path}: eta must be positive and finite")
+        if 1.0 / eta == np.inf:
+            raise ScenarioError(f"{self.path}: [dynamics] eta = {eta!r} is too small: "
+                                "1/eta overflows")
         return eta
 
     # -- run section accessors ------------------------------------------------
@@ -124,7 +127,7 @@ class Scenario:
     def noise_bracket(self, steps: int) -> tuple[float, float, int]:
         """(eta_hi, eta_lo, steps <= MAX_STEPS) of a strictly decreasing noise grid.
 
-        eta_hi and eta_lo default to 2 and 1e-3.
+        eta_hi and eta_lo default to 2 and 1e-3; 1/eta_lo must be finite.
         """
         eta_hi = self.run_float("eta_hi", 2.0)
         eta_lo = self.run_float("eta_lo", 1e-3)
@@ -132,6 +135,9 @@ class Scenario:
         if not (eta_hi > eta_lo > 0 and steps >= 2):
             raise ScenarioError(f"{self.path}: [run] needs eta_hi > eta_lo > 0 and steps >= 2, "
                                 f"got eta_hi = {eta_hi:g}, eta_lo = {eta_lo:g}, steps = {steps}")
+        if 1.0 / eta_lo == np.inf:
+            raise ScenarioError(f"{self.path}: [run] eta_lo = {eta_lo!r} is too small: "
+                                "1/eta_lo overflows")
         if steps > MAX_STEPS:
             raise ScenarioError(f"{self.path}: [run] steps = {steps} "
                                 f"exceeds the {MAX_STEPS} step limit")

@@ -480,6 +480,51 @@ def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, val
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, key", [
+    ("fixed-point", "eta"), ("verify", "eta"), ("bifurcation", "eta_lo"), ("sweep", "eta_lo")])
+def test_main_exit_1_on_subnormal_noise(tmp_path, capsys, command, key):
+    # 1/eta overflows; without the check these crashed in eigvals or were
+    # reported as a sweep whose branches did not converge
+    path = scenario_file(tmp_path, "pigou", **{key: "1e-320"})
+    code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    assert f"{key} = 1e-320 is too small: 1/{key} overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", ["1e-12", "1e-13"])
+def test_main_exit_2_past_the_tolerance_bound(tmp_path, capsys, caplog, eta):
+    path = scenario_file(tmp_path, "wheatstone", eta=eta)
+    code = cli.main(["fixed-point", "--scenario", str(path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert any("roundoff floor" in m and "bound" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize("name", ["pigou", "coordination"])
+@pytest.mark.parametrize("off, code", [("5e-9", 0), ("2e-8", 1)])
+def test_classify_checks_x0_at_the_nash_tolerance(tmp_path, name, off, code):
+    # routing and explicit games alike: a column sum off the mass 1 by up to
+    # NASH_TOL classifies, and one further off is a bad x0
+    path = scenario_file(tmp_path, name, x0=f"explicit: {off}; 1")
+    assert cli.main(["classify", "--scenario", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == code
+
+
+def test_classify_route_longer_than_the_recursion_limit(tmp_path):
+    n = sys.getrecursionlimit() + 200
+    links = [f"e{k}, n{k}, n{k + 1}" for k in range(n - 1)]
+    costs = [f"e{k}, all, affine, 1, 0" for k in range(n - 1)]
+    text = "\n".join(["[nodes]", *(f"n{k}" for k in range(n)), "[links]", *links,
+                      "[costs]", *costs, "[populations]", "p1, 1", "[od]",
+                      f"n0, n{n - 1}", "[dynamics]", "protocol = logit", "eta = 0.5"])
+    path = tmp_path / "chain.scn"
+    path.write_text(text + "\n")
+    assert cli.main(["classify", "--scenario", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    assert "topology: parallel" in (tmp_path / "classify.txt").read_text()
+
+
 def test_main_exit_1_when_out_is_a_file(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")

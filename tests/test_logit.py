@@ -237,6 +237,33 @@ def test_fixed_point_reports_nonconvergence(caplog, monkeypatch):
     assert any("no convergence" in m for m in caplog.messages)
 
 
+@pytest.mark.parametrize("eta", [1e-12, 1e-13])
+def test_solves_stop_past_the_tolerance_bound(caplog, eta):
+    # the roundoff floor grows like |c|/eta; past TOL_BOUND it would let any
+    # point pass, x0 included, so the solve stops there unconverged
+    g, _ = get_scenario("wheatstone").build_game()
+    x0 = gd.uniform_configuration(g)
+    c = gd.evaluate_costs(g, x0)
+    assert residual_floor(g, c, eta) > logit.TOL_BOUND * max(1.0, g.total_mass())
+    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+        r = gd.fixed_point(g, eta, x0)
+    assert not r.converged and r.stability is None and r.iterations == 0
+    assert any("roundoff floor" in m for m in caplog.messages)
+    many = gd.fixed_points(g, eta, [x0, *gd.monomorphic_vertices(g)])
+    assert not any(m.converged for m in many)
+
+
+def test_bundled_floors_stay_far_below_the_tolerance_bound():
+    # at each bundled scenario's smallest noise level, on samples and vertices
+    for name in ALL_SCENARIOS:
+        scn = get_scenario(name)
+        g, _ = scn.build_game()
+        X = np.array([*gd.sample_configurations(g, np.random.default_rng(0), 50),
+                      *gd.monomorphic_vertices(g)])
+        floor = residual_floor(g, gd.evaluate_costs(g, X), scn.noise_bracket(steps=2)[1])
+        assert 100 * floor.max() < logit.TOL_BOUND * max(1.0, g.total_mass())
+
+
 def test_results_do_not_alias_the_start():
     # the uniform start is already a fixed point: at eta 0.45 fixed_point
     # stops at it, and at eta 0.3, where it is unstable, the fallback of

@@ -2,6 +2,8 @@
 series decoupling.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -183,13 +185,12 @@ def test_link_flow():
     np.testing.assert_allclose(y, rg.incidence @ w, atol=1e-12)
 
 
-def test_wardrop_check_pigou():
+def test_equilibrium_flow_witness_pigou():
     _, rg = get_scenario("pigou").build_game()
-    rep = gd.wardrop_check(rg, np.array([[1.0], [0.0]]))
-    assert rep.is_wardrop_witness
-    np.testing.assert_allclose(rep.y, [1.0, 0.0])
-    rep2 = gd.wardrop_check(rg, np.array([[0.5], [0.5]]))
-    assert not rep2.is_wardrop_witness
+    x = np.array([[1.0], [0.0]])
+    assert gd.classify_equilibrium(rg.game, x).is_nash
+    np.testing.assert_allclose(gd.link_flow(rg.route_set, x), [1.0, 0.0])
+    assert not gd.classify_equilibrium(rg.game, np.array([[0.5], [0.5]])).is_nash
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_stage_games_and_marginals():
     assert len(stages) == 2
     assert stages[0].route_set.routes == (("e1",), ("e2",))
     x = gd.uniform_configuration(rg.game)
-    x1 = marginal_stage_configuration(rg, 0, stages[0], x)
+    x1 = marginal_stage_configuration(rg, 0, x)
     np.testing.assert_allclose(x1, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
@@ -214,9 +215,9 @@ def test_stage_games_needs_series():
 
 def test_decoupled_check_logit_factorizes(rng):
     _, rg = get_scenario("series2").build_game()
-    rep = gd.decoupled_check(0.5, rg, rng=rng)
-    assert rep.ok and bool(rep)
-    assert rep.max_error <= 1e-10
+    ok, max_error = gd.decoupled_check(0.5, rg, rng=rng)
+    assert ok
+    assert max_error <= 1e-10
 
 
 def test_decoupled_check_flags_coupled_kernel(rng, monkeypatch):
@@ -228,9 +229,9 @@ def test_decoupled_check_flags_coupled_kernel(rng, monkeypatch):
 
     monkeypatch.setattr(routing, "logit_map", inverse_cost)
     _, rg = get_scenario("series2").build_game()
-    rep = gd.decoupled_check(0.5, rg, rng=rng)
-    assert not rep.ok
-    assert rep.max_error > 1e-3
+    ok, max_error = gd.decoupled_check(0.5, rg, rng=rng)
+    assert not ok
+    assert max_error > 1e-3
 
 
 def test_series_restriction_equivalence_small_horizon():
@@ -251,3 +252,84 @@ def test_single_route_stage_flow_is_constant():
     np.testing.assert_allclose(y[:, e3], 2.0, atol=1e-12)
     gap = gd.series_restriction_equivalence(rg, 0.5, x0, 5.0, 0.01)
     assert gap <= 1e-9
+
+
+def random_series_game(rng):
+    """A series of 2-4 parallel stages of 1-3 segments of 1-3 links each,
+    with at least two routes; link ids are shuffled, so their lexicographic
+    order is not the order of construction."""
+    while True:
+        shapes = [rng.integers(1, 4, size=rng.integers(1, 4))
+                  for _ in range(rng.integers(2, 5))]
+        if any(len(s) > 1 for s in shapes):
+            break
+    ids = iter(f"L{k}" for k in rng.permutation(sum(int(s.sum()) for s in shapes)))
+    cuts = [f"c{k}" for k in range(len(shapes) + 1)]
+    nodes, links = list(cuts), []
+    for k, segs in enumerate(shapes):
+        for length in segs:
+            inner = [f"m{len(nodes) + j}" for j in range(length - 1)]
+            nodes += inner
+            path = [cuts[k], *inner, cuts[k + 1]]
+            links += [(next(ids), a, b) for a, b in zip(path, path[1:])]
+    graph = gd.Multigraph(nodes, links)
+    costs = LinkCostMatrix(graph.link_ids, ("p1", "p2"),
+                           [[AFF(1, 0), AFF(2, 1)]] * len(links))
+    return gd.build_routing_game(graph, cuts[0], cuts[-1], costs, ("p1", "p2"),
+                                 np.array([1.0, 2.0]))
+
+
+def test_stage_order_and_marginals_on_generated_series_networks():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        rg = random_series_game(rng)
+        assert rg.topology.kind == "series_of_parallel"
+        x = gd.sample_configuration(rg.game, rng)
+        for k, (sg, st) in enumerate(zip(gd.stage_games(rg), rg.topology.stages)):
+            assert sg.route_set.routes == st.segments
+            # the marginal by route lookup, as it was summed before the
+            # decomposition fixed the stage order
+            want = np.zeros((sg.game.n_actions, sg.game.n_pops))
+            for r, idxs in enumerate(rg.topology.route_stage_segments):
+                want[sg.route_set.index_of(st.segments[idxs[k]])] += x[r]
+            assert np.array_equal(marginal_stage_configuration(rg, k, x), want)
+
+
+def recursive_routes(graph, origin, destination):
+    """Node-simple routes by plain recursion, as an oracle for enumerate_routes."""
+    out = []
+
+    def walk(node, links, seen):
+        for l in graph.out_links(node):
+            if l.head == destination:
+                out.append((links + (l.id,), seen + (destination,)))
+            elif l.head not in seen:
+                walk(l.head, links + (l.id,), seen + (l.head,))
+
+    walk(origin, (), (origin,))
+    return out
+
+
+def test_enumerate_routes_matches_recursion_on_random_multigraphs():
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        nodes = [f"n{k}" for k in range(rng.integers(2, 7))]
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        picks = rng.integers(0, len(pairs), size=rng.integers(1, 14))
+        graph = gd.Multigraph(nodes, [(f"e{j}", *pairs[p]) for j, p in enumerate(picks)])
+        want = recursive_routes(graph, nodes[0], nodes[-1])
+        if not want:
+            with pytest.raises(gd.RouteError, match="not reachable"):
+                gd.enumerate_routes(graph, nodes[0], nodes[-1])
+            continue
+        rs = gd.enumerate_routes(graph, nodes[0], nodes[-1])
+        assert list(zip(rs.routes, rs.node_seqs)) == want
+
+
+def test_enumerate_routes_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    nodes = [f"n{k}" for k in range(n)]
+    graph = gd.Multigraph(nodes, [(f"e{k}", a, b) for k, (a, b)
+                                  in enumerate(zip(nodes, nodes[1:]))])
+    rs = gd.enumerate_routes(graph, nodes[0], nodes[-1])
+    assert rs.node_seqs == (tuple(nodes),)
