@@ -176,6 +176,10 @@ def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     sweep = bifurcation_scan(game, grid, multistart=multistart, rng=_derive_rng(seed, 1))
     path = out / "bifurcation.csv"
     write_bifurcation_csv(path, sweep)
+    untrusted = sweep.etas[sweep.n_fixed_points == 0]
+    if len(untrusted):
+        raise NumericalFailure(f"no solve could be trusted at {len(untrusted)} of "
+                               f"{len(sweep.etas)} etas, the largest eta={untrusted[0]:g}")
     if not quiet:
         print(f"wrote {path} (stable counts {sweep.n_stable.min()}"
               f"..{sweep.n_stable.max()})")

@@ -19,7 +19,7 @@ from .game import (
     central_difference,
     evaluate_costs,
     validate_configuration,
-    sample_configuration,
+    sample_configurations,
 )
 from .logit import damped_iteration, logit_map, softmax_target
 
@@ -39,15 +39,12 @@ def _positive(eta) -> float:
 
 def exact_target_check(eta: float, game: PopulationGame,
                        rng: np.random.Generator | None = None) -> tuple[bool, float]:
-    """Mass and support test on 20 samples: (violation <= 1e-9, max violation)."""
+    """Mass and support test on 20 samples, one stack: (violation <= 1e-9, max violation)."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(20):
-        x = sample_configuration(game, rng)
-        F = logit_map(game, x, eta)
-        worst = max(worst, float(np.abs(F.sum(axis=0) - game.masses).max()))
-        worst = max(worst, float(np.abs(np.where(game.mask, 0.0, F)).max()))
-        worst = max(worst, float(max(0.0, -(F.min()))))
+    F = logit_map(game, sample_configurations(game, rng, 20), eta)
+    worst = max(float(np.abs(F.sum(axis=-2) - game.masses).max()),
+                float(np.abs(np.where(game.mask, 0.0, F)).max()),
+                max(0.0, -float(F.min())))
     return worst <= 1e-9, worst
 
 
@@ -62,8 +59,7 @@ def monotonicity_check(eta: float, game: PopulationGame,
     eta = _positive(eta)
     rng = rng if rng is not None else np.random.default_rng(0)
     violations = []
-    for _ in range(5):
-        c = evaluate_costs(game, sample_configuration(game, rng))
+    for c in evaluate_costs(game, sample_configurations(game, rng, 5)):
         dG = central_difference(lambda cc: softmax_target(game, cc, eta),
                                 c, 1e-6 * game.mask)
         for (j, q) in game.valid_pairs:
@@ -173,9 +169,10 @@ class ReducedSystem:
         self.game = game
 
     def target(self, w: np.ndarray) -> np.ndarray:
-        """Configuration-valued target G(cbar(w)) at aggregate flow w."""
-        c = self.game.costs.aggregate_cost(np.asarray(w, dtype=float))
-        return softmax_target(self.game, c, self.eta)
+        """Target G(cbar(w)): logit_map where the costs see row sums w (w in column 0)."""
+        x = np.zeros((self.game.n_actions, self.game.n_pops))
+        x[:, 0] = w
+        return logit_map(self.game, x, self.eta)
 
     def field(self, w: np.ndarray) -> np.ndarray:
         return self.target(w).sum(axis=1) - np.asarray(w, dtype=float)

@@ -216,15 +216,13 @@ class CostField:
     (..., S, P) of configurations maps to the stack of matrices (and of
     partials), each equal bit for bit to its own evaluation.
 
-    ``per_action_aggregate`` marks fields whose costs depend on the
-    configuration only through the per-action total mass w, entrywise
-    (cost of action i is a function of w_i alone).
+    The contract is ``__call__``, ``jacobian`` and ``per_action_aggregate``.
+    The last marks fields whose costs depend on the configuration only
+    through the per-action total mass w, entrywise (cost of action i is a
+    function of w_i alone).
     """
 
     per_action_aggregate = False
-
-    def aggregate_cost(self, w: np.ndarray) -> np.ndarray:
-        raise CapabilityError("cost field does not factor through per-action aggregates")
 
 
 class AggregateCostField(CostField):
@@ -237,14 +235,11 @@ class AggregateCostField(CostField):
                                   for f in row] for row in fns])
 
     def __call__(self, x):
-        return self.aggregate_cost(np.add.reduce(np.asarray(x, dtype=float), -1))
+        return self.curves(np.add.reduce(np.asarray(x, dtype=float), -1))
 
     def flows(self, x):
         """(actions, populations) flow of each population through each curve row."""
         return np.asarray(x, dtype=float)
-
-    def aggregate_cost(self, w):
-        return self.curves(w)
 
     def jacobian(self, x):
         slopes = self.curves.slopes(np.asarray(x, dtype=float).sum(axis=-1))

@@ -19,7 +19,7 @@ from .game import (
     CapabilityError,
     CurveGrid,
     validate_configuration,
-    sample_configuration,
+    sample_configurations,
 )
 from .dynamics import integrate
 from .logit import logit_map
@@ -203,13 +203,6 @@ class RoutingCostField(CostField):
         """(links, populations) flow of each population through each link."""
         return self.A @ np.asarray(x, dtype=float)
 
-    def aggregate_cost(self, w):
-        if not self.per_action_aggregate:
-            raise CapabilityError("routes share links; costs do not factor "
-                                  "through per-action aggregates")
-        y = self.A @ np.asarray(w, dtype=float)
-        return self.A.T @ self.curves(y)
-
     def jacobian(self, x):
         y = (self.A @ np.asarray(x, dtype=float).sum(axis=-1)[..., None])[..., 0]
         T = self.curves.slopes(y)  # (..., E, P)
@@ -386,11 +379,11 @@ def stage_games(rgame: RoutingGame) -> list[RoutingGame]:
 
 def marginal_stage_configuration(rgame: RoutingGame, stage_idx: int,
                                  x: np.ndarray) -> np.ndarray:
-    """Stage configuration: composite route masses summed per stage segment."""
+    """Stage configuration: route masses of x (..., routes, P) summed per stage segment."""
     topo = rgame.topology
-    xk = np.zeros((len(topo.stages[stage_idx].segments), rgame.game.n_pops))
+    xk = np.zeros(x.shape[:-2] + (len(topo.stages[stage_idx].segments), rgame.game.n_pops))
     for r, idxs in enumerate(topo.route_stage_segments):
-        xk[idxs[stage_idx]] += x[r]
+        xk[..., idxs[stage_idx], :] += x[..., r, :]
     return xk
 
 
@@ -398,30 +391,25 @@ def decoupled_check(eta: float, rgame: RoutingGame,
                     rng: np.random.Generator | None = None) -> tuple[bool, float]:
     """Does the composite target factor into independent per-stage choices?
 
-    For 20 sampled configurations, compares H_r against the product of the
-    standalone stage targets over r's segments, divided by v_p per extra
-    stage, to 1e-10. Applies to series compositions only. Returns (ok,
-    max_error).
+    For 20 sampled configurations, drawn and mapped as one stack, compares
+    H_r against the product of the standalone stage targets over r's
+    segments, divided by v_p per extra stage, to 1e-10. Applies to series
+    compositions only. Returns (ok, max_error).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     stages = stage_games(rgame)
-    topo = rgame.topology
     game = rgame.game
     active = game.active_populations
-    worst = 0.0
-    for _ in range(20):
-        x = sample_configuration(game, rng)
-        H = logit_map(game, x, eta)
-        stage_targets = [logit_map(sg.game, marginal_stage_configuration(rgame, k, x), eta)
-                         for k, sg in enumerate(stages)]
-        for r, idxs in enumerate(topo.route_stage_segments):
-            for p in active:
-                pred = 1.0
-                for k in range(len(stages)):
-                    pred *= stage_targets[k][idxs[k], p]
-                pred /= game.masses[p] ** (len(stages) - 1)
-                worst = max(worst, abs(H[r, p] - pred))
-    return bool(worst <= 1e-10), float(worst)
+    X = sample_configurations(game, rng, 20)
+    segs = np.array(rgame.topology.route_stage_segments)   # (routes, stages)
+    pred = 1.0
+    for k, sg in enumerate(stages):
+        t = logit_map(sg.game, marginal_stage_configuration(rgame, k, X), eta)
+        pred = pred * t[:, segs[:, k]][..., active]
+    # scalar powers: numpy's array power can round v_p ** 3 one ulp away
+    pred = pred / [game.masses[p] ** (len(stages) - 1) for p in active]
+    worst = float(np.abs(logit_map(game, X, eta)[..., active] - pred).max())
+    return bool(worst <= 1e-10), worst
 
 
 def series_restriction_equivalence(rgame: RoutingGame, eta: float,

@@ -501,6 +501,21 @@ def test_main_exit_2_past_the_tolerance_bound(tmp_path, capsys, caplog, eta):
     assert any("roundoff floor" in m and "bound" in m for m in caplog.messages)
 
 
+def test_bifurcation_exit_2_where_no_solve_is_trusted(tmp_path, capsys):
+    # past the tolerance bound every start stops, so a zero count would claim
+    # "no fixed point" where the logit map always has one; the table is kept
+    path = scenario_file(tmp_path, "pigou", eta_lo="1e-12")
+    out = tmp_path / "out"
+    code = cli.main(["bifurcation", "--scenario", str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    lines = (out / "bifurcation.csv").read_text().splitlines()[1:]
+    zeros = [ln.split(",")[0] for ln in lines if ln.endswith(",0,0")]
+    assert len(lines) == 40 and len(zeros) == 17
+    err = capsys.readouterr().err
+    assert (f"no solve could be trusted at 17 of 40 etas, the largest "
+            f"eta={float(zeros[0]):g}") in err
+
+
 @pytest.mark.parametrize("name", ["pigou", "coordination"])
 @pytest.mark.parametrize("off, code", [("5e-9", 0), ("2e-8", 1)])
 def test_classify_checks_x0_at_the_nash_tolerance(tmp_path, name, off, code):

@@ -10,7 +10,7 @@ import gamedyn as gd
 from gamedyn import dynamics, logit
 from gamedyn.logit import softmax_target
 
-from conftest import get_scenario
+from conftest import ALL_SCENARIOS, get_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,30 @@ def test_exact_target_check_passes_logit_and_flags_leak(rng, monkeypatch):
     ok, worst = gd.exact_target_check(0.5, g, rng=rng)
     assert not ok
     assert worst == pytest.approx(0.2, rel=1e-6)     # 10% of the heavier mass
+
+
+def exact_target_check_per_sample(eta, game, rng):
+    """The check one sample at a time, an oracle for its stacked form."""
+    worst = 0.0
+    for _ in range(20):
+        x = gd.sample_configuration(game, rng)
+        F = gd.logit_map(game, x, eta)
+        worst = max(worst, float(np.abs(F.sum(axis=0) - game.masses).max()))
+        worst = max(worst, float(np.abs(np.where(game.mask, 0.0, F)).max()))
+        worst = max(worst, float(max(0.0, -(F.min()))))
+    return worst <= 1e-9, worst
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_exact_target_check_equals_the_per_sample_loop(name):
+    g, _ = get_scenario(name).build_game()
+    for seed in range(4):
+        for eta in (0.05, 0.5, 3.0):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert gd.exact_target_check(eta, g, rng=got) == \
+                exact_target_check_per_sample(eta, g, want)
+            # a shared rng reaches the checks after this one in the same state
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_monotonicity_check_logit_ok(rng):
@@ -107,6 +131,38 @@ def test_reduced_system_capability_gates():
     g, _ = get_scenario("wheatstone").build_game()    # costs couple the links
     with pytest.raises(gd.CapabilityError, match="per-action aggregate"):
         gd.ReducedSystem(g, 0.2)
+
+
+@pytest.mark.parametrize("name", ["constant", "coordination", "pigou", "parallel3",
+                                  "homogeneous", "tolls"])
+def test_reduced_target_is_the_softmax_of_the_aggregate_costs(name):
+    # the aggregate costs by their own formulas, curves(w) per action or
+    # A^T tau(A w) over routes, against the logit map at the lifted w
+    g, _ = get_scenario(name).build_game()
+    A = getattr(g.costs, "A", None)
+    rng = np.random.default_rng(3)
+    for eta in (0.05, 0.5, 3.0):
+        sys = gd.ReducedSystem(g, eta)
+        for _ in range(100):
+            w = rng.uniform(0.0, 1.5 * g.total_mass(), g.n_actions)
+            c = g.costs.curves(w) if A is None else A.T @ g.costs.curves(A @ w)
+            assert np.array_equal(sys.target(w), softmax_target(g, c, eta))
+
+
+def test_reduced_solves_name_an_infinite_cost():
+    # the reduction evaluates the game's own costs, so it stops on a
+    # non-finite entry as the full-state solver does
+    g = gd.PopulationGame(populations=("p1",), masses=np.array([2.0]), actions=("a1", "a2"),
+                          mask=np.ones((2, 1), dtype=bool),
+                          costs=gd.AggregateCostField([[gd.ScalarFn.affine(1e308, 0.0)],
+                                                       [gd.ScalarFn.affine(1.0, 0.0)]]))
+    w0 = np.array([2.0, 0.0])
+    for run in (lambda: gd.ReducedSystem(g, 0.5).fixed_point(w0),
+                lambda: gd.recover_configuration_limit(g, 0.5, w0),
+                lambda: gd.fixed_point(g, 0.5, w0[:, None])):
+        with np.errstate(over="ignore"), pytest.raises(
+                gd.CostEvalError, match="non-finite cost for action 'a1', population 'p1'"):
+            run()
 
 
 def test_reduced_jacobian_columns_sum_to_minus_one(rng):

@@ -244,12 +244,6 @@ def test_evaluate_costs_flags_bad_shape():
         gd.evaluate_costs(g, gd.uniform_configuration(g))
 
 
-def test_aggregate_cost_capability_gate():
-    field = CallableCostField(lambda x: x.sum(axis=1, keepdims=True))
-    with pytest.raises(gd.CapabilityError):
-        field.aggregate_cost(np.array([1.0]))
-
-
 # ---------------------------------------------------------------------------
 # Configurations
 

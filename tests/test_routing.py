@@ -225,13 +225,56 @@ def test_decoupled_check_flags_coupled_kernel(rng, monkeypatch):
     def inverse_cost(game, x, eta):
         c = gd.evaluate_costs(game, x)
         wts = np.where(game.mask, 1.0 / (1.0 + np.maximum(c, 0.0)), 0.0)
-        return game.masses * wts / wts.sum(axis=0)
+        return game.masses * wts / wts.sum(axis=-2, keepdims=True)
 
     monkeypatch.setattr(routing, "logit_map", inverse_cost)
     _, rg = get_scenario("series2").build_game()
     ok, max_error = gd.decoupled_check(0.5, rg, rng=rng)
     assert not ok
     assert max_error > 1e-3
+
+
+def decoupled_check_per_sample(eta, rgame, rng):
+    """The check one sample at a time, an oracle for its stacked form."""
+    stages = gd.stage_games(rgame)
+    game = rgame.game
+    worst = 0.0
+    for _ in range(20):
+        x = gd.sample_configuration(game, rng)
+        H = gd.logit_map(game, x, eta)
+        stage_targets = [gd.logit_map(sg.game, marginal_stage_configuration(rgame, k, x), eta)
+                         for k, sg in enumerate(stages)]
+        for r, idxs in enumerate(rgame.topology.route_stage_segments):
+            for p in game.active_populations:
+                pred = 1.0
+                for k in range(len(stages)):
+                    pred *= stage_targets[k][idxs[k], p]
+                pred /= game.masses[p] ** (len(stages) - 1)
+                worst = max(worst, abs(H[r, p] - pred))
+    return bool(worst <= 1e-10), float(worst)
+
+
+def test_decoupled_check_equals_the_per_sample_loop():
+    # series2, and generated series of 2-4 stages whose masses (one of them
+    # zero) are not powers of two
+    gen = np.random.default_rng(8)
+    games = [get_scenario("series2").build_game()[1]]
+    games += [random_series_game(gen, masses) for masses in [(0.7, 1.3), (0.0, 2.9)] * 5]
+    for rg in games:
+        for seed in range(3):
+            for eta in (0.05, 0.5, 3.0):
+                got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert gd.decoupled_check(eta, rg, rng=got) == \
+                    decoupled_check_per_sample(eta, rg, want)
+                assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_marginal_stage_configuration_of_a_stack_is_per_slice(rng):
+    _, rg = get_scenario("series2").build_game()
+    X = gd.sample_configurations(rg.game, rng, 5)
+    for k in range(rg.topology.n_stages):
+        assert np.array_equal(marginal_stage_configuration(rg, k, X),
+                              [marginal_stage_configuration(rg, k, x) for x in X])
 
 
 def test_series_restriction_equivalence_small_horizon():
@@ -254,10 +297,11 @@ def test_single_route_stage_flow_is_constant():
     assert gap <= 1e-9
 
 
-def random_series_game(rng):
+def random_series_game(rng, masses=(1.0, 2.0)):
     """A series of 2-4 parallel stages of 1-3 segments of 1-3 links each,
-    with at least two routes; link ids are shuffled, so their lexicographic
-    order is not the order of construction."""
+    with at least two routes, for populations p1, p2 of the given masses;
+    link ids are shuffled, so their lexicographic order is not the order of
+    construction."""
     while True:
         shapes = [rng.integers(1, 4, size=rng.integers(1, 4))
                   for _ in range(rng.integers(2, 5))]
@@ -276,7 +320,7 @@ def random_series_game(rng):
     costs = LinkCostMatrix(graph.link_ids, ("p1", "p2"),
                            [[AFF(1, 0), AFF(2, 1)]] * len(links))
     return gd.build_routing_game(graph, cuts[0], cuts[-1], costs, ("p1", "p2"),
-                                 np.array([1.0, 2.0]))
+                                 np.array(masses))
 
 
 def test_stage_order_and_marginals_on_generated_series_networks():
