@@ -81,7 +81,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory, game: PopulationGame,
             traj.aggregate_flows()]
     if rgame is not None:
         header += [f"y_{lid}" for lid in rgame.route_set.link_ids]
-        cols.append(traj.link_flows(rgame.incidence))
+        cols.append(link_flow(rgame.route_set, traj.states))
     _write_lines(path, [",".join(header)], np.hstack(cols))
 
 
@@ -320,7 +320,10 @@ def run(command: str, scenario: Scenario, out_dir=".", seed: int | None = None,
     if effective_seed < 0:
         raise ScenarioError(f"--seed must be nonnegative, got {effective_seed}")
     t0 = time.perf_counter()
-    code = _COMMANDS[command](scenario, out, effective_seed, quiet)
+    # an overflow to inf is either right (exp(-inf) is weight 0) or caught by
+    # evaluate_costs, which names the entry; numpy's own warning adds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = _COMMANDS[command](scenario, out, effective_seed, quiet)
     if not quiet:
         print(f"{command} finished in {time.perf_counter() - t0:.2f}s")
     return code

@@ -102,10 +102,6 @@ class Trajectory:
         """Per-action totals w(t) as a (T, S) array."""
         return self.states.sum(axis=2)
 
-    def link_flows(self, incidence: np.ndarray) -> np.ndarray:
-        """Link flows y(t) = A w(t) as a (T, E) array for a routing context."""
-        return self.aggregate_flows() @ np.asarray(incidence, dtype=float).T
-
 
 def integrate(game: PopulationGame, eta: float, x0,
               horizon: float, dt: float) -> Trajectory:

@@ -327,7 +327,9 @@ class PopulationGame:
 
 def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
     """Cost matrix at x, or the stack (..., S, P) of them at a stack of
-    configurations; raises CostEvalError naming the first bad entry."""
+    configurations; raises CostEvalError naming the first infinite entry, or
+    else the first NaN (an infinite link cost times a zero incidence leaves
+    NaN on every route of its population)."""
     c = np.asarray(game.costs(x), dtype=float)
     shape = np.asarray(x).shape[:-2] + game.mask.shape
     if c.shape != shape:
@@ -337,7 +339,8 @@ def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
         return c
     bad = ~np.isfinite(c) & game.mask
     if np.any(bad):
-        i, p = np.argwhere(bad)[0][-2:]
+        inf = np.isinf(c) & game.mask
+        i, p = np.argwhere(inf if np.any(inf) else bad)[0][-2:]
         raise CostEvalError(f"non-finite cost for action {game.actions[i]!r}, "
                             f"population {game.populations[p]!r}")
     return c

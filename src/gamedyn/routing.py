@@ -311,10 +311,6 @@ class RoutingGame:
     topology: TopologyClass
     game: PopulationGame
 
-    @property
-    def incidence(self) -> np.ndarray:
-        return self.route_set.incidence
-
 
 def build_routing_game(graph: Multigraph, origin: str, destination: str,
                        link_costs: LinkCostMatrix, populations, masses) -> RoutingGame:
@@ -340,9 +336,9 @@ def build_routing_game(graph: Multigraph, origin: str, destination: str,
 
 
 def link_flow(route_set: RouteSet, x) -> np.ndarray:
-    """Link flows y = A (x 1) induced by a configuration over routes."""
-    x = np.asarray(x, dtype=float)
-    return route_set.incidence @ x.sum(axis=1)
+    """Link flows y = A (x 1) of a configuration over routes, or of each in a
+    stack (..., S, P)."""
+    return np.asarray(x, dtype=float).sum(axis=-1) @ route_set.incidence.T
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +416,12 @@ def series_restriction_equivalence(rgame: RoutingGame, eta: float,
     """
     x0 = validate_configuration(rgame.game, x0)
     stages = stage_games(rgame)
-    y = integrate(rgame.game, eta, x0, horizon, dt).link_flows(rgame.incidence)
+    y = link_flow(rgame.route_set, integrate(rgame.game, eta, x0, horizon, dt).states)
     row = {lid: e for e, lid in enumerate(rgame.route_set.link_ids)}
     worst = 0.0
     for k, sg in enumerate(stages):
         xk0 = marginal_stage_configuration(rgame, k, x0)
-        yk = integrate(sg.game, eta, xk0, horizon, dt).link_flows(sg.incidence)
+        yk = link_flow(sg.route_set, integrate(sg.game, eta, xk0, horizon, dt).states)
         cols = [row[lid] for lid in sg.route_set.link_ids]
         worst = max(worst, float(np.abs(y[:, cols] - yk).max()))
     return worst

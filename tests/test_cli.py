@@ -1,7 +1,8 @@
-"""End-to-end CLI checks: CSV layout, byte-level determinism, exit codes."""
+"""End-to-end CLI checks: the golden table of every bundled run (exit code,
+stderr and output digests, kept in cli_table.json by cli_table.py), CSV
+layout, byte-level determinism and the exit codes of failing runs."""
 
 import ast
-import hashlib
 import os
 import re
 import shutil
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import gamedyn as gd
 from gamedyn import cli, logit
 
-from conftest import ALL_SCENARIOS, SCENARIO_DIR, get_scenario
+import cli_table
+from conftest import SCENARIO_DIR, get_scenario
 
 
 def short_pigou(tmp_path, x0="vertex:r2", horizon="1"):
@@ -39,6 +41,27 @@ def scenario_file(tmp_path, name, **values):
     p = tmp_path / f"{name}.scn"
     p.write_text(text)
     return p
+
+
+# ---------------------------------------------------------------------------
+# the golden table
+
+
+# Rows only CI's cli-matrix job checks. In-process at seed 11 on a 2-core host,
+# sweep wheatstone takes 25.5 s, sweep series2 17.3 s and reproduce-wheatstone
+# wheatstone 9.8 s, nearly all of it damped-Picard continuation. Once the sweep
+# runs on the corrector (ROADMAP item 2), that change re-pins the sweep rows and
+# moves these three into tier-1.
+CI_ONLY = {("sweep", "wheatstone", 11), ("sweep", "series2", 11),
+           ("reproduce-wheatstone", "wheatstone", 11)}
+TIER1_KEYS = [key for key in cli_table.KEYS if key not in CI_ONLY]
+
+
+@pytest.mark.parametrize("key", TIER1_KEYS, ids=["-".join(map(str, k)) for k in TIER1_KEYS])
+def test_run_matches_the_table(tmp_path, key):
+    code, stderr = cli_table.run(key, tmp_path)
+    found = cli_table.mismatches(key, cli_table.observe(tmp_path, code, stderr), tmp_path)
+    assert not found, "\n".join(found)
 
 
 # ---------------------------------------------------------------------------
@@ -75,50 +98,6 @@ def test_simulate_random_x0_seed_determinism(tmp_path):
     c = (tmp_path / "c" / "trajectory.csv").read_bytes()
     assert a == b
     assert a != c
-
-
-# sha256 of trajectory.csv from simulate on each bundled scenario at seed 11
-# (numpy 2.4, x86-64). A new digest means the output bytes moved: find out why
-# before pinning it.
-TRAJECTORY_SHA256 = {
-    "constant": "1418adf7dac068c0ef3e16f32e6ee1e8f976e8a6104e038ad707ed5d65b6f867",
-    "coordination": "5e992db0ede1abbc1aa8e5b55733fc19259628744bd1a1910d1d25dbe0a9a187",
-    "homogeneous": "64becfcd97f17acc29becda28b527075b0f9a2505ef5815b81a7e89fb42d4b22",
-    "parallel3": "ae18c8943cfca058e8023e127eb9cf05277d1ce6fc1c7309ef09423dd44d7882",
-    "pigou": "49b246d409c4e560fe4a1c787d6ef3211db9d823945ab1c0c9d1025525c5fe32",
-    "series2": "3b58d0d681758b58bc0ff2ec882475057de5e68cb214230152bc83b3eb7bc95c",
-    "tolls": "a8b7b0ce9367140230c69f7791923078dc923c980691137b18769ce097116a05",
-    "wheatstone": "6fc5f696cbc58d9c965f487f281b0c7a655fcc3d91897faf57f21dd0ec036490",
-}
-
-
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_simulate_trajectory_bytes_are_pinned(tmp_path, name):
-    assert cli.run("simulate", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
-    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
-    assert digest == TRAJECTORY_SHA256[name]
-
-
-# sha256 of fixed_point.csv from fixed-point on each bundled scenario at seed 11
-# (numpy 2.4, x86-64): the damped solver's x, residual, iteration count and
-# stability, byte for byte
-FIXED_POINT_SHA256 = {
-    "constant": "d587f905bfcbf4cc5a4a560cd184ccab8e3a26a148a0764abbe5a2e9f6b3dda9",
-    "coordination": "ef2aa06ed3f969446fd72d0f6e57c74b26e1bfa8adf33d53b2b5ba1f278affdc",
-    "homogeneous": "f0ccc4b3c6329cb6a5c41c6963db29a1285d14ca334dc70567ea2c0e3f5f891e",
-    "parallel3": "3e42f098d28462de53b6c1c6a31cadf786a8cb63510e6ccdd11ac2be31e6bd1e",
-    "pigou": "54315fcfb32f014b11c81599ccc993e623011e5d1b51d7c43f155236a16015e4",
-    "series2": "b98396810e28ec65da744af5785b794d63392a25849f09658dd9eef929e7bdda",
-    "tolls": "8dd1553e914da758cf5b04877953d490204eb7b0967f4d387d21e5f86014ef2f",
-    "wheatstone": "b4beb92c10b267017b9ac4373160d75a649fcc119d0cb304910b17e1ab6eabed",
-}
-
-
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_fixed_point_csv_bytes_are_pinned(tmp_path, name):
-    assert cli.run("fixed-point", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
-    digest = hashlib.sha256((tmp_path / "fixed_point.csv").read_bytes()).hexdigest()
-    assert digest == FIXED_POINT_SHA256[name]
 
 
 _SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -183,192 +162,6 @@ def test_bifurcation_csv(tmp_path):
     for ln in lines[1:]:
         _, nf, ns = ln.split(",")
         assert nf == "1" and ns == "1"
-
-
-# bifurcation.csv "n_fixed_points,n_stable" columns of each bundled scenario
-# at seed 11, as runs of (rows, value) from the largest eta down
-BIFURCATION_COUNTS = {
-    "constant": [(30, "1,1")],
-    "coordination": [(11, "1,1"), (49, "2,2")],
-    "homogeneous": [(40, "1,1")],
-    "parallel3": [(40, "1,1")],
-    "pigou": [(40, "1,1")],
-    "series2": [(40, "1,1")],
-    "tolls": [(40, "1,1")],
-    "wheatstone": [(60, "1,1")],
-}
-
-
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_bifurcation_counts_are_pinned(tmp_path, name):
-    assert cli.run("bifurcation", get_scenario(name), out_dir=tmp_path, seed=11, quiet=True) == 0
-    lines = (tmp_path / "bifurcation.csv").read_text().splitlines()[1:]
-    assert [ln.split(",", 1)[1] for ln in lines] == \
-        [counts for rows, counts in BIFURCATION_COUNTS[name] for _ in range(rows)]
-
-
-# ---------------------------------------------------------------------------
-# classify / verify
-
-
-# classify.txt of each bundled scenario at seed 11, byte for byte
-CLASSIFY_TXT = {
-    "constant": """\
-scenario: constant
-kind: explicit
-x0 nash: false
-x0 strict: false
-x0 monomorphic: false
-violation: population p1 uses a2, 1 above best (a1)
-""",
-    "coordination": """\
-scenario: coordination
-kind: explicit
-x0 nash: true
-x0 strict: false
-x0 monomorphic: false
-""",
-    "pigou": """\
-scenario: pigou
-kind: routing
-topology: parallel
-stage 1: o->d links e1,e2
-route r1: e1
-route r2: e2
-x0 link flow: 0,1
-x0 is equilibrium flow witness: false
-x0 nash: false
-x0 strict: false
-x0 monomorphic: true
-violation: population p1 uses r2, 1 above best (r1)
-""",
-    "parallel3": """\
-scenario: parallel3
-kind: routing
-topology: parallel
-stage 1: o->d links e1,e2,e3
-route r1: e1
-route r2: e2
-route r3: e3
-x0 link flow: 1,1,1
-x0 is equilibrium flow witness: false
-x0 nash: false
-x0 strict: false
-x0 monomorphic: false
-violation: population p1 uses r2, 2 above best (r1)
-violation: population p1 uses r3, 2 above best (r1)
-violation: population p2 uses r3, 1 above best (r1)
-""",
-    "homogeneous": """\
-scenario: homogeneous
-kind: routing
-topology: parallel
-stage 1: o->d links e1,e2
-route r1: e1
-route r2: e2
-x0 link flow: 2,0
-x0 is equilibrium flow witness: false
-x0 nash: false
-x0 strict: false
-x0 monomorphic: true
-violation: population p1 uses r1, 1 above best (r2)
-violation: population p2 uses r1, 1 above best (r2)
-""",
-    "tolls": """\
-scenario: tolls
-kind: routing
-topology: parallel
-stage 1: o->d links e1,e2
-route r1: e1
-route r2: e2
-x0 link flow: 1,1
-x0 is equilibrium flow witness: false
-x0 nash: false
-x0 strict: false
-x0 monomorphic: false
-violation: population p1 uses r2, 1 above best (r1)
-violation: population p2 uses r2, 2 above best (r1)
-""",
-    "series2": """\
-scenario: series2
-kind: routing
-topology: series_of_parallel
-stage 1: o->m links e1,e2
-stage 2: m->d links e3,e4
-route r1: e1,e3
-route r2: e1,e4
-route r3: e2,e3
-route r4: e2,e4
-x0 link flow: 1,1,1,1
-x0 is equilibrium flow witness: false
-x0 nash: false
-x0 strict: false
-x0 monomorphic: false
-violation: population p1 uses r2, 1 above best (r1)
-violation: population p1 uses r3, 1 above best (r1)
-violation: population p1 uses r4, 2 above best (r1)
-violation: population p2 uses r2, 1 above best (r1)
-violation: population p2 uses r3, 1 above best (r1)
-violation: population p2 uses r4, 2 above best (r1)
-""",
-    "wheatstone": """\
-scenario: wheatstone
-kind: routing
-topology: other
-route r1: e1,e3,e5
-route r2: e1,e4
-route r3: e2,e5
-x0 link flow: 2.6666666666666665,1.3333333333333333,1.3333333333333333,1.3333333333333333,2.6666666666666665
-x0 is equilibrium flow witness: false
-x0 nash: false
-x0 strict: false
-x0 monomorphic: false
-violation: population p1 uses r2, 1.3333333333333321 above best (r1)
-violation: population p1 uses r3, 14.666666666666668 above best (r1)
-violation: population p2 uses r1, 2.666666666666667 above best (r3)
-violation: population p2 uses r2, 3.9999999999999991 above best (r3)
-""",
-}
-
-
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_classify_txt_is_pinned(tmp_path, name):
-    scn = get_scenario(name)
-    assert cli.run("classify", scn, out_dir=tmp_path, seed=11, quiet=True) == 0
-    assert (tmp_path / "classify.txt").read_bytes() == CLASSIFY_TXT[name].encode()
-
-
-# verify.txt lines of each bundled scenario at seed 11, "=number" parts
-# stripped (the numbers include roundoff that can move across numpy builds)
-_CHECKS = ["PASS exact_target max_violation",
-           "PASS trajectory_validity drift min_entry",
-           "PASS fixed_point residual",
-           "INFO monotone: true (0 violations)"]
-VERIFY_LINES = {
-    "constant": _CHECKS + ["INFO potential_symmetry: true max_asymmetry"],
-    "coordination": _CHECKS + ["INFO potential_symmetry: true max_asymmetry"],
-    "pigou": _CHECKS + ["INFO potential_symmetry: true max_asymmetry",
-                        "INFO topology: parallel"],
-    "parallel3": _CHECKS + ["INFO potential_symmetry: false max_asymmetry",
-                            "INFO topology: parallel"],
-    "homogeneous": _CHECKS + ["INFO potential_symmetry: true max_asymmetry",
-                              "INFO topology: parallel"],
-    "tolls": _CHECKS + ["INFO potential_symmetry: true max_asymmetry",
-                        "INFO topology: parallel"],
-    "series2": _CHECKS + ["INFO potential_symmetry: false max_asymmetry",
-                          "INFO topology: series_of_parallel",
-                          "INFO decoupled: true max_error"],
-    "wheatstone": _CHECKS + ["INFO potential_symmetry: false max_asymmetry",
-                             "INFO topology: other"],
-}
-
-
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_verify_passes(tmp_path, name):
-    scn = get_scenario(name)
-    assert cli.run("verify", scn, out_dir=tmp_path, seed=11, quiet=True) == 0
-    lines = (tmp_path / "verify.txt").read_text().splitlines()
-    assert [re.sub(r"=\S+", "", line) for line in lines] == VERIFY_LINES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +350,33 @@ def test_main_exit_1_on_decreasing_tolled_curve(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and "link cost for (e2, p1) is decreasing" in err
+
+
+OVERFLOW_RUNS = [
+    *[("homogeneous", "e2", "r2", command, 2,
+       "numerical failure: non-finite cost for action 'r2', population 'p1'\n")
+      for command in ("simulate", "fixed-point", "classify")],
+    ("pigou", "e1", "r1", "simulate", 0, ""),
+    ("pigou", "e1", "r1", "fixed-point", 2,
+     "numerical failure: fixed-point solve stalled at residual 2.000e+00 (eta=0.25)\n"),
+]
+
+
+@pytest.mark.parametrize("name, link, x0, command, code, err", OVERFLOW_RUNS,
+                         ids=[f"{run[0]}-{run[3]}" for run in OVERFLOW_RUNS])
+def test_link_cost_overflow(tmp_path, capsys, name, link, x0, command, code, err):
+    # a cost of 1e308 per unit overflows at a flow above 1. The route cost
+    # A.T @ tau(y) then multiplies inf by 0, which leaves NaN on every route,
+    # yet the error names the route through the overflowing link; on pigou the
+    # logit weight exp(-inf) = 0 is right. numpy's warnings stay off stderr
+    path = scenario_file(tmp_path, name, x0=f"vertex:{x0}")
+    text, n = re.subn(rf"^{link}, all, affine, .*$", f"{link}, all, affine, 1e308, 0",
+                      path.read_text(), flags=re.M)
+    assert n == 1
+    path.write_text(text)
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == code
+    assert capsys.readouterr().err == err
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ def test_trajectory_flow_views():
     w = traj.aggregate_flows()
     assert w.shape == (11, 2)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-    y = traj.link_flows(rgame.incidence)
-    np.testing.assert_allclose(y, w @ rgame.incidence.T, atol=0)
+    y = gd.link_flow(rgame.route_set, traj.states)
+    np.testing.assert_array_equal(y, w @ rgame.route_set.incidence.T)
 
 
 def test_rk4_step_halving_is_fourth_order():

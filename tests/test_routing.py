@@ -182,7 +182,11 @@ def test_link_flow():
     x = gd.uniform_configuration(rg.game)
     w = x.sum(axis=1)
     y = gd.link_flow(rg.route_set, x)
-    np.testing.assert_allclose(y, rg.incidence @ w, atol=1e-12)
+    np.testing.assert_allclose(y, rg.route_set.incidence @ w, atol=1e-12)
+    # a stack of configurations maps slice by slice, bit for bit
+    X = gd.integrate(rg.game, 0.5, x, 1.0, 0.1).states
+    np.testing.assert_array_equal(gd.link_flow(rg.route_set, X),
+                                  [gd.link_flow(rg.route_set, s) for s in X])
 
 
 def test_equilibrium_flow_witness_pigou():
@@ -289,7 +293,7 @@ def test_single_route_stage_flow_is_constant():
     assert rg.topology.kind == "series_of_parallel"
     x0 = gd.uniform_configuration(rg.game)
     traj = gd.integrate(rg.game, 0.5, x0, 5.0, 0.01)
-    y = traj.link_flows(rg.incidence)
+    y = gd.link_flow(rg.route_set, traj.states)
     e3 = rg.route_set.link_ids.index("e3")
     # every unit of mass crosses the mandatory link at all times
     np.testing.assert_allclose(y[:, e3], 2.0, atol=1e-12)
