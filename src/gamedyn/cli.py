@@ -11,6 +11,7 @@ import argparse
 import logging
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .routing import RouteError, RoutingGame, link_flow, decoupled_check
 from .scenario import Scenario, ScenarioError, load_scenario
 
 log = logging.getLogger(__name__)
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 class NumericalFailure(RuntimeError):
@@ -142,10 +144,6 @@ def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     return 0
 
 
-def _sweep_seeds(game: PopulationGame) -> list[np.ndarray]:
-    return monomorphic_vertices(game) + [uniform_configuration(game)]
-
-
 def _sweep_to_csv(path: Path, game: PopulationGame, bracket, seeds) -> list:
     """Continuation branches from seeds over the noise bracket, written to path."""
     curves = continuation_sweep(game, *bracket, seeds)
@@ -159,7 +157,8 @@ def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     game, _ = scn.build_game()
     eta_hi, eta_lo, steps = scn.noise_bracket(steps=60)
     path = out / "sweep.csv"
-    curves = _sweep_to_csv(path, game, (eta_hi, eta_lo, steps), _sweep_seeds(game))
+    seeds = monomorphic_vertices(game) + [uniform_configuration(game)]
+    curves = _sweep_to_csv(path, game, (eta_hi, eta_lo, steps), seeds)
     if not quiet:
         print(f"wrote {path} ({len(curves)} branch(es), "
               f"eta {eta_hi:g} down to {eta_lo:g})")
@@ -271,8 +270,7 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
         raise ScenarioError("reproduce-wheatstone needs a routing scenario")
     rs = rgame.route_set
     try:
-        ia = rs.index_of(("e1", "e4"))
-        ib = rs.index_of(("e2", "e5"))
+        ia, ib = rs.index_of(("e1", "e4")), rs.index_of(("e2", "e5"))
     except KeyError:
         raise ScenarioError("scenario lacks the expected diamond routes "
                             "(e1,e4) and (e2,e5)") from None
@@ -320,10 +318,14 @@ def run(command: str, scenario: Scenario, out_dir=".", seed: int | None = None,
     if effective_seed < 0:
         raise ScenarioError(f"--seed must be nonnegative, got {effective_seed}")
     t0 = time.perf_counter()
-    # an overflow to inf is either right (exp(-inf) is weight 0) or caught by
-    # evaluate_costs, which names the entry; numpy's own warning adds nothing
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow to inf is right (exp(-inf) is weight 0) or named by evaluate_costs;
+    # a NaN (0 * inf, inf - inf) is warned of once, if the command returns after it
+    invalid = []
+    with np.errstate(over="ignore", invalid="call", call=lambda err, flag: invalid.append(err)):
         code = _COMMANDS[command](scenario, out, effective_seed, quiet)
+    if invalid:
+        warnings.warn(f"{command}: {len(invalid)} invalid floating-point operation(s); "
+                      "the outputs may hold NaN", RuntimeWarning)
     if not quiet:
         print(f"{command} finished in {time.perf_counter() - t0:.2f}s")
     return code
@@ -344,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO, format=LOG_FORMAT)
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as e:

@@ -7,8 +7,8 @@ keys are the seven commands on the eight bundled scenarios at seed 11, and
 run uses ``--quiet``. ``verify.txt`` is hashed with its ``=number`` parts
 stripped: those numbers carry roundoff that can move across numpy builds.
 
-    python tests/cli_table.py check DIR --seed 11
-        checks the runs saved under DIR against the table: DIR/<scenario>/
+    python tests/cli_table.py check DIR
+        checks the seed-11 runs saved under DIR against the table: DIR/<scenario>/
         <command>/ is a run's --out directory, and DIR/<scenario>/<command>.exit
         and .stderr beside it hold its exit code and stderr
     python tests/cli_table.py write
@@ -40,8 +40,9 @@ SCENARIO_DIR = Path(gamedyn.__file__).resolve().parent / "scenarios"
 COMMANDS = ("simulate", "fixed-point", "sweep", "bifurcation", "classify", "verify",
             "reproduce-wheatstone")
 SCENARIOS = tuple(sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
+SEED = 11
 CENSUS_SEEDS = (3, 7, 23, 40)
-KEYS = ([(command, name, 11) for name in SCENARIOS for command in COMMANDS]
+KEYS = ([(command, name, SEED) for name in SCENARIOS for command in COMMANDS]
         + [("bifurcation", name, seed) for seed in CENSUS_SEEDS for name in SCENARIOS])
 
 _NUMBER = re.compile(rb"=\S+")
@@ -89,7 +90,7 @@ def run(key, out: Path) -> tuple[int, str]:
     err = io.StringIO()
     handler = logging.StreamHandler(err)
     handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setFormatter(logging.Formatter(cli.LOG_FORMAT))
     logger = logging.getLogger("gamedyn")
     logger.addHandler(handler)
     logger.propagate = False
@@ -103,12 +104,12 @@ def run(key, out: Path) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def check(root: Path, seed: int) -> list[str]:
-    """Mismatches of the runs at seed saved under root, laid out as for `check`."""
+def check(root: Path) -> list[str]:
+    """Mismatches of the seed-11 runs saved under root, laid out as for `check`."""
     found = []
     for key in KEYS:
-        command, name, s = key
-        if s == seed:
+        command, name, seed = key
+        if seed == SEED:
             out = root / name / command
             code = int((out.parent / f"{command}.exit").read_text())
             stderr = (out.parent / f"{command}.stderr").read_text()
@@ -134,16 +135,15 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="mode", required=True)
     chk = sub.add_parser("check", help="check saved runs against the table")
     chk.add_argument("dir", type=Path)
-    chk.add_argument("--seed", type=int, required=True)
     sub.add_parser("write", help="re-run every row and rewrite the table")
     args = ap.parse_args(argv)
     if args.mode == "write":
         write()
         return 0
-    found = check(args.dir, args.seed)
+    found = check(args.dir)
     for line in found:
         print(line)
-    print(f"{sum(key[2] == args.seed for key in KEYS)} runs checked, "
+    print(f"{sum(key[2] == SEED for key in KEYS)} runs checked, "
           f"{len(found)} mismatch(es)")
     return 1 if found else 0
 

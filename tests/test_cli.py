@@ -52,8 +52,8 @@ def scenario_file(tmp_path, name, **values):
 # wheatstone 9.8 s, nearly all of it damped-Picard continuation. Once the sweep
 # runs on the corrector (ROADMAP item 2), that change re-pins the sweep rows and
 # moves these three into tier-1.
-CI_ONLY = {("sweep", "wheatstone", 11), ("sweep", "series2", 11),
-           ("reproduce-wheatstone", "wheatstone", 11)}
+CI_ONLY = {("sweep", "wheatstone", cli_table.SEED), ("sweep", "series2", cli_table.SEED),
+           ("reproduce-wheatstone", "wheatstone", cli_table.SEED)}
 TIER1_KEYS = [key for key in cli_table.KEYS if key not in CI_ONLY]
 
 
@@ -377,6 +377,17 @@ def test_link_cost_overflow(tmp_path, capsys, name, link, x0, command, code, err
     assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == code
     assert capsys.readouterr().err == err
+
+
+def test_nan_a_command_survives_is_warned_of(tmp_path, monkeypatch):
+    # the overflow and invalid-value warnings are off only where they add
+    # nothing: a command that returns after making NaN still warns
+    def command(scenario, out, seed, quiet):
+        np.subtract(np.inf, np.inf)
+        return 0
+    monkeypatch.setitem(cli._COMMANDS, "simulate", command)
+    with pytest.warns(RuntimeWarning, match="simulate: 1 invalid floating-point operation"):
+        assert cli.run("simulate", get_scenario("pigou"), out_dir=tmp_path) == 0
 
 
 # ---------------------------------------------------------------------------
