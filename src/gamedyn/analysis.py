@@ -164,9 +164,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
     m = multistart + len(vertices)
-    # skip the 100 draws margins once took, so starts and counts hold at every seed
-    draws = np.split(sample_configurations(game, rng, 100 + len(etas) * multistart)[100:],
-                     len(etas))
+    draws = np.split(sample_configurations(game, rng, len(etas) * multistart), len(etas))
     seeds = [x for d in draws for x in [*d, *vertices]]
     results = fixed_points(game, np.repeat(etas, m), seeds)
     per_eta = []

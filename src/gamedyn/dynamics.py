@@ -21,7 +21,7 @@ from .game import (
     validate_configuration,
     sample_configurations,
 )
-from .logit import damped_iteration, logit_map, softmax_target
+from .logit import fixed_points, logit_map, softmax_target
 
 log = logging.getLogger(__name__)
 
@@ -170,35 +170,22 @@ class ReducedSystem:
         x[:, 0] = w
         return logit_map(self.game, x, self.eta)
 
-    def field(self, w: np.ndarray) -> np.ndarray:
-        return self.target(w).sum(axis=1) - np.asarray(w, dtype=float)
-
-    def _start(self, w0) -> np.ndarray:
-        """w0 as a fresh float array, checked for shape and finiteness."""
-        w = np.array(w0, dtype=float)
-        if w.shape != (self.game.n_actions,):
-            raise ValueError(f"w0 must have shape ({self.game.n_actions},), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"w0 has a non-finite entry: {w.tolist()!r}")
-        return w
-
     def fixed_point(self, w0) -> ReducedFixedPoint:
-        """Aggregate fixed point w = sum_p G_p(cbar(w)) by damped_iteration.
+        """Aggregate fixed point w = sum_p G_p(cbar(w)): the row sums of
+        fixed_points' solve of the full map from target(w0).
 
-        Converges at an l1 residual of 1e-10. The damping cap is sized from
-        jacobian_fd(w) + I, the Jacobian of the iterated map.
+        The full map sees a configuration only through its row sums, so
+        those of its fixed point are a fixed point here. The residual,
+        iterations and tolerance are the full solve's.
         """
-        w, r, it, converged = damped_iteration(
-            lambda v: self.target(v).sum(axis=1),
-            self._start(w0),
-            lambda v: float(np.abs(self.jacobian_fd(v) + np.eye(self.game.n_actions)
-                                   ).sum(axis=0).max()),
-            lambda v: 1e-10)
-        return ReducedFixedPoint(w=w, residual=r, iterations=it, converged=converged)
-
-    def jacobian_fd(self, w) -> np.ndarray:
-        """Central finite differences of the reduced field, step 1e-6."""
-        return central_difference(self.field, w, 1e-6)
+        w0 = np.asarray(w0, dtype=float)
+        if w0.shape != (self.game.n_actions,):
+            raise ValueError(f"w0 must have shape ({self.game.n_actions},), got {w0.shape}")
+        if not np.all(np.isfinite(w0)):
+            raise ValueError(f"w0 has a non-finite entry: {w0.tolist()!r}")
+        r = fixed_points(self.game, self.eta, [self.target(w0)])[0]
+        return ReducedFixedPoint(w=r.x.sum(axis=1), residual=r.residual,
+                                 iterations=r.iterations, converged=r.converged)
 
 
 def recover_configuration_limit(game: PopulationGame, eta: float, w_star) -> np.ndarray:

@@ -164,41 +164,50 @@ def _tolerance(game: PopulationGame, c: np.ndarray, eta):
     return np.where(tol <= TOL_BOUND * max(1.0, game.total_mass()), tol, np.nan)
 
 
-def damped_iteration(phi, x, rho, tol_of):
-    """Damped Picard x <- (1-lam)x + lam*phi(x) from x, to an l1 residual of
-    tol_of(x), in at most MAX_ITER steps.
+def damped_iteration(game: PopulationGame, eta: float, x):
+    """Damped Picard x <- (1-lam)x + lam*logit_map(x) from x, to an l1
+    residual of _tolerance, in at most MAX_ITER steps.
 
-    The damped update has iteration matrix (1-lam)I + lam*J with J the
-    Jacobian of phi; with rho(x) an upper bound on |eig(J)|, lam =
+    The damped update has iteration matrix (1-lam)I + lam*J with J the logit
+    Jacobian; with rho its l1 column norm, an upper bound on |eig(J)|, lam =
     1.5/(1+rho) keeps the stiffest mode inside the unit disk with factor
     <= 0.5 to spare. The cap has ceiling 0.5 at the start; every 250 steps it
-    is re-sized at the current iterate with ceiling 1 (and tol_of is re-read),
-    since stiffness varies across the polytope at small eta. lam halves
-    whenever a step still increases the residual, and creeps back toward the
-    cap after a run of accepted steps. Returns (best x, its residual,
-    iterations, converged).
+    is re-sized at the current iterate with ceiling 1 (and the tolerance is
+    re-read), since stiffness varies across the polytope at small eta. From
+    the second re-size on, 250 steps without a better iterate halve the cap
+    instead, as the local norm can miss the stiff mode of a 2-cycle. lam
+    halves whenever a step still increases the residual, and creeps back
+    toward the cap after a run of accepted steps. Returns (best x, its
+    residual, iterations, converged).
     """
     def cap_at(x, ceiling):
-        return min(ceiling, 1.5 / (1.0 + rho(x)))
+        rho = float(np.abs(logit_jacobian(game, x, eta)).sum(axis=0).max())
+        return min(ceiling, 1.5 / (1.0 + rho))
 
-    F = phi(x)
+    def tol_at(x):
+        return float(_tolerance(game, evaluate_costs(game, x), eta))
+
+    F = logit_map(game, x, eta)
     cap = lam = cap_at(x, 0.5)
     r = float(np.abs(F - x).sum())
-    tol = tol_of(x)
+    tol = tol_at(x)
     best_x, best_r = x, r
+    mark = np.inf  # best residual at the last re-size
     accepts = it = 0
     while it < MAX_ITER and best_r > tol:
         it += 1
         if it % 250 == 0:
-            cap = lam = cap_at(x, 1.0)
+            cap = lam = cap_at(x, 1.0) if best_r < mark else 0.5 * cap
+            mark = best_r
             accepts = 0
-            tol = tol_of(x)
+            tol = tol_at(x)
         x_new = (1.0 - lam) * x + lam * F
-        F_new = phi(x_new)
+        F_new = logit_map(game, x_new, eta)
         # ndarray.sum's reduction without its Python wrapper (~1.2M steps a sweep)
         r_new = float(np.add.reduce(np.abs(F_new - x_new), None))
         # 5% slack keeps roundoff jitter near the floor from collapsing lam;
-        # genuine instability overshoots it within a few steps regardless
+        # a damped mode past -1 can still pass it in a steady 2-cycle, which
+        # the halving at the re-size above breaks
         if r_new <= 1.05 * r or lam <= 1e-7:
             x, F, r = x_new, F_new, r_new
             if r < best_r:
@@ -216,7 +225,6 @@ def damped_iteration(phi, x, rho, tol_of):
 def fixed_point(game: PopulationGame, eta: float, x0) -> FixedPointResult:
     """Fixed point of logit_map by damped_iteration, to an l1 residual of 1e-10.
 
-    The damping cap is sized from the l1 column norm of the map Jacobian.
     The effective tolerance never goes below the roundoff residual_floor;
     where that floor passes TOL_BOUND the solve stops there, unconverged.
     The best iterate seen is always returned, in an array of its own (never
@@ -224,9 +232,7 @@ def fixed_point(game: PopulationGame, eta: float, x0) -> FixedPointResult:
     flags, never raised.
     """
     x, r, it, converged = damped_iteration(
-        lambda y: logit_map(game, y, eta), validate_configuration(game, x0).copy(),
-        lambda y: float(np.abs(logit_jacobian(game, y, eta)).sum(axis=0).max()),
-        lambda y: float(_tolerance(game, evaluate_costs(game, y), eta)))
+        game, eta, validate_configuration(game, x0).copy())
     if not converged:
         log.warning("fixed_point: no convergence after %d iterations (eta=%g, "
                     "residual=%.3e, roundoff floor=%.3e, bound=%.3e)", it, eta, r,

@@ -152,9 +152,9 @@ class StartsRecorded(Exception):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("coordination", "774a64cd67f67032ed08bff62424b6c9fb8d13868d95592eb2fc6f3056730ea5"),
-    ("wheatstone", "3396c4611635531289796da3210c9e38510cefbce8ad97d524722329c78e1448"),
-])
+    ("coordination", "9155e823864463d19abcf1205536dd5eb9e92ece8f07735669510ae2c2fbf3f9"),
+    ("wheatstone", "75405c5aae0c2fcc088fec9d9dee85b0ff814a4a3bef50263588037c3815e8b9"),
+], ids=["coordination", "wheatstone"])
 def test_census_starts_are_pinned(monkeypatch, name, digest):
     # the per-start etas and the start stack handed to the solver, in the
     # order the census draws them at a fixed rng
@@ -189,7 +189,7 @@ def test_census_corrector_counts(monkeypatch):
     # exact work of the census on the coordination grid: one fixed_points
     # stack for all 5 etas, its corrector steps (one _noise_free_parts stack
     # each) and their trial evaluations (one softmax per step for the
-    # residual, the rest Armijo rounds). Six starts land on the unstable
+    # residual, the rest Armijo rounds). Three starts land on the unstable
     # symmetric point; each restarts once inside the corrector, and none
     # falls back to fixed_point
     g, _ = get_scenario("coordination").build_game()
@@ -218,9 +218,9 @@ def test_census_corrector_counts(monkeypatch):
                                 rng=np.random.default_rng(3))
     steps = len(stacks)
     trials = len(softmaxes) - steps
-    assert (len(solves), steps, trials, len(fallbacks)) == (1, 10, 10, 0)
+    assert (len(solves), steps, trials, len(fallbacks)) == (1, 9, 9, 0)
     # the restarted starts, by the corrector step at which they landed
-    assert pushed == [3, 3, 3, 4, 4, 4]
+    assert pushed == [2, 3, 3]
     assert not maps
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 

@@ -165,14 +165,6 @@ def test_reduced_solves_name_an_infinite_cost():
             run()
 
 
-def test_reduced_jacobian_columns_sum_to_minus_one(rng):
-    g, _ = get_scenario("parallel3").build_game()
-    sys = gd.ReducedSystem(g, 0.5)
-    w = rng.uniform(0.2, 1.2, size=g.n_actions)
-    J = sys.jacobian_fd(w)
-    np.testing.assert_allclose(J.sum(axis=0), -1.0, atol=1e-6)
-
-
 def test_reduced_fixed_point_matches_scalar_oracle():
     g, _ = get_scenario("pigou").build_game()
     sys = gd.ReducedSystem(g, 0.25)
@@ -185,16 +177,19 @@ def test_reduced_fixed_point_matches_scalar_oracle():
 
 
 @pytest.mark.parametrize("name, eta, w0, cap, iterations, converged", [
-    ("parallel3", 0.5, None, 10 ** 5, 47, True),
-    ("pigou", 0.25, (0.5, 0.5), 10 ** 5, 11, True),
+    ("parallel3", 0.5, None, 100, 5, True),
+    ("pigou", 0.25, (0.5, 0.5), 100, 4, True),
     ("pigou", 0.25, (0.5, 0.5), 2, 2, False),
 ])
 def test_reduced_fixed_point_iteration_counts(name, eta, w0, cap, iterations,
                                               converged, monkeypatch):
-    # exact counts pin the damping rule shared with the full-state solver
+    # exact corrector steps of the one fixed_points solve; cap bounds both
+    # the corrector and its damped-Picard fallback, so a cap of 2 stops pigou
+    # in the fallback
     g, _ = get_scenario(name).build_game()
     sys = gd.ReducedSystem(g, eta)
     w0 = gd.uniform_configuration(g).sum(axis=1) if w0 is None else np.array(w0)
+    monkeypatch.setattr(logit, "NEWTON_STEPS", cap)
     monkeypatch.setattr(logit, "MAX_ITER", cap)
     fp = sys.fixed_point(w0)
     assert fp.iterations == iterations and fp.converged is converged

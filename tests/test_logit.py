@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, note, settings, strategies as st
 from scipy.optimize import bisect, brentq, root
 
 import gamedyn as gd
@@ -235,6 +235,39 @@ def test_fixed_point_reports_nonconvergence(caplog, monkeypatch):
     assert r.stability is None
     assert np.isfinite(r.residual) and r.iterations == 3
     assert any("no convergence" in m for m in caplog.messages)
+
+
+def explicit_game(masses, mask, slopes, intercepts):
+    """An explicit game with affine curve slopes[i][p] * w_i + intercepts[i][p]."""
+    S, P = np.shape(mask)
+    grid = [[gd.ScalarFn.affine(slopes[i][p], intercepts[i][p]) if mask[i][p] else None
+             for p in range(P)] for i in range(S)]
+    return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
+                             actions=[f"a{i}" for i in range(S)], mask=np.array(mask),
+                             costs=gd.AggregateCostField(grid))
+
+
+def two_cycle_cases():
+    """Two convex-potential games at eta 0.3 with a start from which damped
+    Picard once settled in a steady 2-cycle: at each fixed point J has an
+    eigenvalue near -4.4, and the damping cap sized at the start (l1 column
+    norm 1.30 and 0.11) lets that mode swing past -1."""
+    a = explicit_game([2.0, 1.0, 2.0], [[True] * 3, [True] * 3, [True, False, True]],
+                      [[0.875] * 3, [1.0] * 3, [0.4375, 0.0, 0.4375]],
+                      [[-0.5, 0.0, -0.25], [0.875, 0.5, 0.875], [0.0] * 3])
+    b = explicit_game([2.0], [[True]] * 3, [[2.0], [1.0], [2.0]], [[2.625], [1.5], [1.0]])
+    return [(a, gd.vertex_configuration(a, "a0")),
+            (b, gd.sample_configuration(b, np.random.default_rng(0)))]
+
+
+@pytest.mark.parametrize("case, iterations", [(0, 577), (1, 6776)], ids=["three-pops", "one-pop"])
+def test_fixed_point_leaves_a_steady_two_cycle(case, iterations):
+    # 250 steps without a better iterate halve the damping cap; without the
+    # halving both solves stop at MAX_ITER, residual 4.66 and 1.59
+    game, x0 = two_cycle_cases()[case]
+    r = gd.fixed_point(game, 0.3, x0)
+    assert r.converged and r.iterations == iterations and r.stability.locally_stable
+    assert np.abs(r.x - gd.fixed_points(game, 0.3, [x0])[0].x).sum() <= 1e-9
 
 
 @pytest.mark.parametrize("eta", [1e-12, 1e-13])
@@ -567,10 +600,21 @@ def small_potential_game(draw):
                              costs=gd.AggregateCostField(grid))
 
 
+def note_game(game):
+    """Report a drawn explicit game with a failing example, in a form that
+    rebuilds it (the game's own repr names no curve)."""
+    curves = [[f if on else None for f, on in zip(row, mask_row)]
+              for row, mask_row in zip(game.costs.curves.fns, game.mask)]
+    note(f"curves={curves!r}")
+    note(f"mask={game.mask.tolist()!r}")
+    note(f"masses={game.masses.tolist()!r}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_potential_game(), st.sampled_from([1.0, 0.3, 0.1]),
        st.integers(0, 2 ** 32 - 1))
 def test_fixed_points_match_single_solves_on_small_games(game, eta, seed):
+    note_game(game)
     rng = np.random.default_rng(seed)
     seeds = ([gd.sample_configuration(game, rng) for _ in range(3)]
              + [gd.uniform_configuration(game)] + gd.monomorphic_vertices(game))
@@ -618,6 +662,7 @@ def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatc
 def test_fixed_points_with_mixed_etas_equal_lone_solves(game, etas, seed):
     # each start of a mixed-eta stack, a singular slice (eta 0.37) among
     # them, gets the result it gets alone
+    note_game(game)
     rng = np.random.default_rng(seed)
     seeds = [gd.sample_configuration(game, rng) for _ in etas]
     with pytest.MonkeyPatch.context() as monkeypatch:
