@@ -9,6 +9,7 @@ property of exact targets, so drift is monitored rather than corrected.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,10 @@ def integrate(game: PopulationGame, eta: float, x0,
               horizon: float, dt: float) -> Trajectory:
     """Fixed-step RK4 integration with states recorded at every step."""
     eta = _positive(eta)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     if horizon < dt:
         raise ValueError("horizon must be at least one step")
     x = validate_configuration(game, x0)
@@ -117,17 +120,17 @@ def integrate(game: PopulationGame, eta: float, x0,
         log.warning("horizon %g is not a multiple of dt %g; integrating to %g",
                     horizon, dt, n * dt)
 
-    def f(state):
-        return softmax_target(game, evaluate_costs(game, state), eta) - state
-
+    # a stage calls both layers by name, which a tracer wraps; numpy applies a
+    # 0-d array faster than a Python scalar, and the products round the same
+    half, step, sixth, two, rate = map(np.array, (0.5 * dt, dt, dt / 6.0, 2.0, eta))
     states = np.empty((n + 1,) + x.shape)
     states[0] = x
     for k in range(n):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = softmax_target(game, evaluate_costs(game, x), rate) - x
+        k2 = softmax_target(game, evaluate_costs(game, y := x + half * k1), rate) - y
+        k3 = softmax_target(game, evaluate_costs(game, y := x + half * k2), rate) - y
+        k4 = softmax_target(game, evaluate_costs(game, y := x + step * k3), rate) - y
+        x = x + sixth * (k1 + two * k2 + two * k3 + k4)
         states[k + 1] = x
     times = dt * np.arange(n + 1)
     drift = float(np.abs(states.sum(axis=1) - game.masses).max())

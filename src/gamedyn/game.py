@@ -167,10 +167,10 @@ class CurveGrid:
             self._a.setflags(write=False)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """(..., rows, populations) curve values at flows y (..., rows)."""
-        y = np.asarray(y, dtype=float)
+        """(..., rows, populations) curve values at flows y, an array (..., rows)."""
         if self._affine:
             return self._a * y[..., None] + self._b
+        y = np.asarray(y, dtype=float)
         return np.stack([np.stack([f(y[..., k]) for f in row], axis=-1)
                          for k, row in enumerate(self.fns)], axis=-2)
 
@@ -235,7 +235,7 @@ class AggregateCostField(CostField):
                                   for f in row] for row in fns])
 
     def __call__(self, x):
-        return self.curves(np.add.reduce(np.asarray(x, dtype=float), -1))
+        return self.curves(np.add.reduce(x, -1))
 
     def flows(self, x):
         """(actions, populations) flow of each population through each curve row."""
@@ -295,6 +295,7 @@ class PopulationGame:
         object.__setattr__(self, "mask", mask)
         pairs = [(i, p) for p in range(P) for i in range(S) if mask[i, p]]
         object.__setattr__(self, "_pairs", tuple(pairs))
+        object.__setattr__(self, "_full_mask", bool(mask.all()))
 
     @property
     def n_actions(self) -> int:
@@ -330,8 +331,9 @@ def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
     configurations; raises CostEvalError naming the first infinite entry, or
     else the first NaN (an infinite link cost times a zero incidence leaves
     NaN on every route of its population)."""
+    x = np.asarray(x, dtype=float)
     c = np.asarray(game.costs(x), dtype=float)
-    shape = np.asarray(x).shape[:-2] + game.mask.shape
+    shape = x.shape[:-2] + game.mask.shape
     if c.shape != shape:
         raise CostEvalError(f"cost field returned shape {c.shape}, "
                             f"expected {shape}")

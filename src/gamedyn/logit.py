@@ -40,7 +40,7 @@ def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
     minimum cost cmin_p keeps every exponent at or below zero, so nothing
     overflows for eta down to 1e-4 with costs of any magnitude.
     """
-    z = np.where(game.mask, c, np.inf)
+    z = c if game._full_mask else np.where(game.mask, c, np.inf)
     # ufunc reductions skip ndarray.min/sum's Python wrappers (once per RK4 stage)
     e = np.exp((np.minimum.reduce(z, -2, keepdims=True) - z) / eta)
     return e, np.add.reduce(e, -2, keepdims=True)

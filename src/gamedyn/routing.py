@@ -196,7 +196,7 @@ class RoutingCostField(CostField):
 
     def __call__(self, x):
         # a column per configuration, so a stack makes the same BLAS call per slice
-        y = (self.A @ np.add.reduce(np.asarray(x, dtype=float), -1)[..., None])[..., 0]
+        y = (self.A @ np.add.reduce(x, -1)[..., None])[..., 0]
         return self.A.T @ self.curves(y)
 
     def flows(self, x):

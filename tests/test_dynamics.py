@@ -84,6 +84,36 @@ def test_integrate_validates_grid():
         gd.integrate(g, eta, x0, 0.001, 0.01)
 
 
+@pytest.mark.parametrize("horizon, dt, name", [
+    (np.nan, 0.1, "horizon"), (np.inf, 0.1, "horizon"),
+    (1.0, np.nan, "dt"), (1.0, np.inf, "dt")])
+def test_integrate_names_a_non_finite_grid(horizon, dt, name):
+    g, _ = get_scenario("pigou").build_game()
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        gd.integrate(g, 0.25, gd.uniform_configuration(g), horizon, dt)
+
+
+def test_rk4_stage_is_one_cost_and_one_softmax_call(monkeypatch):
+    # a tracer counts the layers by wrapping these module attributes; a stage
+    # that stopped looking them up would drop out of its counts
+    calls = {"evaluate_costs": 0, "softmax_target": 0}
+
+    def counted(name):
+        original = getattr(dynamics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    g, _ = get_scenario("pigou").build_game()
+    traj = gd.integrate(g, 0.25, gd.uniform_configuration(g), 1.0, 0.1)
+    assert len(traj.times) - 1 == 10
+    assert calls == {"evaluate_costs": 40, "softmax_target": 40}
+
+
 def test_integrate_warns_on_ragged_horizon(caplog):
     g, _ = get_scenario("pigou").build_game()
     with caplog.at_level(logging.WARNING, logger="gamedyn.dynamics"):

@@ -178,6 +178,20 @@ def test_evaluate_costs_on_a_stack_equals_each_slice(kind):
     assert np.array_equal(gd.evaluate_costs(g, X.reshape((1,) + X.shape))[0], C)
 
 
+@pytest.mark.parametrize("kind", STACK_GAMES)
+def test_costs_take_nested_lists_and_int_arrays(kind):
+    # evaluate_costs and a direct call of the field alike
+    g = STACK_GAMES[kind]()
+    ints = np.random.default_rng(5).integers(0, 3, size=(4,) + g.mask.shape)
+    for evaluate in (lambda x: gd.evaluate_costs(g, x), g.costs):
+        want = evaluate(ints.astype(float))
+        for X in (ints, ints.tolist(), ints.astype(float).tolist()):
+            assert np.array_equal(evaluate(X), want)
+        for x, c in zip(ints, want):
+            assert np.array_equal(evaluate(x), c)
+            assert np.array_equal(evaluate(x.tolist()), c)
+
+
 def stack_of_starts(g):
     rng = np.random.default_rng(4)
     return np.stack([gd.sample_configuration(g, rng) for _ in range(6)]

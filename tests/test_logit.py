@@ -56,6 +56,25 @@ def test_logit_map_masked_entries_stay_zero():
     np.testing.assert_allclose(F.sum(axis=0), [1.0, 2.0, 0.0])
 
 
+def softmax_reference(game, c, eta):
+    """The masked softmax as written: off the mask c reads +inf."""
+    z = np.where(game.mask, c, np.inf)
+    e = np.exp((z.min(axis=-2, keepdims=True) - z) / eta)
+    return game.masses * e / e.sum(axis=-2, keepdims=True)
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ("masked", "wide"))
+def test_softmax_target_equals_the_masked_reference(name):
+    g = {"masked": masked_game, "wide": wide_game}.get(
+        name, lambda: get_scenario(name).build_game()[0])()
+    rng = np.random.default_rng(8)
+    C = gd.evaluate_costs(g, np.stack([gd.sample_configuration(g, rng) for _ in range(5)]))
+    for eta in (1e-3, 0.3, 5.0):
+        assert np.array_equal(softmax_target(g, C, eta), softmax_reference(g, C, eta))
+        for c in C:
+            assert np.array_equal(softmax_target(g, c, eta), softmax_reference(g, c, eta))
+
+
 def test_logit_map_saturates_at_tiny_eta():
     # the min-cost shift keeps exponents at or below zero, so eta -> 0 gives
     # the argmin vertex exactly instead of overflowing
