@@ -274,17 +274,13 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
     except KeyError:
         raise ScenarioError("scenario lacks the expected diamond routes "
                             "(e1,e4) and (e2,e5)") from None
-    eta = 0.2
-    trajs = []
-    for idx, fname in ((ia, "wheatstone_traj_1.csv"), (ib, "wheatstone_traj_2.csv")):
-        x0 = vertex_configuration(game, rs.names[idx])
-        traj = integrate(game, eta, x0, horizon=50.0, dt=0.01)
-        write_trajectory_csv(out / fname, traj, game, rgame)
-        trajs.append(traj)
-    gap = float(np.abs(trajs[0].terminal - trajs[1].terminal).sum())
     seeds = [vertex_configuration(game, rs.names[ia]),
              vertex_configuration(game, rs.names[ib]),
              uniform_configuration(game)]
+    ta, tb = integrate(game, 0.2, seeds[:2], horizon=50.0, dt=0.01)
+    write_trajectory_csv(out / "wheatstone_traj_1.csv", ta, game, rgame)
+    write_trajectory_csv(out / "wheatstone_traj_2.csv", tb, game, rgame)
+    gap = float(np.abs(ta.terminal - tb.terminal).sum())
     curves = _sweep_to_csv(out / "wheatstone_sweep.csv", game, bracket, seeds)
     y_limit = link_flow(rs, curves[0].terminal_limit)
     if not quiet:

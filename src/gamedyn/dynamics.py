@@ -17,6 +17,7 @@ import numpy as np
 from .game import (
     PopulationGame,
     CapabilityError,
+    ConfigurationError,
     central_difference,
     evaluate_costs,
     validate_configuration,
@@ -105,8 +106,13 @@ class Trajectory:
 
 
 def integrate(game: PopulationGame, eta: float, x0,
-              horizon: float, dt: float) -> Trajectory:
-    """Fixed-step RK4 integration with states recorded at every step."""
+              horizon: float, dt: float) -> Trajectory | list[Trajectory]:
+    """Fixed-step RK4 integration with states recorded at every step.
+
+    One start x0 (S, P) gives one Trajectory; a stack (N, S, P), stepped as one
+    array, gives a list of N, each equal to its start's lone run (drift warnings
+    in start order).
+    """
     eta = _positive(eta)
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -115,6 +121,9 @@ def integrate(game: PopulationGame, eta: float, x0,
     if horizon < dt:
         raise ValueError("horizon must be at least one step")
     x = validate_configuration(game, x0)
+    if x.ndim > 3:
+        raise ConfigurationError(f"x0 has shape {x.shape}, expected one start "
+                                 f"{game.mask.shape} or one stack of them")
     n = int(round(horizon / dt))
     if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         log.warning("horizon %g is not a multiple of dt %g; integrating to %g",
@@ -133,12 +142,15 @@ def integrate(game: PopulationGame, eta: float, x0,
         x = x + sixth * (k1 + two * k2 + two * k3 + k4)
         states[k + 1] = x
     times = dt * np.arange(n + 1)
-    drift = float(np.abs(states.sum(axis=1) - game.masses).max())
-    min_entry = float(states.min())
-    if drift > 1e-7:
-        log.warning("mass drift %.3e exceeds the 1e-7 monitor bound", drift)
-    return Trajectory(times=times, states=states, eta=eta,
-                      mass_drift=drift, min_entry=min_entry)
+    out = []
+    # each start's states contiguous, so its column sums round as they do alone
+    for s in [states] if x.ndim == 2 else states.swapaxes(0, 1).copy():
+        drift = float(np.abs(s.sum(axis=1) - game.masses).max())
+        if drift > 1e-7:
+            log.warning("mass drift %.3e exceeds the 1e-7 monitor bound", drift)
+        out.append(Trajectory(times=times, states=s, eta=eta,
+                              mass_drift=drift, min_entry=float(s.min())))
+    return out[0] if x.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------

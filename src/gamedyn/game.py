@@ -469,10 +469,8 @@ def classify_equilibrium(game: PopulationGame, x) -> EquilibriumReport:
     """
     x = validate_configuration(game, x, tol=NASH_TOL)
     c = evaluate_costs(game, x)
-    violations = []
+    violations, gaps = [], []
     monomorphic = True
-    strict = True
-    gaps = []
     for p in game.active_populations:
         s = game.action_set(p)
         used = s[x[s, p] > NASH_TOL * game.masses[p]]
@@ -484,17 +482,11 @@ def classify_equilibrium(game: PopulationGame, x) -> EquilibriumReport:
                 j = int(s[np.argmin(c[s, p])])
                 violations.append((game.populations[p], game.actions[i],
                                    game.actions[j], float(c[i, p] - best)))
-        if len(used) == 1:
-            others = s[s != used[0]]
-            if len(others):
-                gap = float((c[others, p] - c[used[0], p]).min())
-                gaps.append(gap)
-                if gap <= NASH_TOL:
-                    strict = False
-        else:
-            strict = False
+        others = s[s != used[0]] if len(used) == 1 else []
+        if len(others):
+            gaps.append(float((c[others, p] - c[used[0], p]).min()))
     is_nash = not violations
-    is_strict = bool(is_nash and monomorphic and strict)
+    is_strict = bool(is_nash and monomorphic and not any(g <= NASH_TOL for g in gaps))
     alpha = min(gaps) if (is_strict and gaps) else None
     return EquilibriumReport(is_nash=is_nash, is_strict=is_strict,
                              is_monomorphic=monomorphic,

@@ -1,11 +1,13 @@
-"""Shared fixtures. Bundled scenarios are parsed once per session; games and
-routing views are rebuilt per use (they are cheap and the builders are pure).
+"""Shared fixtures and generated games. Bundled scenarios are parsed once per
+session; games and routing views are rebuilt per use (they are cheap and the
+builders are pure).
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, note, strategies as st
 
 import gamedyn as gd
 from gamedyn.game import central_difference
@@ -43,6 +45,40 @@ def wide_game() -> gd.PopulationGame:
     return gd.PopulationGame(populations=("p1", "p2", "p3"), masses=np.array([1.0, 0.0, 2.0]),
                              actions=tuple(f"a{i + 1}" for i in range(6)), mask=mask,
                              costs=gd.AggregateCostField(grid))
+
+
+@st.composite
+def small_potential_game(draw):
+    """Explicit games of up to 3 populations (one may have zero mass) and 3
+    actions: per action one nondecreasing affine curve, shifted per
+    population. The potential is convex, so each eta has one logit
+    equilibrium and every start must reach it."""
+    P, S = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    mask = np.array(draw(st.lists(st.lists(st.booleans(), min_size=P, max_size=P),
+                                  min_size=S, max_size=S)))
+    mask[0], mask[:, 0] = True, True     # no empty action set, no unused action
+    masses = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=P, max_size=P))
+    assume(max(masses) > 0)
+    number = dict(allow_nan=False, allow_infinity=False)
+    grid = []
+    for i in range(S):
+        f = gd.ScalarFn.affine(draw(st.floats(0.0, 3.0, **number)),
+                               draw(st.floats(-1.0, 2.0, **number)))
+        grid.append([f.shifted(draw(st.floats(-1.0, 1.0, **number))) if mask[i, p] else None
+                     for p in range(P)])
+    return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
+                             actions=[f"a{i}" for i in range(S)], mask=mask,
+                             costs=gd.AggregateCostField(grid))
+
+
+def note_game(game):
+    """Report a drawn explicit game with a failing example, in a form that
+    rebuilds it (the game's own repr names no curve)."""
+    curves = [[f if on else None for f, on in zip(row, mask_row)]
+              for row, mask_row in zip(game.costs.curves.fns, game.mask)]
+    note(f"curves={curves!r}")
+    note(f"mask={game.mask.tolist()!r}")
+    note(f"masses={game.masses.tolist()!r}")
 
 
 class CallableCostField(gd.CostField):

@@ -23,13 +23,11 @@ def test_criterion_1_wheatstone_two_starts_one_limit():
     game, rgame = scn.build_game()
     eta = 0.2
     t0 = time.perf_counter()
-    terminals = [
-        gd.integrate(game, eta, route_vertex(game, rgame, links),
-                     horizon=50.0, dt=0.01).terminal
-        for links in (("e1", "e4"), ("e2", "e5"))
-    ]
+    ta, tb = gd.integrate(game, eta, [route_vertex(game, rgame, links)
+                                      for links in (("e1", "e4"), ("e2", "e5"))],
+                          horizon=50.0, dt=0.01)
     elapsed = time.perf_counter() - t0
-    gap = float(np.abs(terminals[0] - terminals[1]).sum())
+    gap = float(np.abs(ta.terminal - tb.terminal).sum())
     print(f"[criterion 1] terminal l1 gap {gap:.3e}  runtime {elapsed:.2f}s")
     assert gap <= 1e-4
     assert elapsed <= 5.0
@@ -102,10 +100,8 @@ def test_criterion_4_contraction_at_certified_noise():
         c_hat = -gd.contraction_margin(game, eta_hat)
 
         rng = np.random.default_rng(911 + idx)
-        ta = gd.integrate(game, eta_hat, gd.sample_configuration(game, rng),
-                          horizon=5.0, dt=0.01)
-        tb = gd.integrate(game, eta_hat, gd.sample_configuration(game, rng),
-                          horizon=5.0, dt=0.01)
+        ta, tb = gd.integrate(game, eta_hat, gd.sample_configurations(game, rng, 2),
+                              horizon=5.0, dt=0.01)
         d = np.abs(ta.states - tb.states).sum(axis=(1, 2))
         bound = d[0] * np.exp(-(c_hat - 0.05) * ta.times)
         excess = float((d - bound).max())
@@ -128,8 +124,7 @@ def test_criterion_5_parallel_aggregate_reduction():
         rng = np.random.default_rng(5150)
         xa = gd.sample_configuration(game, rng)
         xb = gd.sample_configuration(game, rng)
-        ta = gd.integrate(game, eta, xa, horizon=10.0, dt=0.01)
-        tb = gd.integrate(game, eta, xb, horizon=10.0, dt=0.01)
+        ta, tb = gd.integrate(game, eta, [xa, xb], horizon=10.0, dt=0.01)
         fit = gd.l1_contraction_test(ta, tb, aggregate=True)
         assert fit.defined
 

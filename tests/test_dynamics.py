@@ -4,13 +4,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import gamedyn as gd
 from gamedyn import dynamics, logit
 from gamedyn.logit import softmax_target
 
-from conftest import ALL_SCENARIOS, get_scenario
+from conftest import ALL_SCENARIOS, get_scenario, note_game, small_potential_game, wide_game
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,47 @@ def test_rk4_step_halving_is_fourth_order():
     e1 = float(np.abs(terms[0] - terms[1]).sum())
     e2 = float(np.abs(terms[1] - terms[2]).sum())
     assert 12.0 <= e1 / e2 <= 20.0
+
+
+def assert_stack_equals_lone_runs(game, eta, X, horizon, dt):
+    trajs = gd.integrate(game, eta, X, horizon, dt)
+    assert isinstance(trajs, list) and len(trajs) == len(X)
+    for x, traj in zip(X, trajs):
+        lone = gd.integrate(game, eta, x, horizon, dt)
+        assert np.array_equal(traj.times, lone.times)
+        assert np.array_equal(traj.states, lone.states)
+        assert (traj.mass_drift, traj.min_entry) == (lone.mass_drift, lone.min_entry)
+        assert np.array_equal(traj.aggregate_flows(), lone.aggregate_flows())
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_integrate_splits_a_stack_into_its_lone_runs(name, caplog):
+    # a start's drift sums its own actions, never across the stack, so no
+    # start of a stack trips the drift monitor that its lone run passes
+    scn = get_scenario(name)
+    game, _ = scn.build_game()
+    X = gd.sample_configurations(game, np.random.default_rng(8), 8)
+    with caplog.at_level(logging.WARNING, logger="gamedyn.dynamics"):
+        assert_stack_equals_lone_runs(game, scn.eta(), X, 2.0, 0.01)
+    assert not any("mass drift" in m for m in caplog.messages)
+
+
+def test_integrate_rejects_extra_stack_axes():
+    g, _ = get_scenario("pigou").build_game()
+    X = gd.sample_configurations(g, np.random.default_rng(0), 4).reshape(2, 2, 2, 1)
+    with pytest.raises(gd.ConfigurationError, match=r"shape \(2, 2, 2, 1\)"):
+        gd.integrate(g, 0.25, X, 1.0, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_potential_game(), st.just(wide_game())), st.sampled_from([1, 2, 5]),
+       st.floats(0.05, 2.0), st.integers(0, 2 ** 32 - 1))
+@example(wide_game(), 5, 0.3, 0)
+def test_stacked_integration_equals_lone_runs_on_generated_games(game, n, eta, seed):
+    # zero-mass populations and masked entries included: wide_game has both
+    note_game(game)
+    X = gd.sample_configurations(game, np.random.default_rng(seed), n)
+    assert_stack_equals_lone_runs(game, eta, X, 1.0, 0.05)
 
 
 # ---------------------------------------------------------------------------

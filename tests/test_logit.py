@@ -4,14 +4,15 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, note, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect, brentq, root
 
 import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
-from conftest import ALL_SCENARIOS, CallableCostField, get_scenario, wide_game
+from conftest import (ALL_SCENARIOS, CallableCostField, get_scenario, note_game,
+                      small_potential_game, wide_game)
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -593,40 +594,6 @@ def test_fixed_points_equal_lone_solves_in_every_field(name):
     seeds = gd.sample_configurations(g, np.random.default_rng(11), len(etas))
     for eta, x0, r in zip(etas, seeds, gd.fixed_points(g, etas, seeds)):
         assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
-
-
-@st.composite
-def small_potential_game(draw):
-    """Explicit games of up to 3 populations (one may have zero mass) and 3
-    actions: per action one nondecreasing affine curve, shifted per
-    population. The potential is convex, so each eta has one logit
-    equilibrium and every start must reach it."""
-    P, S = draw(st.integers(1, 3)), draw(st.integers(2, 3))
-    mask = np.array(draw(st.lists(st.lists(st.booleans(), min_size=P, max_size=P),
-                                  min_size=S, max_size=S)))
-    mask[0], mask[:, 0] = True, True     # no empty action set, no unused action
-    masses = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=P, max_size=P))
-    assume(max(masses) > 0)
-    number = dict(allow_nan=False, allow_infinity=False)
-    grid = []
-    for i in range(S):
-        f = gd.ScalarFn.affine(draw(st.floats(0.0, 3.0, **number)),
-                               draw(st.floats(-1.0, 2.0, **number)))
-        grid.append([f.shifted(draw(st.floats(-1.0, 1.0, **number))) if mask[i, p] else None
-                     for p in range(P)])
-    return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
-                             actions=[f"a{i}" for i in range(S)], mask=mask,
-                             costs=gd.AggregateCostField(grid))
-
-
-def note_game(game):
-    """Report a drawn explicit game with a failing example, in a form that
-    rebuilds it (the game's own repr names no curve)."""
-    curves = [[f if on else None for f, on in zip(row, mask_row)]
-              for row, mask_row in zip(game.costs.curves.fns, game.mask)]
-    note(f"curves={curves!r}")
-    note(f"mask={game.mask.tolist()!r}")
-    note(f"masses={game.masses.tolist()!r}")
 
 
 @settings(max_examples=60, deadline=None)

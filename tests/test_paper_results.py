@@ -1,5 +1,6 @@
 """The paper's results as oracles on generated games: the high-noise
-contraction bound and the parallel-route uniqueness result.
+contraction bound, the parallel-route uniqueness result and the aggregate
+contraction of the dynamics on parallel routes.
 """
 
 import numpy as np
@@ -45,6 +46,24 @@ def test_parallel_routes_have_one_equilibrium_that_every_start_reaches(game, eta
     fp = gd.ReducedSystem(game, eta).fixed_point(gd.uniform_configuration(game).sum(axis=1))
     assert fp.converged
     assert float(np.abs(gd.recover_configuration_limit(game, eta, fp.w) - x).sum()) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(parallel_route_game(), st.floats(np.log10(0.05), np.log10(2.0)).map(lambda t: 10.0 ** t),
+       st.integers(0, 2 ** 32 - 1))
+def test_parallel_route_aggregate_flows_approach_each_other(game, eta, seed):
+    """The l1 distance between the aggregate flows of two RK4 runs never
+    grows on parallel routes: 6 samples and 2 vertices, one integrate call,
+    each paired with start 0.
+
+    eta is held to [0.05, 2]. Below it, at eta = 3.4e-3, one drawn game grew
+    by 4.1e-4 in 2 of 420 pairs at dt = 0.01, and not at dt = 1e-3: RK4 at a
+    stiff step, not the flow."""
+    starts = [*gd.sample_configurations(game, np.random.default_rng(seed), 6),
+              *gd.monomorphic_vertices(game)[:2]]
+    first, *rest = gd.integrate(game, eta, starts, horizon=5.0, dt=0.01)
+    assert not any(gd.l1_contraction_test(first, t, aggregate=True).non_monotone
+                   for t in rest)
 
 
 def assert_contraction_bound(game):
