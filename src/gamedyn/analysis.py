@@ -43,9 +43,16 @@ class EquilibriumCurve:
         return self.points[-1]
 
 
-def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
-                       steps: int, seeds) -> list[EquilibriumCurve]:
-    """Warm-started fixed-point curves down a geometric eta grid.
+def _check_grid(eta_grid) -> np.ndarray:
+    """eta_grid as floats; ValueError unless 1-D, non-empty and strictly decreasing."""
+    etas = np.asarray(eta_grid, dtype=float)
+    if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
+        raise ValueError("eta_grid must be strictly decreasing")
+    return etas
+
+
+def continuation_sweep(game: PopulationGame, eta_grid, seeds) -> list[EquilibriumCurve]:
+    """Warm-started fixed-point curves down a strictly decreasing eta grid.
 
     Each grid point is one fixed_point solve from a warm start, the secant
     prediction from the last two points. When the solver lands on a locally
@@ -53,17 +60,10 @@ def continuation_sweep(game: PopulationGame, eta_hi: float, eta_lo: float,
     whether this branch actually forks off (pitchforks leave the symmetric
     point unstable; an exactly symmetric iterate would never leave it).
     Branches identical along the whole grid (within SAME_POINT_L1 pointwise)
-    are merged. A seed that fails at eta_hi gives no branch, so the list is
-    empty when every seed fails there.
+    are merged. A seed that fails at the first eta gives no branch, so the
+    list is empty when every seed fails there.
     """
-    if not (eta_hi > eta_lo > 0):
-        raise ValueError("need eta_hi > eta_lo > 0")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    grid = np.geomspace(eta_hi, eta_lo, steps)
-    if np.any(np.diff(grid) >= 0):
-        raise ValueError("eta grid must be strictly decreasing; widen the bracket "
-                         "or lower steps")
+    grid = _check_grid(eta_grid)
     curves = [_trace_branch(game, grid, seed, si) for si, seed in enumerate(seeds)]
     return dedup_curves([c for c in curves if c is not None])
 
@@ -156,9 +156,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     (Newton restarting unstable landings, then damped Picard as the last
     resort), one eta per start.
     """
-    etas = np.asarray(eta_grid, dtype=float)
-    if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
-        raise ValueError("eta_grid must be strictly decreasing")
+    etas = _check_grid(eta_grid)
     if multistart < 4:
         raise ValueError("multistart must be at least 4")
     rng = rng if rng is not None else np.random.default_rng(0)

@@ -116,7 +116,7 @@ def write_fixed_point_csv(path: Path, result, game: PopulationGame) -> None:
 # Commands
 
 
-def _cmd_simulate(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_simulate(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, rgame = scn.build_game()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
     traj = integrate(game, scn.eta(), x0, *scn.time_grid())
@@ -125,10 +125,9 @@ def _cmd_simulate(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print(f"wrote {path} ({len(traj.times)} records, "
               f"mass drift {traj.mass_drift:.2e})")
-    return 0
 
 
-def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, _ = scn.build_game()
     eta = scn.eta()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
@@ -141,33 +140,31 @@ def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print(f"wrote {path} (residual {result.residual:.2e}, "
               f"{result.iterations} iterations)")
-    return 0
 
 
-def _sweep_to_csv(path: Path, game: PopulationGame, bracket, seeds) -> list:
-    """Continuation branches from seeds over the noise bracket, written to path."""
-    curves = continuation_sweep(game, *bracket, seeds)
+def _sweep_to_csv(path: Path, game: PopulationGame, grid, seeds) -> list:
+    """Continuation branches from seeds down the noise grid, written to path."""
+    curves = continuation_sweep(game, grid, seeds)
     if not curves:
-        raise NumericalFailure(f"no continuation branch converged at eta_hi={bracket[0]}")
+        raise NumericalFailure(f"no continuation branch converged at eta_hi={float(grid[0])}")
     write_sweep_csv(path, curves, game)
     return curves
 
 
-def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_sweep(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, _ = scn.build_game()
-    eta_hi, eta_lo, steps = scn.noise_bracket(steps=60)
+    grid = scn.noise_grid(steps=60)
     path = out / "sweep.csv"
     seeds = monomorphic_vertices(game) + [uniform_configuration(game)]
-    curves = _sweep_to_csv(path, game, (eta_hi, eta_lo, steps), seeds)
+    curves = _sweep_to_csv(path, game, grid, seeds)
     if not quiet:
         print(f"wrote {path} ({len(curves)} branch(es), "
-              f"eta {eta_hi:g} down to {eta_lo:g})")
-    return 0
+              f"eta {grid[0]:g} down to {grid[-1]:g})")
 
 
-def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, _ = scn.build_game()
-    grid = np.geomspace(*scn.noise_bracket(steps=25))
+    grid = scn.noise_grid(steps=25)
     multistart = scn.run_int("multistart", 8)
     if multistart < 4:
         raise ScenarioError(f"{scn.path}: [run] multistart must be at least 4, "
@@ -182,10 +179,9 @@ def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print(f"wrote {path} (stable counts {sweep.n_stable.min()}"
               f"..{sweep.n_stable.max()})")
-    return 0
 
 
-def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, rgame = scn.build_game()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
     rep = classify_equilibrium(game, x0)
@@ -215,10 +211,9 @@ def _cmd_classify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
     if not quiet:
         print("\n".join(lines))
         print(f"wrote {path}")
-    return 0
 
 
-def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, rgame = scn.build_game()
     eta = scn.eta()
     rng = _derive_rng(seed, 3)
@@ -259,13 +254,12 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> int:
         print(f"wrote {path}")
     if not required_ok:
         raise NumericalFailure("a required invariant failed; see verify.txt")
-    return 0
 
 
 def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
-                              quiet: bool) -> int:
+                              quiet: bool) -> None:
     game, rgame = scn.build_game()
-    bracket = scn.noise_bracket(steps=60)
+    grid = scn.noise_grid(steps=60)
     if rgame is None:
         raise ScenarioError("reproduce-wheatstone needs a routing scenario")
     rs = rgame.route_set
@@ -281,7 +275,7 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
     write_trajectory_csv(out / "wheatstone_traj_1.csv", ta, game, rgame)
     write_trajectory_csv(out / "wheatstone_traj_2.csv", tb, game, rgame)
     gap = float(np.abs(ta.terminal - tb.terminal).sum())
-    curves = _sweep_to_csv(out / "wheatstone_sweep.csv", game, bracket, seeds)
+    curves = _sweep_to_csv(out / "wheatstone_sweep.csv", game, grid, seeds)
     y_limit = link_flow(rs, curves[0].terminal_limit)
     if not quiet:
         print(f"terminal l1 gap between the two runs: {gap:.3e}")
@@ -290,7 +284,6 @@ def _cmd_reproduce_wheatstone(scn: Scenario, out: Path, seed: int,
               f"{out / 'wheatstone_traj_2.csv'}, {out / 'wheatstone_sweep.csv'}")
     if gap > 1e-4:
         raise NumericalFailure(f"trajectories disagree by {gap:.3e} at the horizon")
-    return 0
 
 
 _COMMANDS = {
@@ -318,13 +311,13 @@ def run(command: str, scenario: Scenario, out_dir=".", seed: int | None = None,
     # a NaN (0 * inf, inf - inf) is warned of once, if the command returns after it
     invalid = []
     with np.errstate(over="ignore", invalid="call", call=lambda err, flag: invalid.append(err)):
-        code = _COMMANDS[command](scenario, out, effective_seed, quiet)
+        _COMMANDS[command](scenario, out, effective_seed, quiet)
     if invalid:
         warnings.warn(f"{command}: {len(invalid)} invalid floating-point operation(s); "
                       "the outputs may hold NaN", RuntimeWarning)
     if not quiet:
         print(f"{command} finished in {time.perf_counter() - t0:.2f}s")
-    return code
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

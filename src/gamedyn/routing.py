@@ -239,9 +239,8 @@ def classify_topology(rs: RouteSet) -> TopologyClass:
 
     Parallel means no link lies on two routes. Otherwise, interior nodes
     shared by every route (in a consistent order) split the routes into
-    stages; the class is series_of_parallel when every stage is parallel,
-    stage link sets are disjoint, and the route set is the full product of
-    stage segments.
+    stages; the class is series_of_parallel when no link lies on two stage
+    segments and the route set is the full product of stage segments.
     """
     used = rs.incidence.sum(axis=1)
     used_ids = tuple(lid for e, lid in enumerate(rs.link_ids) if used[e] > 0)
@@ -275,24 +274,19 @@ def classify_topology(rs: RouteSet) -> TopologyClass:
                 seg_lists[k].append(seg)
             idx.append(seg_index[k][seg])
         assignment.append(tuple(idx))
-    # stage link sets must not overlap, and each stage must itself be parallel
-    stage_links = []
-    for k in range(K):
-        lset = set(itertools.chain.from_iterable(seg_lists[k]))
-        stage_links.append(lset)
-        if sum(map(len, seg_lists[k])) > len(lset):
-            return other
-    for a in range(K):
-        for b in range(a + 1, K):
-            if stage_links[a] & stage_links[b]:
-                return other
+    # no link may lie on two segments: then each stage is parallel and no two
+    # stages share a link (a segment of a node-simple route repeats no link)
+    seg_links = [lid for segs in seg_lists for seg in segs for lid in seg]
+    if len(seg_links) > len(set(seg_links)):
+        return other
     # the route set must be the full product of stage segments
     want = set(itertools.product(*(range(len(s)) for s in seg_lists)))
     if set(assignment) != want or len(assignment) != len(want):
         return other
     stages = tuple(
         Stage(origin=cuts[k], destination=cuts[k + 1],
-              link_ids=tuple(lid for lid in rs.link_ids if lid in stage_links[k]),
+              link_ids=tuple(lid for lid in rs.link_ids
+                             if any(lid in seg for seg in seg_lists[k])),
               segments=tuple(seg_lists[k]))
         for k in range(K))
     return TopologyClass(kind="series_of_parallel", stages=stages,

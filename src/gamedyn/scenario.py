@@ -124,8 +124,8 @@ class Scenario:
                                 f"exceeds the {MAX_STEPS} step limit")
         return horizon, dt
 
-    def noise_bracket(self, steps: int) -> tuple[float, float, int]:
-        """(eta_hi, eta_lo, steps <= MAX_STEPS) of a strictly decreasing noise grid.
+    def noise_grid(self, steps: int) -> np.ndarray:
+        """The noise grid geomspace(eta_hi, eta_lo, steps <= MAX_STEPS), strictly decreasing.
 
         eta_hi and eta_lo default to 2 and 1e-3; 1/eta_lo must be finite.
         """
@@ -141,11 +141,12 @@ class Scenario:
         if steps > MAX_STEPS:
             raise ScenarioError(f"{self.path}: [run] steps = {steps} "
                                 f"exceeds the {MAX_STEPS} step limit")
-        if np.any(np.diff(np.geomspace(eta_hi, eta_lo, steps)) >= 0):
+        grid = np.geomspace(eta_hi, eta_lo, steps)
+        if np.any(np.diff(grid) >= 0):
             raise ScenarioError(f"{self.path}: [run] eta_hi = {eta_hi!r} and eta_lo = "
                                 f"{eta_lo!r} are too close for steps = {steps}: the "
                                 "noise grid is not strictly decreasing")
-        return eta_hi, eta_lo, steps
+        return grid
 
     def seed(self) -> int:
         seed = self.run_int("seed", 0)

@@ -41,7 +41,7 @@ def test_criterion_2_wheatstone_limit_flow_and_costs():
              route_vertex(game, rgame, ("e2", "e5")),
              gd.uniform_configuration(game)]
     t0 = time.perf_counter()
-    curves = gd.continuation_sweep(game, 2.0, 1e-3, 60, seeds)
+    curves = gd.continuation_sweep(game, np.geomspace(2.0, 1e-3, 60), seeds)
     elapsed = time.perf_counter() - t0
 
     y_star = np.array([2.0, 2.0, 1.0, 1.0, 3.0])
@@ -66,7 +66,7 @@ def test_criterion_3_coordination_strict_limits_on_stable_branches():
     seeds = [gd.vertex_configuration(game, "a1"),
              gd.vertex_configuration(game, "a2"),
              gd.uniform_configuration(game)]
-    curves = gd.continuation_sweep(game, 2.0, 1e-3, 60, seeds)
+    curves = gd.continuation_sweep(game, np.geomspace(2.0, 1e-3, 60), seeds)
 
     branches, gaps = [], []
     for name in ("a1", "a2"):

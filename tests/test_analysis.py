@@ -1,5 +1,6 @@
 """Continuation sweeps, limit equilibria, bifurcation census, Lyapunov checks."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -19,16 +20,37 @@ def coordination_seeds(game):
 
 
 def test_continuation_sweep_input_validation():
+    # the seeds are checked as configurations; a one-eta grid is a grid
     g, _ = get_scenario("coordination").build_game()
-    with pytest.raises(ValueError, match="eta_hi"):
-        gd.continuation_sweep(g, 0.5, 1.0, 10, coordination_seeds(g))
-    with pytest.raises(ValueError, match="steps"):
-        gd.continuation_sweep(g, 1.0, 0.1, 1, coordination_seeds(g))
+    with pytest.raises(gd.ConfigurationError):
+        gd.continuation_sweep(g, [1.0, 0.5], [np.full((2, 1), 0.7)])
+    curves = gd.continuation_sweep(g, [1.0], coordination_seeds(g))
+    assert curves and all(len(c.etas) == 1 and not c.terminated for c in curves)
+
+
+BAD_GRIDS = {
+    "increasing": [0.1, 0.5],
+    "repeated": np.geomspace(1.0, 0.99999999999999, 200),
+    "two-dimensional": [[0.5, 0.4]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS)
+@pytest.mark.parametrize("scan", [
+    lambda g, grid: gd.continuation_sweep(g, grid, coordination_seeds(g)),
+    lambda g, grid: gd.bifurcation_scan(g, grid),
+], ids=["continuation_sweep", "bifurcation_scan"])
+def test_scans_reject_the_same_bad_grids(scan, grid):
+    g, _ = get_scenario("coordination").build_game()
+    with pytest.raises(ValueError, match="^eta_grid must be strictly decreasing$"):
+        scan(g, grid)
 
 
 def test_coordination_sweep_finds_pitchfork_branches():
     g, _ = get_scenario("coordination").build_game()
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 60, coordination_seeds(g))
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 60),
+                                   coordination_seeds(g))
     assert len(curves) == 3
 
     v1 = min(curves, key=lambda c: abs(c.terminal_limit[0, 0] - 1.0))
@@ -51,7 +73,7 @@ def test_branch_jump_diagnostic_on_smooth_curve():
     # fork-free branch on a 200-point grid: the max consecutive jump stays
     # within 10x the median jump (the branch-switch detector stays quiet)
     g, _ = get_scenario("pigou").build_game()
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 200,
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 200),
                                    [gd.uniform_configuration(g)])
     assert len(curves) == 1
     jumps = np.abs(np.diff(curves[0].points, axis=0)).sum(axis=(1, 2))
@@ -62,7 +84,8 @@ def test_fork_hop_is_the_only_large_jump():
     # the vertex-seeded branches hop off the destabilized symmetric point
     # exactly once, right at the fork; everywhere else they move smoothly
     g, _ = get_scenario("coordination").build_game()
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 200, coordination_seeds(g))
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 200),
+                                   coordination_seeds(g))
     v1 = min(curves, key=lambda c: abs(c.terminal_limit[0, 0] - 1.0))
     jumps = np.abs(np.diff(v1.points, axis=0)).sum(axis=(1, 2))
     k = int(np.argmax(jumps))
@@ -73,7 +96,7 @@ def test_fork_hop_is_the_only_large_jump():
 
 def test_sweep_residuals_and_margins_recorded():
     g, _ = get_scenario("pigou").build_game()
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 30,
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 30),
                                    [gd.uniform_configuration(g)])
     assert len(curves) == 1
     c = curves[0]
@@ -101,8 +124,8 @@ def test_continuation_warm_start_counts(monkeypatch, name, solves, iterations, b
         return r
 
     monkeypatch.setattr(analysis, "fixed_point", counted)
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 60, gd.monomorphic_vertices(g)
-                                   + [gd.uniform_configuration(g)])
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 60),
+                                   gd.monomorphic_vertices(g) + [gd.uniform_configuration(g)])
     assert totals == [solves, iterations]
     assert len(curves) == branches
 
@@ -110,24 +133,27 @@ def test_continuation_warm_start_counts(monkeypatch, name, solves, iterations, b
 def test_dedup_merges_identical_branches():
     g, _ = get_scenario("coordination").build_game()
     seeds = [gd.vertex_configuration(g, "a1")] * 2
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 20, seeds)
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 20), seeds)
     assert len(curves) == 1
     assert dedup_curves(curves) == curves
 
 
 def test_sweep_rejects_a_grid_too_narrow_for_its_steps():
     # eta_hi > eta_lo, but 200 geometric steps between them repeat a float,
-    # which would divide the secant gain by zero
-    g, _ = get_scenario("coordination").build_game()
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        gd.continuation_sweep(g, 1.0, 0.99999999999999, 200,
-                              [gd.uniform_configuration(g)])
+    # which would divide the secant gain by zero: the scenario builds the
+    # sweep's grid, np.geomspace bit for bit, and refuses that one
+    scn = get_scenario("coordination")
+    np.testing.assert_array_equal(scn.noise_grid(steps=60), np.geomspace(2.0, 1e-3, 60))
+    narrow = dataclasses.replace(scn, run={**scn.run, "eta_hi": "1.0",
+                                           "eta_lo": "0.99999999999999", "steps": "200"})
+    with pytest.raises(gd.ScenarioError, match="too close for steps = 200"):
+        narrow.noise_grid(steps=60)
 
 
 def test_constant_costs_limit_matches_closed_form():
     # eta -> 0 concentrates the softmax of costs (1, 2) on the first action
     g, _ = get_scenario("constant").build_game()
-    curves = gd.continuation_sweep(g, 2.0, 1e-3, 30,
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-3, 30),
                                    [gd.uniform_configuration(g)])
     assert len(curves) == 1
     x_lim = curves[0].terminal_limit
@@ -141,8 +167,6 @@ def test_constant_costs_limit_matches_closed_form():
 
 def test_bifurcation_scan_input_validation(rng):
     g, _ = get_scenario("coordination").build_game()
-    with pytest.raises(ValueError, match="decreasing"):
-        gd.bifurcation_scan(g, [0.1, 0.5], rng=rng)
     with pytest.raises(ValueError, match="multistart"):
         gd.bifurcation_scan(g, [0.5, 0.4], multistart=2, rng=rng)
 

@@ -384,7 +384,6 @@ def test_nan_a_command_survives_is_warned_of(tmp_path, monkeypatch):
     # nothing: a command that returns after making NaN still warns
     def command(scenario, out, seed, quiet):
         np.subtract(np.inf, np.inf)
-        return 0
     monkeypatch.setitem(cli._COMMANDS, "simulate", command)
     with pytest.warns(RuntimeWarning, match="simulate: 1 invalid floating-point operation"):
         assert cli.run("simulate", get_scenario("pigou"), out_dir=tmp_path) == 0

@@ -313,7 +313,7 @@ def test_bundled_floors_stay_far_below_the_tolerance_bound():
         g, _ = scn.build_game()
         X = np.array([*gd.sample_configurations(g, np.random.default_rng(0), 50),
                       *gd.monomorphic_vertices(g)])
-        floor = residual_floor(g, gd.evaluate_costs(g, X), scn.noise_bracket(steps=2)[1])
+        floor = residual_floor(g, gd.evaluate_costs(g, X), scn.noise_grid(steps=2)[-1])
         assert 100 * floor.max() < logit.TOL_BOUND * max(1.0, g.total_mass())
 
 

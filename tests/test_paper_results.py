@@ -1,6 +1,7 @@
 """The paper's results as oracles on generated games: the high-noise
-contraction bound, the parallel-route uniqueness result and the aggregate
-contraction of the dynamics on parallel routes.
+contraction bound, the parallel-route uniqueness result, the aggregate
+contraction of the dynamics on parallel routes and the one stable logit
+equilibrium of a stable game at every noise level.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import gamedyn as gd
 
-from conftest import ALL_SCENARIOS, get_scenario
+from conftest import ALL_SCENARIOS, CallableCostField, get_scenario
 
 
 @st.composite
@@ -87,3 +88,41 @@ def test_high_noise_threshold_is_within_the_closed_form_bound(name):
 @given(parallel_route_game())
 def test_high_noise_threshold_is_within_the_bound_on_parallel_routes(game):
     assert_contraction_bound(game)
+
+
+@st.composite
+def stable_game(draw):
+    """Stable (monotone) games that are not potential games: on n = S * P
+    entries, 2-4 actions and 1-2 populations with masses U(0.2, 2), the
+    costs are c(x) = M x + b with M = (s A A^T + K - K^T) / n, so that
+    (x - y) . (c(x) - c(y)) = s |A^T (x - y)|^2 / n >= 0. A and K are
+    standard normal, s = 10^U(-1, 1) and b is U(0, 3). K - K^T is scaled by
+    1/n: unscaled, 2 games in 40 sent 72 starts at eta >= 1e-2 to damped
+    Picard, each stalling for its 1e5 steps, up to 122 s a game."""
+    S, P = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    masses = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=P, max_size=P)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = S * P
+    A, K = rng.standard_normal((2, n, n))
+    M = (10.0 ** rng.uniform(-1.0, 1.0) * A @ A.T + K - K.T) / n
+    b = rng.uniform(0.0, 3.0, n)
+    return gd.PopulationGame(
+        populations=[f"p{p}" for p in range(P)], masses=masses,
+        actions=[f"a{i}" for i in range(S)], mask=np.ones((S, P), dtype=bool),
+        costs=CallableCostField(lambda x: (M @ x.reshape(-1) + b).reshape(S, P),
+                                masses=masses))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stable_game(), st.integers(0, 2 ** 32 - 1))
+def test_stable_games_have_one_stable_equilibrium_at_every_noise_level(game, seed):
+    """The logit equilibrium of a stable game is unique and globally stable
+    at every eta (Hofbauer and Sandholm 2009): at 12 etas the census counts
+    one fixed point, and it is stable.
+
+    eta is held to [1e-2, 2]. Down to 1e-3 the counts held on 300 games,
+    but in one of them two starts stalled in damped Picard for 22 s."""
+    sweep = gd.bifurcation_scan(game, np.geomspace(2.0, 1e-2, 12), multistart=4,
+                                rng=np.random.default_rng(seed))
+    assert sweep.n_fixed_points.tolist() == [1] * 12
+    assert sweep.n_stable.tolist() == [1] * 12

@@ -166,6 +166,18 @@ def test_incomplete_route_set_is_not_series():
     assert topo.kind == "other"
 
 
+def test_a_link_shared_by_two_segments_is_not_series():
+    # cut at m, the route set is the full product {(e1,e2), (e1,e3,e4), (e5)}
+    # x {(e6), (e7)}, but e1 lies on two first-stage segments
+    graph = gd.Multigraph(
+        ["o", "a", "b", "m", "d"],
+        [("e1", "o", "a"), ("e2", "a", "m"), ("e3", "a", "b"), ("e4", "b", "m"),
+         ("e5", "o", "m"), ("e6", "m", "d"), ("e7", "m", "d")])
+    rs = gd.enumerate_routes(graph, "o", "d")
+    assert rs.n_routes == 6
+    assert gd.classify_topology(rs).kind == "other"
+
+
 # ---------------------------------------------------------------------------
 # Routing games
 
