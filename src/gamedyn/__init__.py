@@ -16,6 +16,7 @@ from .game import (
     monomorphic_vertices,
     potential,
     potential_symmetry_check,
+    rescale_to_masses,
     sample_configuration,
     sample_configurations,
     uniform_configuration,

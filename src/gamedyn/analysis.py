@@ -14,6 +14,7 @@ import numpy as np
 from .game import (
     PopulationGame,
     monomorphic_vertices,
+    rescale_to_masses,
     sample_configurations,
     validate_configuration,
 )
@@ -24,6 +25,8 @@ log = logging.getLogger(__name__)
 
 # l1 distance at or below which two fixed points (or branches, pointwise) are one
 SAME_POINT_L1 = 1e-5
+# uphill step of V + eta * entropy that lyapunov_check forgives, per unit of 1 + |V|
+LYAPUNOV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,19 +72,8 @@ def continuation_sweep(game: PopulationGame, eta_grid, seeds) -> list[Equilibriu
 
 
 def _project_configuration(game: PopulationGame, x) -> np.ndarray:
-    """Clip to the mask and nonnegativity, then rescale columns to the masses."""
-    x = np.where(game.mask, np.maximum(np.asarray(x, dtype=float), 0.0), 0.0)
-    for p in range(game.n_pops):
-        s = float(x[:, p].sum())
-        if game.masses[p] == 0.0:
-            x[:, p] = 0.0
-        elif s <= 0.0:
-            idx = game.action_set(p)
-            x[:, p] = 0.0
-            x[idx, p] = game.masses[p] / len(idx)
-        else:
-            x[:, p] *= game.masses[p] / s
-    return x
+    """x or a stack (..., S, P) clipped to the mask and nonnegativity, rescaled to the masses."""
+    return rescale_to_masses(game, np.where(game.mask, np.maximum(x, 0.0), 0.0))
 
 
 def _trace_branch(game: PopulationGame, grid, seed,
@@ -206,11 +198,11 @@ class LyapunovReport:
 
 
 def lyapunov_check(game: PopulationGame, trajectory: Trajectory, eta: float,
-                   potential_evaluator, tol: float = 1e-8) -> LyapunovReport:
+                   potential_evaluator) -> LyapunovReport:
     """Is V(x) + eta * entropy non-increasing along the recorded trajectory?
 
     The trajectory must have been produced at the same eta; uphill steps are
-    tolerated up to tol * (1 + |V|) per step.
+    tolerated up to LYAPUNOV_TOL * (1 + |V|) per step.
     """
     if abs(trajectory.eta - eta) > 1e-12 * max(1.0, eta):
         raise ValueError(f"trajectory eta {trajectory.eta!r} does not match "
@@ -218,7 +210,7 @@ def lyapunov_check(game: PopulationGame, trajectory: Trajectory, eta: float,
     vals = np.array([potential_evaluator(x) + eta * entropy_term(game, x)
                      for x in trajectory.states])
     steps = np.diff(vals)
-    allowed = tol * (1.0 + np.abs(vals[:-1]))
+    allowed = LYAPUNOV_TOL * (1.0 + np.abs(vals[:-1]))
     ok = bool(np.all(steps <= allowed))
     max_uphill = float(max(0.0, steps.max())) if len(steps) else 0.0
     return LyapunovReport(ok=ok, max_uphill=max_uphill, values=vals)

@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .analysis import continuation_sweep, bifurcation_scan
 from .routing import RouteError, RoutingGame, link_flow, decoupled_check
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import MAX_STEPS, Scenario, ScenarioError, load_scenario
 
 log = logging.getLogger(__name__)
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
@@ -169,6 +169,10 @@ def _cmd_bifurcation(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     if multistart < 4:
         raise ScenarioError(f"{scn.path}: [run] multistart must be at least 4, "
                             f"got {multistart}")
+    starts = len(grid) * (multistart + len(monomorphic_vertices(game)))
+    if starts > MAX_STEPS:
+        raise ScenarioError(f"{scn.path}: [run] multistart = {multistart} and steps = {len(grid)} "
+                            f"ask for {starts} census starts, more than the {MAX_STEPS} limit")
     sweep = bifurcation_scan(game, grid, multistart=multistart, rng=_derive_rng(seed, 1))
     path = out / "bifurcation.csv"
     write_bifurcation_csv(path, sweep)

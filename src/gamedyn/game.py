@@ -385,12 +385,14 @@ def validate_configuration(game: PopulationGame, x, *, tol: float = 1e-9) -> np.
                              f"{game.masses[p]!r} for {game.populations[p]}{start}")
 
 
+def rescale_to_masses(game: PopulationGame, x: np.ndarray) -> np.ndarray:
+    """x (..., S, P) with each column scaled to its population's mass; a zero column stays 0."""
+    s = x.sum(axis=-2, keepdims=True)
+    return x * (game.masses / np.where(s > 0, s, 1.0))
+
+
 def uniform_configuration(game: PopulationGame) -> np.ndarray:
-    x = np.zeros((game.n_actions, game.n_pops))
-    for p in range(game.n_pops):
-        s = game.action_set(p)
-        x[s, p] = game.masses[p] / len(s)
-    return x
+    return rescale_to_masses(game, game.mask.astype(float))
 
 
 def vertex_configuration(game: PopulationGame, action_by_pop) -> np.ndarray:

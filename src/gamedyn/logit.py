@@ -19,6 +19,7 @@ from .game import (
     sample_configurations,
     monomorphic_vertices,
     cost_jacobian,
+    rescale_to_masses,
 )
 
 log = logging.getLogger(__name__)
@@ -254,9 +255,8 @@ def _armijo(game: PopulationGame, eta: np.ndarray, X, d, r) -> np.ndarray:
     t = np.ones(len(X))
     todo = np.flatnonzero(np.isfinite(d).all(axis=(1, 2)))
     while len(todo):
-        Y = np.maximum(X[todo] + t[todo, None, None] * d[todo], X[todo] / 100.0)
-        s = Y.sum(axis=1, keepdims=True)
-        Y *= game.masses / np.where(s > 0, s, 1.0)
+        Y = rescale_to_masses(
+            game, np.maximum(X[todo] + t[todo, None, None] * d[todo], X[todo] / 100.0))
         rt = np.abs(softmax_target(game, evaluate_costs(game, Y), eta[todo]) - Y).sum((1, 2))
         good = rt <= (1.0 - 1e-4 * t[todo]) * r[todo]
         out[todo[good]] = Y[good]

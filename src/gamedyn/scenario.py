@@ -47,7 +47,7 @@ _RECORD_SECTIONS = {"nodes", "links", "od", "actions", "costs", "tolls",
                     "sensitivities", "populations"}
 _KV_SECTIONS = {"dynamics", "run"}
 
-# most RK4 or noise-grid steps a run may ask for: 200x the largest bundled run
+# most RK4 steps, noise-grid steps or census starts a run may ask for
 MAX_STEPS = 10 ** 6
 
 

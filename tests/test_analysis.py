@@ -10,7 +10,7 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.analysis import dedup_curves, entropy_term
 
-from conftest import get_scenario
+from conftest import get_scenario, wide_game
 
 
 def coordination_seeds(game):
@@ -128,6 +128,28 @@ def test_continuation_warm_start_counts(monkeypatch, name, solves, iterations, b
                                    gd.monomorphic_vertices(g) + [gd.uniform_configuration(g)])
     assert totals == [solves, iterations]
     assert len(curves) == branches
+
+
+def test_a_zero_mass_column_stays_zero_down_the_sweep(monkeypatch):
+    # wide_game's p2 has zero mass; every secant prediction is rescaled onto
+    # the masses, and p2's column comes out zero at every grid point
+    g = wide_game()
+    real, projected = analysis._project_configuration, []
+
+    def project(game, x):
+        projected.append(real(game, x))
+        return projected[-1]
+
+    monkeypatch.setattr(analysis, "_project_configuration", project)
+    seeds = gd.monomorphic_vertices(g)[:3] + [gd.uniform_configuration(g)]
+    curves = gd.continuation_sweep(g, np.geomspace(2.0, 1e-2, 20), seeds)
+    assert curves and not any(c.terminated for c in curves)
+    assert len(projected) >= 18 * len(curves)
+    assert not np.array(projected)[:, :, 1].any()
+    for c in curves:
+        assert not c.points[:, :, 1].any()
+        np.testing.assert_allclose(c.points.sum(axis=1), np.broadcast_to(g.masses, (20, 3)),
+                                   rtol=1e-12)
 
 
 def test_dedup_merges_identical_branches():

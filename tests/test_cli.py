@@ -3,6 +3,7 @@ stderr and output digests, kept in cli_table.json by cli_table.py), CSV
 layout, byte-level determinism and the exit codes of failing runs."""
 
 import ast
+import dataclasses
 import os
 import re
 import shutil
@@ -55,6 +56,17 @@ def scenario_file(tmp_path, name, **values):
 CI_ONLY = {("sweep", "wheatstone", cli_table.SEED), ("sweep", "series2", cli_table.SEED),
            ("reproduce-wheatstone", "wheatstone", cli_table.SEED)}
 TIER1_KEYS = [key for key in cli_table.KEYS if key not in CI_ONLY]
+
+
+def test_host_class_names_what_it_cannot_read_and_exits_0(capsys, monkeypatch):
+    # CI prints this before the golden table's checks; a missing library or
+    # symbol reads "unknown" and must not fail the job
+    import host_class
+    monkeypatch.setattr(host_class, "openblas_core", lambda: 1 / 0)
+    assert host_class.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "OpenBLAS core: unknown"
+    assert re.fullmatch(r"host class: \S+/unknown", lines[3])
 
 
 @pytest.mark.parametrize("key", TIER1_KEYS, ids=["-".join(map(str, k)) for k in TIER1_KEYS])
@@ -258,6 +270,9 @@ NARROW_BRACKET = {"eta_hi": "1.0", "eta_lo": "0.99999999999999", "steps": "200"}
        "are too close for steps = 200")
       for command, name in [("bifurcation", "coordination"), ("sweep", "coordination"),
                             ("reproduce-wheatstone", "wheatstone")]],
+    ("bifurcation", "pigou", {"multistart": "1000000000000000"},
+     "[run] multistart = 1000000000000000 and steps = 40 ask for 40000000000000080 "
+     "census starts, more than the 1000000 limit"),
 ])
 def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, values,
                                             cause):
@@ -271,6 +286,61 @@ def test_main_exit_1_on_bad_scenario_values(tmp_path, capsys, command, name, val
     err = capsys.readouterr().err
     assert "error:" in err and cause in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("steps, reaches_scan", [(58823, True), (58824, False),
+                                                  (100000, False)])
+def test_bifurcation_bounds_its_census_starts(tmp_path, monkeypatch, capsys, steps,
+                                              reaches_scan):
+    # steps x (multistart 8 + 9 vertices) starts on wheatstone: 999,991 may
+    # reach the scan, one step more may not; the scan is stubbed, so no start runs
+    def scan(*args, **kwargs):
+        raise NotImplementedError("scan reached")
+
+    monkeypatch.setattr(cli, "bifurcation_scan", scan)
+    path = scenario_file(tmp_path, "wheatstone", steps=str(steps))
+    argv = ["bifurcation", "--scenario", str(path), "--out", str(tmp_path), "--quiet"]
+    if reaches_scan:
+        with pytest.raises(NotImplementedError, match="scan reached"):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == 1
+    assert (f"multistart = 8 and steps = {steps} ask for {17 * steps} census starts, "
+            "more than the 1000000 limit") in capsys.readouterr().err
+
+
+def test_verify_exit_2_when_a_required_invariant_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "exact_target_check", lambda eta, game, rng: (False, 0.5))
+    path = scenario_file(tmp_path, "pigou")
+    code = cli.main(["verify", "--scenario", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert ("numerical failure: a required invariant failed; see verify.txt"
+            in capsys.readouterr().err)
+    assert "FAIL exact_target max_violation=5.000e-01" in (tmp_path / "verify.txt").read_text()
+
+
+def test_reproduce_wheatstone_exit_2_when_the_trajectories_disagree(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the second run's terminal state is moved by 0.2 of mass between two
+    # routes; the sweep runs on the first grid eta alone, which keeps it fast
+    integrate, sweep = cli.integrate, cli.continuation_sweep
+
+    def moved_integrate(*args, **kwargs):
+        ta, tb = integrate(*args, **kwargs)
+        states = tb.states.copy()
+        states[-1, :2, 0] += [0.1, -0.1]
+        return ta, dataclasses.replace(tb, states=states)
+
+    monkeypatch.setattr(cli, "integrate", moved_integrate)
+    monkeypatch.setattr(cli, "continuation_sweep", lambda game, grid, seeds:
+                        sweep(game, grid[:1], seeds))
+    code = cli.main(["reproduce-wheatstone", "--scenario",
+                     str(SCENARIO_DIR / "wheatstone.scn"), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert ("numerical failure: trajectories disagree by 2.000e-01 at the horizon"
+            in capsys.readouterr().err)
+    for name in ["wheatstone_traj_1.csv", "wheatstone_traj_2.csv", "wheatstone_sweep.csv"]:
+        assert (tmp_path / name).is_file()
 
 
 @pytest.mark.parametrize("command, key", [

@@ -110,6 +110,25 @@ def test_mask_restricts_action_sets():
     assert x[0, 1] == 0.0 and x[1, 1] == 2.0
 
 
+def test_rescale_to_masses_scales_each_column_of_a_stack(rng):
+    # wide_game's p2 has zero mass, so its column comes out zero whatever it
+    # held; an all-zero column of a population with mass stays zero too
+    g = wide_game()
+    X = rng.uniform(0.0, 1.0, (4, 6, 3)) * g.mask
+    X[1, :, 0] = 0.0
+    Y = gd.rescale_to_masses(g, X)
+    for x, y in zip(X, Y):
+        np.testing.assert_array_equal(gd.rescale_to_masses(g, x), y)
+    assert not Y[:, :, 1].any() and not Y[1, :, 0].any()
+    np.testing.assert_allclose(Y[[0, 2, 3]].sum(axis=1)[:, [0, 2]],
+                               np.broadcast_to(g.masses[[0, 2]], (3, 2)), rtol=1e-14)
+    # the uniform configuration, the rescale of the mask, splits each mass evenly
+    x = gd.uniform_configuration(g)
+    for p in range(g.n_pops):
+        expect = np.where(g.mask[:, p], g.masses[p] / len(g.action_set(p)), 0.0)
+        np.testing.assert_array_equal(x[:, p], expect)
+
+
 # ---------------------------------------------------------------------------
 # Cost evaluation
 
