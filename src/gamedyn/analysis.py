@@ -118,13 +118,9 @@ def dedup_curves(curves) -> list[EquilibriumCurve]:
     """Drop branches within SAME_POINT_L1 pointwise of an earlier one on the grid."""
     out: list[EquilibriumCurve] = []
     for c in curves:
-        dup = False
-        for kept in out:
-            if (len(c.etas) == len(kept.etas)
-                    and np.abs(c.points - kept.points).sum(axis=(1, 2)).max() <= SAME_POINT_L1):
-                dup = True
-                break
-        if not dup:
+        if not any(len(c.etas) == len(kept.etas)
+                   and np.abs(c.points - kept.points).sum(axis=(1, 2)).max() <= SAME_POINT_L1
+                   for kept in out):
             out.append(c)
     return out
 
@@ -143,9 +139,10 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
                      rng: np.random.Generator | None = None) -> NoiseSweep:
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
-    A solve counts at an l1 residual <= 1e-8; solutions within SAME_POINT_L1
-    are one point. All starts, drawn eta by eta, are one fixed_points call
-    (Newton restarting unstable landings, then damped Picard as the last
+    A solve counts at an l1 residual <= 1e-8; per eta, the first counted start
+    not yet matched is a new point and matches every start within
+    SAME_POINT_L1 of it. All starts, drawn eta by eta, are one fixed_points
+    call (Newton restarting unstable landings, then damped Picard as the last
     resort), one eta per start.
     """
     etas = _check_grid(eta_grid)
@@ -153,19 +150,22 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
         raise ValueError("multistart must be at least 4")
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
-    m = multistart + len(vertices)
-    draws = np.split(sample_configurations(game, rng, len(etas) * multistart), len(etas))
-    seeds = [x for d in draws for x in [*d, *vertices]]
-    results = fixed_points(game, np.repeat(etas, m), seeds)
-    per_eta = []
-    for k in range(len(etas)):
-        found: list[FixedPointResult] = []
-        for r in results[k * m:(k + 1) * m]:
-            if (r.converged and r.residual <= 1e-8
-                    and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found)):
-                found.append(r)
-        per_eta.append(tuple(found))
-    return NoiseSweep(etas=etas, results=tuple(per_eta),
+    m, (S, P) = multistart + len(vertices), game.mask.shape
+    draws = sample_configurations(game, rng, len(etas) * multistart).reshape(len(etas), -1, S, P)
+    seeds = np.concatenate([draws, np.broadcast_to(vertices, (len(etas), len(vertices), S, P))], 1)
+    results = fixed_points(game, np.repeat(etas, m), seeds.reshape(-1, S, P))
+    # all etas in lockstep: each round finds the next point of every eta that
+    # has an unmatched counted start, with one l1 distance over its m starts
+    X = np.array([r.x for r in results]).reshape(len(etas), m, -1)
+    todo = np.array([r.converged and r.residual <= 1e-8 for r in results]).reshape(len(etas), m)
+    per_eta = [[] for _ in etas]
+    while todo.any():
+        ks = np.flatnonzero(todo.any(axis=1))
+        first = todo[ks].argmax(axis=1)
+        for k, i in zip(ks.tolist(), first.tolist()):
+            per_eta[k].append(results[k * m + i])
+        todo[ks] &= np.abs(X[ks] - X[ks, first][:, None]).sum(axis=2) > SAME_POINT_L1
+    return NoiseSweep(etas=etas, results=tuple(map(tuple, per_eta)),
                       n_fixed_points=np.array([len(f) for f in per_eta]),
                       n_stable=np.array([sum(r.stability.locally_stable for r in f)
                                          for f in per_eta]))

@@ -437,13 +437,10 @@ def monomorphic_vertices(game: PopulationGame) -> list[np.ndarray]:
     """
     per_pop = [game.action_set(p) for p in range(game.n_pops)]
     out = []
-    for combo in itertools.product(*per_pop):
+    for combo in itertools.islice(itertools.product(*per_pop), 4096):
         x = np.zeros((game.n_actions, game.n_pops))
-        for p, i in enumerate(combo):
-            x[i, p] = game.masses[p]
+        x[list(combo), range(game.n_pops)] = game.masses
         out.append(x)
-        if len(out) >= 4096:
-            break
     return out
 
 

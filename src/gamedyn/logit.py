@@ -104,14 +104,14 @@ def logit_jacobian(game: PopulationGame, x, eta: float) -> np.ndarray:
     return _jacobians(game, *_noise_free_parts(game, [x]), eta)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityInfo:
     l1_log_norm: float
     spectral_abscissa: float
     locally_stable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedPointResult:
     """A solve's best point. iterations counts corrector steps for the starts
     fixed_points keeps from its corrector, and damped_iteration steps for
@@ -134,16 +134,17 @@ def _column_measure(M: np.ndarray):
     return np.max(d + np.abs(M).sum(axis=-2) - np.abs(d), axis=-1)
 
 
-def _stabilities(J: np.ndarray) -> list[StabilityInfo]:
-    """Stability of x' = F - x from each logit Jacobian J_F of a stack (N,n,n)."""
+def _stabilities(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l1 log-norms and spectral abscissas (N,) of x' = F - x from each logit
+    Jacobian J_F of a stack (N,n,n); negative abscissa is local stability."""
     M = J - np.eye(J.shape[-1])
-    pairs = zip(_column_measure(M).tolist(), np.linalg.eigvals(M).real.max(axis=-1).tolist())
-    return [StabilityInfo(mu, a, a < 0.0) for mu, a in pairs]
+    return _column_measure(M), np.linalg.eigvals(M).real.max(axis=-1)
 
 
 def local_stability(game: PopulationGame, x, eta: float) -> StabilityInfo:
     """Stability of the dynamics x' = F - x at a point, from J_F - I."""
-    return _stabilities(logit_jacobian(game, x, eta)[None])[0]
+    mu, a = (v.item() for v in _stabilities(logit_jacobian(game, x, eta)[None]))
+    return StabilityInfo(mu, a, a < 0.0)
 
 
 def residual_floor(game: PopulationGame, c: np.ndarray, eta: float) -> float:
@@ -310,13 +311,17 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     would.
     """
     X0 = validate_configuration(game, np.array(x0s, dtype=float))
-    X = X0.copy()
-    etas = np.broadcast_to(np.asarray(eta, dtype=float), len(X))[:, None, None]
+    X, eta = X0.copy(), np.asarray(eta, dtype=float)
+    if eta.ndim > 1 or eta.size not in (1, len(X)):
+        raise ValueError(f"eta must be one value or one per start, got {eta.size} "
+                         f"(shape {eta.shape}) for {len(X)} starts")
+    etas = np.broadcast_to(eta, len(X))[:, None, None]
     qs, js = np.nonzero(game.mask.T)
     eye = np.eye(len(qs))
-    out = [None] * len(X)
+    # per start, as of its last landing; a kept start's point stays put in X
+    kept, restarted = np.zeros((2, len(X)), dtype=bool)
+    residual, steps, mu, abscissa = np.zeros((4, len(X)))
     live = np.arange(len(X))
-    restarted = np.zeros(len(X), dtype=bool)
     for step in range(NEWTON_STEPS + 1):
         live = live[np.isfinite(X[live]).all(axis=(1, 2))]
         if not len(live):
@@ -328,13 +333,14 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         r = np.abs(np.ascontiguousarray(G)).sum(axis=1)
         tol = _tolerance(game, C, etas[live, 0, 0])
         done = r <= tol
-        for k, rk, info in zip(live[done], r[done].tolist(), _stabilities(J[done])):
-            if info.locally_stable:
-                out[k] = FixedPointResult(X[k].copy(), rk, step, True, etas[k].item(), info)
+        residual[live[done]], steps[live[done]] = r[done], step
+        mu[live[done]], abscissa[live[done]] = _stabilities(J[done])
+        stable = done & (abscissa[live] < 0.0)
+        kept[live[stable]] = True
         if step == NEWTON_STEPS:
             break
         # first unstable landings restart; a NaN restart drops out next step
-        u = [i for i in np.flatnonzero(done & ~restarted[live]) if out[live[i]] is None]
+        u = done & ~stable & ~restarted[live]
         ks = live[u]
         restarted[ks] = True
         if len(ks):
@@ -347,10 +353,10 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
         live = np.sort(np.concatenate([live, ks]))
-    for k, res in enumerate(out):
-        if res is None:
-            out[k] = fixed_point(game, etas[k].item(), X0[k])
-    return out
+    fields = np.column_stack([kept, residual, steps, mu, abscissa, etas[:, 0, 0]]).tolist()
+    return [FixedPointResult(X[k].copy(), rk, int(sk), True, e, StabilityInfo(mk, ak, True))
+            if keep else fixed_point(game, e, X0[k])
+            for k, (keep, rk, sk, mk, ak, e) in enumerate(fields)]
 
 
 def _margin_of(game: PopulationGame, rng: np.random.Generator | None):
@@ -392,19 +398,15 @@ def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
     if not (0 < eta_lo < eta_hi):
         raise ValueError("need 0 < eta_lo < eta_hi")
     margin = _margin_of(game, rng)
-
-    def certified(eta):
-        return margin(eta) < 0.0
-
-    if certified(eta_lo):
+    if margin(eta_lo) < 0.0:
         return float(eta_lo)
-    if not certified(eta_hi):
+    if not margin(eta_hi) < 0.0:
         raise ValueError(f"margin not certified even at eta_hi={eta_hi}; "
                          "widen the bracket upward")
     lo, hi = float(eta_lo), float(eta_hi)
     while hi / lo > 1.01:
         mid = float(np.sqrt(lo * hi))
-        if certified(mid):
+        if margin(mid) < 0.0:
             hi = mid
         else:
             lo = mid

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamedyn as gd
 from gamedyn import analysis, logit
@@ -269,6 +270,90 @@ def test_census_corrector_counts(monkeypatch):
     assert pushed == [2, 3, 3]
     assert not maps
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
+
+
+def census_rule(results):
+    """The census's same-point rule as a generator over starts: a counted
+    start is a new point unless within SAME_POINT_L1 of a point already found."""
+    found = []
+    for r in results:
+        if (r.converged and r.residual <= 1e-8
+                and all(np.abs(r.x - f.x).sum() > analysis.SAME_POINT_L1 for f in found)):
+            found.append(r)
+    return found
+
+
+# each start of a drawn census stack: a fresh point (about half its entries
+# 0), or an earlier start of its eta moved by an l1 step a few ulps below, at
+# or above SAME_POINT_L1, in one entry (one that was 0 moves by the step
+# exactly) or split over two; with a residual on either side of the 1e-8 that
+# counts
+START_KINDS = st.tuples(
+    st.sampled_from(["fresh", "near", "near", "split"]),
+    st.integers(-4, 4),
+    st.sampled_from([True, True, True, False]),
+    st.sampled_from([0.0, 1e-9, 1e-8, np.nextafter(1e-8, 1.0), 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(4, 7), st.sampled_from([(2, 1), (3, 2), (6, 3)]),
+       st.data(), st.integers(0, 2 ** 32 - 1))
+def test_census_keeps_the_points_of_the_generator_rule(n_etas, multistart, shape, data,
+                                                      seed):
+    g, _ = get_scenario("coordination").build_game()
+    m = multistart + len(gd.monomorphic_vertices(g))
+    kinds = data.draw(st.lists(START_KINDS, min_size=n_etas * m, max_size=n_etas * m))
+    rng = np.random.default_rng(seed)
+    info = gd.StabilityInfo(-1.0, -1.0, True)
+    results = []
+    for j, (kind, ulps, converged, residual) in enumerate(kinds):
+        if kind == "fresh" or j % m == 0:
+            x = rng.random(shape) * rng.integers(0, 2, shape)
+        else:
+            x = results[j - 1 - rng.integers(j % m)].x.copy()
+            step = analysis.SAME_POINT_L1 * (1.0 + ulps * np.finfo(float).eps)
+            zeros = np.flatnonzero(x == 0.0)
+            a = rng.choice(zeros) if len(zeros) else rng.integers(x.size)
+            b = rng.choice(np.delete(np.arange(x.size), a))
+            part = step * rng.random() if kind == "split" else step
+            x.flat[a] += part
+            x.flat[b] -= step - part
+        results.append(gd.FixedPointResult(x, residual, 0, converged, 1.0, info))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(analysis, "fixed_points", lambda game, eta, x0s: results)
+        sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.5, n_etas), multistart,
+                                    rng=np.random.default_rng(0))
+    index = {id(r): j for j, r in enumerate(results)}
+    for k, kept in enumerate(sweep.results):
+        want = census_rule(results[k * m:(k + 1) * m])
+        assert [index[id(r)] for r in kept] == [index[id(r)] for r in want]
+    assert sweep.n_fixed_points.tolist() == [len(f) for f in sweep.results]
+
+
+@pytest.mark.parametrize("name", ["coordination", "wheatstone"])
+def test_census_results_equal_lone_solves_in_every_field(monkeypatch, name):
+    # a counted point is its start's own fixed_points result, not one that
+    # its stack-mates or the same-point rule touched
+    g, _ = get_scenario(name).build_game()
+    solves = {}
+    real = analysis.fixed_points
+
+    def recorded(game, eta, x0s):
+        solves.update(eta=eta, x0s=x0s, results=real(game, eta, x0s))
+        return solves["results"]
+
+    monkeypatch.setattr(analysis, "fixed_points", recorded)
+    sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
+                                rng=np.random.default_rng(3))
+    index = {id(r): j for j, r in enumerate(solves["results"])}
+    kept = [r for found in sweep.results for r in found]
+    assert len(kept) == sweep.n_fixed_points.sum() >= 5
+    for r in kept:
+        j = index[id(r)]
+        alone = real(g, solves["eta"][j], [solves["x0s"][j]])[0]
+        assert np.array_equal(r.x, alone.x)
+        assert (r.residual, r.iterations, r.converged, r.eta, r.stability) == \
+            (alone.residual, alone.iterations, alone.converged, alone.eta, alone.stability)
 
 
 @pytest.mark.parametrize("name", ["constant", "pigou"])

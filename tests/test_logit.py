@@ -668,6 +668,20 @@ def test_fixed_points_reject_a_bad_start_or_eta():
         gd.fixed_points(g, [0.5, 0.0], seeds[:2])
 
 
+@pytest.mark.parametrize("eta, size", [([0.5, 0.4, 0.3], 3), ([[0.5, 0.4]], 2), ([], 0)],
+                         ids=["(3,)", "(1, 2)", "(0,)"])
+def test_fixed_points_name_a_misshaped_eta(eta, size):
+    # one eta or one per start; anything else names both counts rather than
+    # failing in numpy's broadcasting
+    g, _ = get_scenario("pigou").build_game()
+    seeds = [gd.uniform_configuration(g)] * 2
+    with pytest.raises(ValueError, match=rf"^eta must be one value or one per start, "
+                                         rf"got {size} \(shape .*\) for 2 starts$"):
+        gd.fixed_points(g, eta, seeds)
+    # one value in a list of one still serves every start
+    assert [r.eta for r in gd.fixed_points(g, [0.5], seeds)] == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("call", [
     lambda g, x0: gd.logit_map(g, x0, np.nan),
     lambda g, x0: gd.logit_jacobian(g, x0, np.nan),
