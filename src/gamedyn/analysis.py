@@ -14,6 +14,7 @@ import numpy as np
 from .game import (
     PopulationGame,
     monomorphic_vertices,
+    potential,
     rescale_to_masses,
     sample_configurations,
     validate_configuration,
@@ -38,7 +39,6 @@ class EquilibriumCurve:
     stable: np.ndarray             # (K,) bool
     residuals: np.ndarray          # (K,)
     l1_margins: np.ndarray         # (K,) l1 log-norm of J - I at each point
-    seed_index: int
     terminated: bool               # solver failed before reaching the grid end
 
     @property
@@ -111,7 +111,7 @@ def _trace_branch(game: PopulationGame, grid, seed,
         stable=np.array([r.stability.locally_stable for r in accepted], dtype=bool),
         residuals=np.array([r.residual for r in accepted]),
         l1_margins=np.array([r.stability.l1_log_norm for r in accepted]),
-        seed_index=seed_index, terminated=len(accepted) < len(grid))
+        terminated=len(accepted) < len(grid))
 
 
 def dedup_curves(curves) -> list[EquilibriumCurve]:
@@ -193,22 +193,15 @@ class LyapunovReport:
     max_uphill: float
     values: np.ndarray
 
-    def __bool__(self) -> bool:
-        return self.ok
 
-
-def lyapunov_check(game: PopulationGame, trajectory: Trajectory, eta: float,
-                   potential_evaluator) -> LyapunovReport:
+def lyapunov_check(game: PopulationGame, trajectory: Trajectory) -> LyapunovReport:
     """Is V(x) + eta * entropy non-increasing along the recorded trajectory?
 
-    The trajectory must have been produced at the same eta; uphill steps are
+    V is potential(game) and eta the trajectory's own; uphill steps are
     tolerated up to LYAPUNOV_TOL * (1 + |V|) per step.
     """
-    if abs(trajectory.eta - eta) > 1e-12 * max(1.0, eta):
-        raise ValueError(f"trajectory eta {trajectory.eta!r} does not match "
-                         f"requested eta {eta!r}")
-    vals = np.array([potential_evaluator(x) + eta * entropy_term(game, x)
-                     for x in trajectory.states])
+    V, eta = potential(game), trajectory.eta
+    vals = np.array([V(x) + eta * entropy_term(game, x) for x in trajectory.states])
     steps = np.diff(vals)
     allowed = LYAPUNOV_TOL * (1.0 + np.abs(vals[:-1]))
     ok = bool(np.all(steps <= allowed))

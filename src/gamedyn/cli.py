@@ -243,7 +243,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
 
     mono_ok, viol = monotonicity_check(eta, game, rng=rng)
     lines.append(f"INFO monotone: {str(mono_ok).lower()} ({len(viol)} violations)")
-    sym_ok, asym = potential_symmetry_check(game, samples=5, rng=rng)
+    sym_ok, asym = potential_symmetry_check(game, rng)
     lines.append(f"INFO potential_symmetry: {str(sym_ok).lower()} "
                  f"max_asymmetry={asym:.3e}")
     if rgame is not None:

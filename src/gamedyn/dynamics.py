@@ -179,10 +179,19 @@ class ReducedSystem:
                                   "costs (c_ip a function of w_i alone)")
         self.game = game
 
+    def _checked(self, w, name: str) -> np.ndarray:
+        """w as floats; a ValueError naming it unless finite with one entry per action."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.game.n_actions,):
+            raise ValueError(f"{name} must have shape ({self.game.n_actions},), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"{name} has a non-finite entry: {w.tolist()!r}")
+        return w
+
     def target(self, w: np.ndarray) -> np.ndarray:
         """Target G(cbar(w)): logit_map where the costs see row sums w (w in column 0)."""
         x = np.zeros((self.game.n_actions, self.game.n_pops))
-        x[:, 0] = w
+        x[:, 0] = self._checked(w, "w")
         return logit_map(self.game, x, self.eta)
 
     def fixed_point(self, w0) -> ReducedFixedPoint:
@@ -193,11 +202,7 @@ class ReducedSystem:
         those of its fixed point are a fixed point here. The residual,
         iterations and tolerance are the full solve's.
         """
-        w0 = np.asarray(w0, dtype=float)
-        if w0.shape != (self.game.n_actions,):
-            raise ValueError(f"w0 must have shape ({self.game.n_actions},), got {w0.shape}")
-        if not np.all(np.isfinite(w0)):
-            raise ValueError(f"w0 has a non-finite entry: {w0.tolist()!r}")
+        w0 = self._checked(w0, "w0")
         r = fixed_points(self.game, self.eta, [self.target(w0)])[0]
         return ReducedFixedPoint(w=r.x.sum(axis=1), residual=r.residual,
                                  iterations=r.iterations, converged=r.converged)
@@ -209,7 +214,7 @@ def recover_configuration_limit(game: PopulationGame, eta: float, w_star) -> np.
     w* must map to itself within an l1 residual of 1e-8.
     """
     sys = ReducedSystem(game, eta)
-    w_star = np.asarray(w_star, dtype=float)
+    w_star = sys._checked(w_star, "w_star")
     x_star = sys.target(w_star)
     residual = float(np.abs(x_star.sum(axis=1) - w_star).sum())
     if residual > 1e-8:

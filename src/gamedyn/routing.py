@@ -301,7 +301,6 @@ def classify_topology(rs: RouteSet) -> TopologyClass:
 class RoutingGame:
     graph: Multigraph
     route_set: RouteSet
-    link_costs: LinkCostMatrix
     topology: TopologyClass
     game: PopulationGame
 
@@ -325,8 +324,7 @@ def build_routing_game(graph: Multigraph, origin: str, destination: str,
     game = PopulationGame(populations=populations,
                           masses=np.asarray(masses, dtype=float),
                           actions=rs.names, mask=mask, costs=field)
-    return RoutingGame(graph=graph, route_set=rs, link_costs=link_costs,
-                       topology=topo, game=game)
+    return RoutingGame(graph=graph, route_set=rs, topology=topo, game=game)
 
 
 def link_flow(route_set: RouteSet, x) -> np.ndarray:
@@ -356,7 +354,7 @@ def stage_games(rgame: RoutingGame) -> list[RoutingGame]:
     for stage in topo.stages:
         links = [l for l in rgame.graph.links if l.id in stage.link_ids]
         sub = Multigraph(dict.fromkeys(n for l in links for n in (l.tail, l.head)), links)
-        costs = rgame.link_costs.restrict(stage.link_ids)
+        costs = rgame.game.costs.curves.restrict(stage.link_ids)
         sg = build_routing_game(sub, stage.origin, stage.destination, costs,
                                 rgame.game.populations, rgame.game.masses)
         if sg.route_set.routes != stage.segments:

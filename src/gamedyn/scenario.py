@@ -164,12 +164,7 @@ class Scenario:
         if spec.startswith("vertex:"):
             names = [s.strip() for s in spec[len("vertex:"):].split(",")]
             try:
-                if len(names) == 1:
-                    return vertex_configuration(game, names[0])
-                if len(names) != game.n_pops:
-                    raise ScenarioError(
-                        f"{self.path}: vertex x0 needs 1 or {game.n_pops} actions")
-                return vertex_configuration(game, names)
+                return vertex_configuration(game, names[0] if len(names) == 1 else names)
             except ValueError as e:
                 raise ScenarioError(f"{self.path}: bad x0 {spec!r}: {e}") from None
         if spec.startswith("explicit:"):

@@ -212,12 +212,10 @@ def test_criterion_8_potential_lyapunov_suite():
     for name, kind in cases:
         scn = get_scenario(name)
         game, rgame = scn.build_game()
-        eta = scn.eta()
-        V = gd.potential(game)
         x0 = scn.initial_configuration(game, np.random.default_rng(3))
-        traj = gd.integrate(game, eta, x0,
+        traj = gd.integrate(game, scn.eta(), x0,
                             horizon=10.0, dt=0.01)
-        rep = gd.lyapunov_check(game, traj, eta, V)
+        rep = gd.lyapunov_check(game, traj)
         uphills.append(f"{name} {rep.max_uphill:.2e}")
         assert rep.ok, f"{name}: uphill step {rep.max_uphill:.3e}"
     print(f"[criterion 8] wheatstone asymmetry {asyms['wheatstone']:.3f}  "

@@ -378,14 +378,8 @@ def test_lyapunov_check_descends_on_coordination():
     g, _ = get_scenario("coordination").build_game()
     eta = 0.25
     traj = gd.integrate(g, eta, np.array([[0.9], [0.1]]), 10.0, 0.01)
-    rep = gd.lyapunov_check(g, traj, eta, gd.potential(g))
-    assert rep.ok and bool(rep)
+    rep = gd.lyapunov_check(g, traj)
+    assert rep.ok
     assert rep.max_uphill <= 1e-10
     assert rep.values[0] > rep.values[-1]
 
-
-def test_lyapunov_check_rejects_eta_mismatch():
-    g, _ = get_scenario("coordination").build_game()
-    traj = gd.integrate(g, 0.25, gd.uniform_configuration(g), 1.0, 0.1)
-    with pytest.raises(ValueError, match="does not match"):
-        gd.lyapunov_check(g, traj, 0.5, gd.potential(g))

@@ -450,6 +450,105 @@ def test_main_exit_1_on_decreasing_tolled_curve(tmp_path, capsys):
     assert "error:" in err and "link cost for (e2, p1) is decreasing" in err
 
 
+CLI_STDOUT = [
+    ("simulate", "pigou", {"horizon": "1"},
+     r"wrote {out}/trajectory\.csv \(101 records, mass drift \S+\)"),
+    ("fixed-point", "pigou", {}, r"wrote {out}/fixed_point\.csv \(residual \S+, \d+ iterations\)"),
+    ("sweep", "pigou", {"steps": "5"},
+     r"wrote {out}/sweep\.csv \(1 branch\(es\), eta 2 down to 0\.001\)"),
+    ("bifurcation", "pigou", {"steps": "5"}, r"wrote {out}/bifurcation\.csv \(stable counts 1\.\.1\)"),
+    ("classify", "pigou", {}, r"wrote {out}/classify\.txt"),
+    ("verify", "pigou", {}, r"wrote {out}/verify\.txt"),
+    ("reproduce-wheatstone", "wheatstone", {}, r"wrote {out}/wheatstone_traj_1\.csv, "
+     r"{out}/wheatstone_traj_2\.csv, {out}/wheatstone_sweep\.csv"),
+]
+
+
+@pytest.mark.parametrize("command, name, values, wrote", CLI_STDOUT,
+                         ids=[row[0] for row in CLI_STDOUT])
+def test_main_without_quiet_reports_to_stdout(tmp_path, monkeypatch, capsys, command, name,
+                                              values, wrote):
+    if command == "reproduce-wheatstone":
+        # the sweep runs on the first grid eta alone, which keeps it fast
+        sweep = cli.continuation_sweep
+        monkeypatch.setattr(cli, "continuation_sweep", lambda game, grid, seeds:
+                            sweep(game, grid[:1], seeds))
+    out = tmp_path / "out"
+    path = scenario_file(tmp_path, name, **values)
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    *head, wrote_line, finished = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(wrote.format(out=re.escape(str(out))), wrote_line)
+    assert re.fullmatch(rf"{command} finished in \d+\.\d\ds", finished)
+    if command in ("classify", "verify"):
+        assert head == (out / f"{command}.txt").read_text().splitlines()
+    elif command == "reproduce-wheatstone":
+        assert head[0].startswith("terminal l1 gap between the two runs: ")
+        assert head[1].startswith("limit link flow: ") and len(head) == 2
+    else:
+        assert head == []
+
+
+LOADER_ERRORS = [
+    ("no-eta", "coordination", "eta = 0.25\n", "", "[dynamics] needs eta"),
+    ("x0-unparseable", "coordination", "x0 = uniform", "x0 = explicit: 0.5; a",
+     "unparseable explicit x0"),
+    ("x0-unknown", "coordination", "x0 = uniform", "x0 = corner",
+     "unknown x0 description 'corner'"),
+    ("x0-explicit-count", "coordination", "x0 = uniform", "x0 = explicit: 0.5, 0.5",
+     "explicit x0 has shape (1, 2), expected (2, 1)"),
+    ("x0-vertex-count", "pigou", "x0 = vertex:r2", "x0 = vertex:r1, r2",
+     "bad x0 'vertex:r1, r2': need one action per population (1), got 2"),
+    ("population-record", "coordination", "p1, 1", "p1, 1, 2",
+     "population record needs 'id, mass'"),
+    ("cost-record", "coordination", "a2, all, affine, -1, 2", "a2, all",
+     "cost record needs 'ref, population, kind, params...'"),
+    ("link-record", "pigou", "e2, o, d", "e2, o", "link record needs 'id, tail, head'"),
+    ("toll-record", "tolls", "e2, 1\n", "e3, 1\n",
+     "toll record needs 'link, omega' with a known link"),
+    ("sensitivity-record", "tolls", "p2, 2", "p2",
+     "sensitivity record needs 'population, alpha'"),
+    ("cost-unknown-link", "pigou", "e2, all, constant, 1", "e3, all, constant, 1",
+     "unknown link 'e3' in cost record"),
+    ("cost-unknown-action", "coordination", "a2, all, affine, -1, 2", "a3, all, affine, -1, 2",
+     "unknown action 'a3' in cost record"),
+    ("cost-unknown-population", "coordination", "a2, all, affine, -1, 2",
+     "a2, p2, affine, -1, 2", "unknown population 'p2' in cost record"),
+    ("cost-duplicate-all", "pigou", "e2, all, constant, 1",
+     "e2, all, constant, 1\ne2, all, constant, 2", "duplicate 'all' cost record for 'e2'"),
+    ("duplicate-node", "pigou", "[nodes]\no, d", "[nodes]\no, d, o", "duplicate node ids"),
+    ("self-loop", "pigou", "e2, o, d", "e2, o, o", "link 'e2' is a self-loop"),
+    ("unknown-node", "pigou", "e2, o, d", "e2, o, x", "link 'e2' references unknown node"),
+    ("missing-sensitivity", "tolls", "p2, 2\n", "", "no toll sensitivity for 'p2'"),
+    ("no-actions", "coordination", "[actions]\na1, a2\n", "",
+     "explicit scenario needs [actions]"),
+    ("duplicate-population", "coordination", "p1, 1", "p1, 1\np1, 1",
+     "action and population ids must be unique"),
+    ("zero-mass", "coordination", "p1, 1", "p1, 0",
+     "at least one population must have positive mass"),
+    ("constant-two-values", "pigou", "e2, all, constant, 1", "e2, all, constant, 1, 2",
+     "constant cost needs one value"),
+    ("table-equal-breakpoints", "pigou", "e2, all, constant, 1",
+     "e2, all, table, 0, 1, 0, 2", "table breakpoints must be strictly increasing"),
+    ("no-key-value", "pigou", "dt = 0.01", "dt 0.01", "expected 'key = value'"),
+]
+
+
+@pytest.mark.parametrize("name, old, new, cause", [row[1:] for row in LOADER_ERRORS],
+                         ids=[row[0] for row in LOADER_ERRORS])
+def test_main_exit_1_names_the_scenario_error(tmp_path, capsys, name, old, new, cause):
+    # one edit to a bundled scenario; the message names the file once
+    text = (SCENARIO_DIR / f"{name}.scn").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / f"{name}.scn"
+    path.write_text(text.replace(old, new))
+    code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count(str(path)) == 1
+    assert cause in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 OVERFLOW_RUNS = [
     *[("homogeneous", "e2", "r2", command, 2,
        "numerical failure: non-finite cost for action 'r2', population 'p1'\n")

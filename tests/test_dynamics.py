@@ -177,6 +177,20 @@ def test_integrate_splits_a_stack_into_its_lone_runs(name, caplog):
     assert not any("mass drift" in m for m in caplog.messages)
 
 
+def test_integrate_warns_of_drift_once_per_start_in_order(monkeypatch, caplog):
+    # a target that adds 0.1% of mass to the first start and 0.2% to the second
+    leak = np.array([1.001, 1.002])[:, None, None]
+    monkeypatch.setattr(dynamics, "softmax_target",
+                        lambda game, c, eta: leak * softmax_target(game, c, eta))
+    game, _ = get_scenario("pigou").build_game()
+    X = gd.sample_configurations(game, np.random.default_rng(8), 2)
+    with caplog.at_level(logging.WARNING, logger="gamedyn.dynamics"):
+        trajs = gd.integrate(game, 0.25, X, 1.0, 0.01)
+    assert 1e-7 < trajs[0].mass_drift < trajs[1].mass_drift
+    assert caplog.messages == [f"mass drift {t.mass_drift:.3e} exceeds the 1e-7 monitor bound"
+                               for t in trajs]
+
+
 def test_integrate_rejects_extra_stack_axes():
     g, _ = get_scenario("pigou").build_game()
     X = gd.sample_configurations(g, np.random.default_rng(0), 4).reshape(2, 2, 2, 1)
@@ -293,6 +307,21 @@ def test_reduced_start_is_checked():
         run(np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
         run([np.nan, 0.5])
+
+
+@pytest.mark.parametrize("w, cause", [
+    ([0.5], r"must have shape \(2,\), got \(1,\)"),
+    ([0.5, 0.5, 0.0], r"must have shape \(2,\), got \(3,\)"),
+    ([np.nan, 0.5], r"has a non-finite entry: \[nan, 0\.5\]"),
+], ids=["short", "long", "nan"])
+def test_reduced_target_and_limit_name_a_bad_w(w, cause):
+    # a short w was broadcast to every action, a long one hit numpy's
+    # broadcast error, and a NaN was blamed on the costs
+    g, _ = get_scenario("coordination").build_game()
+    with pytest.raises(ValueError, match=f"^w {cause}"):
+        gd.ReducedSystem(g, 0.25).target(w)
+    with pytest.raises(ValueError, match=f"^w_star {cause}"):
+        gd.recover_configuration_limit(g, 0.25, w)
 
 
 # ---------------------------------------------------------------------------

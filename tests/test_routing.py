@@ -108,7 +108,7 @@ def test_link_cost_matrix_shape_check():
 def test_tolls_scenario_shifts_by_population_sensitivity():
     # tolls.scn: common curves y on e1 and e2, omega = (0, 1), alpha = (1, 2)
     _, rg = get_scenario("tolls").build_game()
-    lc = rg.link_costs
+    lc = rg.game.costs.curves
     assert lc.fns[1][0](0.5) == pytest.approx(1.5)     # tau + 1 * 1
     assert lc.fns[1][1](0.5) == pytest.approx(2.5)     # tau + 2 * 1
     assert lc.fns[0][0](0.5) == pytest.approx(0.5)     # no toll on e1
