@@ -25,6 +25,7 @@ from .game import (
 )
 from .logit import (
     FixedPointResult,
+    FixedPointStack,
     StabilityInfo,
     contraction_margin,
     fixed_point,

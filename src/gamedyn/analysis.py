@@ -47,10 +47,12 @@ class EquilibriumCurve:
 
 
 def _check_grid(eta_grid) -> np.ndarray:
-    """eta_grid as floats; ValueError unless 1-D, non-empty and strictly decreasing."""
+    """eta_grid as floats; ValueError unless 1-D, non-empty, strictly decreasing and finite > 0."""
     etas = np.asarray(eta_grid, dtype=float)
     if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
         raise ValueError("eta_grid must be strictly decreasing")
+    if not np.all((etas > 0) & (etas < np.inf)):
+        raise ValueError(f"eta_grid: each eta must be positive and finite, got {etas}")
     return etas
 
 
@@ -130,7 +132,7 @@ class NoiseSweep:
     """Multistart fixed-point census per eta."""
 
     etas: np.ndarray
-    results: tuple                 # tuple per eta of FixedPointResult
+    results: tuple                 # tuple per eta of its counted FixedPointResults
     n_fixed_points: np.ndarray
     n_stable: np.ndarray
 
@@ -143,11 +145,11 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     not yet matched is a new point and matches every start within
     SAME_POINT_L1 of it. All starts, drawn eta by eta, are one fixed_points
     call (Newton restarting unstable landings, then damped Picard as the last
-    resort), one eta per start.
+    resort), one eta per start; the count reads its arrays.
     """
     etas = _check_grid(eta_grid)
-    if multistart < 4:
-        raise ValueError("multistart must be at least 4")
+    if not isinstance(multistart, (int, np.integer)) or multistart < 4:
+        raise ValueError(f"multistart must be an integer of at least 4, got {multistart!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     vertices = monomorphic_vertices(game)
     m, (S, P) = multistart + len(vertices), game.mask.shape
@@ -156,19 +158,18 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     results = fixed_points(game, np.repeat(etas, m), seeds.reshape(-1, S, P))
     # all etas in lockstep: each round finds the next point of every eta that
     # has an unmatched counted start, with one l1 distance over its m starts
-    X = np.array([r.x for r in results]).reshape(len(etas), m, -1)
-    todo = np.array([r.converged and r.residual <= 1e-8 for r in results]).reshape(len(etas), m)
-    per_eta = [[] for _ in etas]
+    X = results.x.reshape(len(etas), m, -1)
+    todo = (results.converged & (results.residual <= 1e-8)).reshape(len(etas), m)
+    counted = np.zeros_like(todo)
     while todo.any():
         ks = np.flatnonzero(todo.any(axis=1))
         first = todo[ks].argmax(axis=1)
-        for k, i in zip(ks.tolist(), first.tolist()):
-            per_eta[k].append(results[k * m + i])
+        counted[ks, first] = True
         todo[ks] &= np.abs(X[ks] - X[ks, first][:, None]).sum(axis=2) > SAME_POINT_L1
-    return NoiseSweep(etas=etas, results=tuple(map(tuple, per_eta)),
-                      n_fixed_points=np.array([len(f) for f in per_eta]),
-                      n_stable=np.array([sum(r.stability.locally_stable for r in f)
-                                         for f in per_eta]))
+    stable = counted & (results.spectral_abscissa.reshape(counted.shape) < 0.0)
+    return NoiseSweep(etas=etas, results=tuple(tuple(results[k * m + i] for i in np.flatnonzero(c))
+                                               for k, c in enumerate(counted)),
+                      n_fixed_points=counted.sum(axis=1), n_stable=stable.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ everything downstream.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,9 @@ class StabilityInfo:
 
 @dataclass(frozen=True, slots=True)
 class FixedPointResult:
-    """A solve's best point. iterations counts corrector steps for the starts
-    fixed_points keeps from its corrector, and damped_iteration steps for
-    every fixed_point solve."""
+    """A solve's best point (fixed_point's, or a FixedPointStack entry). iterations
+    counts corrector steps for the starts fixed_points keeps from its corrector,
+    and damped_iteration steps for every fixed_point solve."""
 
     x: np.ndarray
     residual: float
@@ -123,6 +124,33 @@ class FixedPointResult:
     converged: bool
     eta: float
     stability: StabilityInfo | None
+
+
+@dataclass(frozen=True, slots=True)
+class FixedPointStack(Sequence):
+    """fixed_points' fields as arrays over starts (stabilities NaN where not
+    converged). stack[k] builds start k's FixedPointResult, whose x is
+    fixed_point's own array (fallback_x[k]) for a fallback start."""
+
+    x: np.ndarray                       # (N, S, P)
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    eta: np.ndarray
+    l1_log_norm: np.ndarray
+    spectral_abscissa: np.ndarray
+    fallback_x: dict
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, k) -> FixedPointResult:
+        k = range(len(self.x))[k]
+        mu, a = self.l1_log_norm[k].item(), self.spectral_abscissa[k].item()
+        return FixedPointResult(
+            self.fallback_x[k] if k in self.fallback_x else self.x[k].copy(),
+            self.residual[k].item(), self.iterations[k].item(), self.converged[k].item(),
+            self.eta[k].item(), StabilityInfo(mu, a, a < 0.0) if self.converged[k] else None)
 
 
 def _column_measure(M: np.ndarray):
@@ -290,7 +318,7 @@ def _restarts(game: PopulationGame, M: np.ndarray, X: np.ndarray, X0: np.ndarray
     return X
 
 
-def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
+def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
     """Fixed points from each start in x0s: a stacked Newton corrector, with
     fixed_point as the last resort.
 
@@ -305,13 +333,14 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     next step's stack at its _restarts point. Every other start (no side,
     unstable twice, stalled, singular, past TOL_BOUND, or not done within
     NEWTON_STEPS) is re-solved from x0 by one fixed_point call, in
-    start order; its result and warning are fixed_point's own. No result
-    depends on stack-mates, not even in the last bit of its residual; where
-    several stable points coexist, a start may reach another one than Picard
-    would.
+    start order, with fixed_point's own warning; its fields fill the arrays
+    of the FixedPointStack returned, which builds a result only when indexed.
+    No result depends on stack-mates, not even in the last bit of its
+    residual; where several stable points coexist, a start may reach another
+    one than Picard would.
     """
     X0 = validate_configuration(game, np.array(x0s, dtype=float))
-    X, eta = X0.copy(), np.asarray(eta, dtype=float)
+    X, eta = X0.copy(), np.array(eta, dtype=float)   # copies: the stack returned keeps both
     if eta.ndim > 1 or eta.size not in (1, len(X)):
         raise ValueError(f"eta must be one value or one per start, got {eta.size} "
                          f"(shape {eta.shape}) for {len(X)} starts")
@@ -320,7 +349,8 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
     eye = np.eye(len(qs))
     # per start, as of its last landing; a kept start's point stays put in X
     kept, restarted = np.zeros((2, len(X)), dtype=bool)
-    residual, steps, mu, abscissa = np.zeros((4, len(X)))
+    residual, mu, abscissa = np.zeros((3, len(X)))
+    steps = np.zeros(len(X), dtype=int)
     live = np.arange(len(X))
     for step in range(NEWTON_STEPS + 1):
         live = live[np.isfinite(X[live]).all(axis=(1, 2))]
@@ -353,10 +383,14 @@ def fixed_points(game: PopulationGame, eta, x0s) -> list[FixedPointResult]:
         d[:, js, qs] = _solve(J - eye, -G)
         X[live] = _armijo(game, etas[live], X[live], d, r)
         live = np.sort(np.concatenate([live, ks]))
-    fields = np.column_stack([kept, residual, steps, mu, abscissa, etas[:, 0, 0]]).tolist()
-    return [FixedPointResult(X[k].copy(), rk, int(sk), True, e, StabilityInfo(mk, ak, True))
-            if keep else fixed_point(game, e, X0[k])
-            for k, (keep, rk, sk, mk, ak, e) in enumerate(fields)]
+    converged, fallback_x = kept.copy(), {}
+    for k in np.flatnonzero(~kept).tolist():
+        r = fixed_point(game, float(etas[k, 0, 0]), X0[k])
+        X[k] = fallback_x[k] = r.x
+        residual[k], steps[k], converged[k] = r.residual, r.iterations, r.converged
+        mu[k], abscissa[k] = (r.stability.l1_log_norm, r.stability.spectral_abscissa
+                              ) if r.converged else (np.nan, np.nan)
+    return FixedPointStack(X, residual, steps, converged, etas[:, 0, 0], mu, abscissa, fallback_x)
 
 
 def _margin_of(game: PopulationGame, rng: np.random.Generator | None):

@@ -194,6 +194,68 @@ def test_bifurcation_scan_input_validation(rng):
         gd.bifurcation_scan(g, [0.5, 0.4], multistart=2, rng=rng)
 
 
+@pytest.mark.parametrize("multistart", [4.5, 6.0, "6"])
+def test_bifurcation_scan_names_a_multistart_that_is_no_integer(multistart):
+    g, _ = get_scenario("coordination").build_game()
+    with pytest.raises(ValueError, match=f"^multistart must be an integer of at least 4, "
+                                         f"got {multistart!r}$"):
+        gd.bifurcation_scan(g, [0.5, 0.4], multistart=multistart)
+
+
+def test_bifurcation_scan_takes_a_numpy_integer_multistart():
+    g, _ = get_scenario("coordination").build_game()
+    sweep = gd.bifurcation_scan(g, [0.8, 0.2], multistart=np.int64(4),
+                                rng=np.random.default_rng(0))
+    assert sweep.n_stable.tolist() == [1, 2]
+
+
+NON_POSITIVE_GRIDS = {
+    "nan": [1.0, np.nan, 0.5],
+    "zero": [1.0, 0.0],
+    "negative": [1.0, -0.5],
+    "inf": [np.inf, 1.0],
+}
+
+
+@pytest.mark.parametrize("grid", NON_POSITIVE_GRIDS.values(), ids=NON_POSITIVE_GRIDS)
+@pytest.mark.parametrize("scan", [
+    lambda g, grid: gd.continuation_sweep(g, grid, coordination_seeds(g)),
+    lambda g, grid: gd.bifurcation_scan(g, grid),
+], ids=["continuation_sweep", "bifurcation_scan"])
+def test_scans_name_an_eta_that_is_not_finite_and_positive(scan, grid):
+    # before any solve: a NaN or 0 used to fail deep in the solver, and an
+    # infinite eta was accepted and counted
+    g, _ = get_scenario("coordination").build_game()
+    with pytest.raises(ValueError, match=r"^eta_grid: each eta must be positive and finite, "
+                                         r"got \["):
+        scan(g, grid)
+
+
+@pytest.mark.parametrize("newton_steps", [logit.NEWTON_STEPS, 3])
+def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newton_steps):
+    # one FixedPointResult per counted point, plus the one each fallback
+    # fixed_point solve builds; none for the starts the census only reads
+    g, _ = get_scenario("coordination").build_game()
+    built, fallbacks = [], []
+    real_result, real_fixed_point = logit.FixedPointResult, logit.fixed_point
+
+    def counted_result(*args):
+        built.append(1)
+        return real_result(*args)
+
+    def counted_fixed_point(*args):
+        fallbacks.append(1)
+        return real_fixed_point(*args)
+
+    monkeypatch.setattr(logit, "NEWTON_STEPS", newton_steps)
+    monkeypatch.setattr(logit, "FixedPointResult", counted_result)
+    monkeypatch.setattr(logit, "fixed_point", counted_fixed_point)
+    sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
+                                rng=np.random.default_rng(3))
+    assert len(fallbacks) == (0 if newton_steps > 3 else 20)
+    assert len(built) == sweep.n_fixed_points.sum() + len(fallbacks) < 5 * 8
+
+
 class StartsRecorded(Exception):
     pass
 
@@ -272,6 +334,21 @@ def test_census_corrector_counts(monkeypatch):
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 
 
+def indexed_starts(monkeypatch):
+    """Record the start index of every result read out of a FixedPointStack,
+    keyed by the id of the result built."""
+    starts = {}
+    real = logit.FixedPointStack.__getitem__
+
+    def recorded(self, k):
+        r = real(self, k)
+        starts[id(r)] = k
+        return r
+
+    monkeypatch.setattr(logit.FixedPointStack, "__getitem__", recorded)
+    return starts
+
+
 def census_rule(results):
     """The census's same-point rule as a generator over starts: a counted
     start is a new point unless within SAME_POINT_L1 of a point already found."""
@@ -319,14 +396,19 @@ def test_census_keeps_the_points_of_the_generator_rule(n_etas, multistart, shape
             x.flat[a] += part
             x.flat[b] -= step - part
         results.append(gd.FixedPointResult(x, residual, 0, converged, 1.0, info))
+    fields = [np.array([getattr(r, f) for r in results])
+              for f in ("x", "residual", "iterations", "converged", "eta")]
+    stack = logit.FixedPointStack(*fields, np.full(len(results), -1.0),
+                                  np.full(len(results), -1.0), {})
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(analysis, "fixed_points", lambda game, eta, x0s: results)
+        monkeypatch.setattr(analysis, "fixed_points", lambda game, eta, x0s: stack)
+        starts = indexed_starts(monkeypatch)
         sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.5, n_etas), multistart,
                                     rng=np.random.default_rng(0))
     index = {id(r): j for j, r in enumerate(results)}
     for k, kept in enumerate(sweep.results):
         want = census_rule(results[k * m:(k + 1) * m])
-        assert [index[id(r)] for r in kept] == [index[id(r)] for r in want]
+        assert [starts[id(r)] for r in kept] == [index[id(r)] for r in want]
     assert sweep.n_fixed_points.tolist() == [len(f) for f in sweep.results]
 
 
@@ -343,13 +425,13 @@ def test_census_results_equal_lone_solves_in_every_field(monkeypatch, name):
         return solves["results"]
 
     monkeypatch.setattr(analysis, "fixed_points", recorded)
+    starts = indexed_starts(monkeypatch)
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
-    index = {id(r): j for j, r in enumerate(solves["results"])}
     kept = [r for found in sweep.results for r in found]
     assert len(kept) == sweep.n_fixed_points.sum() >= 5
     for r in kept:
-        j = index[id(r)]
+        j = starts[id(r)]
         alone = real(g, solves["eta"][j], [solves["x0s"][j]])[0]
         assert np.array_equal(r.x, alone.x)
         assert (r.residual, r.iterations, r.converged, r.eta, r.stability) == \
