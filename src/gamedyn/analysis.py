@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .game import (
     sample_configurations,
     validate_configuration,
 )
-from .logit import fixed_point, fixed_points, FixedPointResult
+from .logit import fixed_point, fixed_points, FixedPointResult, FixedPointStack
 from .dynamics import Trajectory
 
 log = logging.getLogger(__name__)
@@ -49,7 +50,9 @@ class EquilibriumCurve:
 def _check_grid(eta_grid) -> np.ndarray:
     """eta_grid as floats; ValueError unless 1-D, non-empty, strictly decreasing and finite > 0."""
     etas = np.asarray(eta_grid, dtype=float)
-    if etas.ndim != 1 or len(etas) < 1 or np.any(np.diff(etas) >= 0):
+    if etas.ndim != 1 or len(etas) < 1:
+        raise ValueError("eta_grid must be 1-D and non-empty")
+    if np.any(np.diff(etas) >= 0):
         raise ValueError("eta_grid must be strictly decreasing")
     if not np.all((etas > 0) & (etas < np.inf)):
         raise ValueError(f"eta_grid: each eta must be positive and finite, got {etas}")
@@ -129,12 +132,19 @@ def dedup_curves(curves) -> list[EquilibriumCurve]:
 
 @dataclass(frozen=True)
 class NoiseSweep:
-    """Multistart fixed-point census per eta."""
+    """Multistart fixed-point census per eta. results, a tuple per eta of its
+    counted FixedPointResults, is built from _stack on first read and kept."""
 
     etas: np.ndarray
-    results: tuple                 # tuple per eta of its counted FixedPointResults
     n_fixed_points: np.ndarray
     n_stable: np.ndarray
+    _stack: FixedPointStack
+    _counted: np.ndarray
+
+    @cached_property
+    def results(self) -> tuple:
+        return tuple(tuple(self._stack[k * len(c) + i] for i in np.flatnonzero(c))
+                     for k, c in enumerate(self._counted))
 
 
 def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
@@ -145,8 +155,8 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     not yet matched is a new point and matches every start within
     SAME_POINT_L1 of it. All starts, drawn eta by eta, are one fixed_points
     call (Newton restarting unstable landings, then damped Picard as the last
-    resort), one eta per start; the count reads its arrays.
-    """
+    resort), one eta per start; the count reads its arrays, and results are
+    built only when the sweep's results are read."""
     etas = _check_grid(eta_grid)
     if not isinstance(multistart, (int, np.integer)) or multistart < 4:
         raise ValueError(f"multistart must be an integer of at least 4, got {multistart!r}")
@@ -167,9 +177,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
         counted[ks, first] = True
         todo[ks] &= np.abs(X[ks] - X[ks, first][:, None]).sum(axis=2) > SAME_POINT_L1
     stable = counted & (results.spectral_abscissa.reshape(counted.shape) < 0.0)
-    return NoiseSweep(etas=etas, results=tuple(tuple(results[k * m + i] for i in np.flatnonzero(c))
-                                               for k, c in enumerate(counted)),
-                      n_fixed_points=counted.sum(axis=1), n_stable=stable.sum(axis=1))
+    return NoiseSweep(etas, counted.sum(axis=1), stable.sum(axis=1), results, counted)
 
 
 # ---------------------------------------------------------------------------

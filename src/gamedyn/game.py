@@ -416,6 +416,8 @@ def sample_configurations(game: PopulationGame, rng: np.random.Generator,
                           n: int) -> np.ndarray:
     """n uniform draws (n,S,P) on the product of scaled simplices (exponential
     spacings), from one rng call in the order of n sample_configuration calls."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     sets = [game.action_set(p) for p in range(game.n_pops)]
     g = rng.exponential(size=(n, sum(map(len, sets))))
     x = np.zeros((n, game.n_actions, game.n_pops))

@@ -278,19 +278,20 @@ def _armijo(game: PopulationGame, eta: np.ndarray, X, d, r) -> np.ndarray:
     Each trial is clipped so that no entry shrinks by more than 100x, then its
     columns are rescaled to the masses. A slice takes the first t whose l1
     residual is at most (1 - 1e-4 t) times r (Armijo); one that finds none
-    down to t = 1e-8 comes back as NaN.
+    down to t = 1e-8 comes back as NaN. All slices left try the same t; a
+    round over all of them (the first, if d is finite) reads a basic slice.
     """
     out = np.full_like(X, np.nan)
-    t = np.ones(len(X))
+    t = 1.0
     todo = np.flatnonzero(np.isfinite(d).all(axis=(1, 2)))
     while len(todo):
-        Y = rescale_to_masses(
-            game, np.maximum(X[todo] + t[todo, None, None] * d[todo], X[todo] / 100.0))
-        rt = np.abs(softmax_target(game, evaluate_costs(game, Y), eta[todo]) - Y).sum((1, 2))
-        good = rt <= (1.0 - 1e-4 * t[todo]) * r[todo]
+        at = slice(None) if len(todo) == len(X) else todo
+        Y = rescale_to_masses(game, np.maximum(X[at] + t * d[at], X[at] / 100.0))
+        rt = np.abs(softmax_target(game, evaluate_costs(game, Y), eta[at]) - Y).sum((1, 2))
+        good = rt <= (1.0 - 1e-4 * t) * r[at]
         out[todo[good]] = Y[good]
-        t[todo] *= 0.5
-        todo = todo[~good & (t[todo] >= 1e-8)]
+        t *= 0.5
+        todo = todo[~good & (t >= 1e-8)]
     return out
 
 
@@ -324,20 +325,20 @@ def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
 
     eta is one value or one per start. Newton runs on G(x) = F(x) - x over
     game.valid_pairs for all unfinished starts at once; each step makes one
-    _noise_free_parts and _jacobians stack and one np.linalg.solve on the
-    stack of J - I. Each population's rows of J sum to zero, so the step
-    keeps the masses; _armijo damps and clips it. A start converges at
-    fixed_point's tolerance (_tolerance). Only converged, locally stable
-    results are kept, with iterations counting every corrector step. A
-    start's first unstable landing skips the step's update and rejoins the
-    next step's stack at its _restarts point. Every other start (no side,
-    unstable twice, stalled, singular, past TOL_BOUND, or not done within
-    NEWTON_STEPS) is re-solved from x0 by one fixed_point call, in
-    start order, with fixed_point's own warning; its fields fill the arrays
-    of the FixedPointStack returned, which builds a result only when indexed.
-    No result depends on stack-mates, not even in the last bit of its
-    residual; where several stable points coexist, a start may reach another
-    one than Picard would.
+    _noise_free_parts and _jacobians stack, then runs _stabilities on the
+    starts done and np.linalg.solve on J - I of those going on, if any.
+    Each population's rows of J sum to zero, so the step keeps the masses;
+    _armijo damps and clips it. A start converges at fixed_point's tolerance
+    (_tolerance). Only converged, locally stable results are kept, with
+    iterations counting every corrector step. A start's first unstable landing
+    skips the step's update and rejoins the next step's stack at its _restarts
+    point. Every other start (no side, unstable twice, stalled, singular, past
+    TOL_BOUND, or not done within NEWTON_STEPS) is re-solved from x0 by one
+    fixed_point call, in start order, with fixed_point's own warning; its
+    fields fill the arrays of the FixedPointStack returned, which builds a
+    result only when indexed. No result depends on stack-mates, not even in
+    the last bit of its residual; where several stable points coexist, a start
+    may reach another one than Picard would.
     """
     X0 = validate_configuration(game, np.array(x0s, dtype=float))
     X, eta = X0.copy(), np.array(eta, dtype=float)   # copies: the stack returned keeps both
@@ -356,15 +357,17 @@ def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
         live = live[np.isfinite(X[live]).all(axis=(1, 2))]
         if not len(live):
             break
-        C, D = _noise_free_parts(game, X[live])
-        J = _jacobians(game, C, D, etas[live])
-        G = (softmax_target(game, C, etas[live]) - X[live])[:, js, qs]
+        Xl, el = X[live], etas[live]   # gathered once for the whole step
+        C, D = _noise_free_parts(game, Xl)
+        J = _jacobians(game, C, D, el)
+        G = (softmax_target(game, C, el) - Xl)[:, js, qs]
         # summed C-contiguous, so each row sums in the order it does alone
         r = np.abs(np.ascontiguousarray(G)).sum(axis=1)
-        tol = _tolerance(game, C, etas[live, 0, 0])
+        tol = _tolerance(game, C, el[:, 0, 0])
         done = r <= tol
-        residual[live[done]], steps[live[done]] = r[done], step
-        mu[live[done]], abscissa[live[done]] = _stabilities(J[done])
+        if done.any():
+            residual[live[done]], steps[live[done]] = r[done], step
+            mu[live[done]], abscissa[live[done]] = _stabilities(J[done])
         stable = done & (abscissa[live] < 0.0)
         kept[live[stable]] = True
         if step == NEWTON_STEPS:
@@ -374,14 +377,15 @@ def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
         ks = live[u]
         restarted[ks] = True
         if len(ks):
-            X[ks] = _restarts(game, J[u] - eye, X[ks], X0[ks])
+            X[ks] = _restarts(game, J[u] - eye, Xl[u], X0[ks])
         # a start past TOL_BOUND (NaN tol) is neither done nor goes on: its
         # fixed_point fallback stops at once
         go = r > tol
-        live, J, G, r = live[go], J[go], G[go], r[go]
-        d = np.zeros((len(live),) + game.mask.shape)
-        d[:, js, qs] = _solve(J - eye, -G)
-        X[live] = _armijo(game, etas[live], X[live], d, r)
+        live = live[go]
+        if len(live):
+            d = np.zeros((len(live),) + game.mask.shape)
+            d[:, js, qs] = _solve(J[go] - eye, -G[go])
+            X[live] = _armijo(game, el[go], Xl[go], d, r[go])
         live = np.sort(np.concatenate([live, ks]))
     converged, fallback_x = kept.copy(), {}
     for k in np.flatnonzero(~kept).tolist():

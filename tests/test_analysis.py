@@ -30,21 +30,21 @@ def test_continuation_sweep_input_validation():
 
 
 BAD_GRIDS = {
-    "increasing": [0.1, 0.5],
-    "repeated": np.geomspace(1.0, 0.99999999999999, 200),
-    "two-dimensional": [[0.5, 0.4]],
-    "empty": [],
+    "increasing": ([0.1, 0.5], "strictly decreasing"),
+    "repeated": (np.geomspace(1.0, 0.99999999999999, 200), "strictly decreasing"),
+    "two-dimensional": ([[0.5, 0.4]], "1-D and non-empty"),
+    "empty": ([], "1-D and non-empty"),
 }
 
 
-@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS)
+@pytest.mark.parametrize("grid, fault", BAD_GRIDS.values(), ids=BAD_GRIDS)
 @pytest.mark.parametrize("scan", [
     lambda g, grid: gd.continuation_sweep(g, grid, coordination_seeds(g)),
     lambda g, grid: gd.bifurcation_scan(g, grid),
 ], ids=["continuation_sweep", "bifurcation_scan"])
-def test_scans_reject_the_same_bad_grids(scan, grid):
+def test_scans_reject_the_same_bad_grids(scan, grid, fault):
     g, _ = get_scenario("coordination").build_game()
-    with pytest.raises(ValueError, match="^eta_grid must be strictly decreasing$"):
+    with pytest.raises(ValueError, match=f"^eta_grid must be {fault}$"):
         scan(g, grid)
 
 
@@ -233,8 +233,9 @@ def test_scans_name_an_eta_that_is_not_finite_and_positive(scan, grid):
 
 @pytest.mark.parametrize("newton_steps", [logit.NEWTON_STEPS, 3])
 def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newton_steps):
-    # one FixedPointResult per counted point, plus the one each fallback
-    # fixed_point solve builds; none for the starts the census only reads
+    # one FixedPointResult per counted point, built on the first read of
+    # results, plus the one each fallback fixed_point solve builds; none for
+    # the starts the census only reads
     g, _ = get_scenario("coordination").build_game()
     built, fallbacks = [], []
     real_result, real_fixed_point = logit.FixedPointResult, logit.fixed_point
@@ -253,7 +254,34 @@ def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newto
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
     assert len(fallbacks) == (0 if newton_steps > 3 else 20)
+    assert len(built) == len(fallbacks)     # the scan itself builds none
+    results = sweep.results
     assert len(built) == sweep.n_fixed_points.sum() + len(fallbacks) < 5 * 8
+    assert sweep.results is results         # a second read builds none
+    assert len(built) == sweep.n_fixed_points.sum() + len(fallbacks)
+
+
+@pytest.mark.parametrize("name, newton_steps", [
+    ("coordination", logit.NEWTON_STEPS), ("wheatstone", logit.NEWTON_STEPS), ("coordination", 3),
+])
+def test_census_runs_no_solver_pass_on_an_empty_stack(monkeypatch, name, newton_steps):
+    # stability, linear solve and backtracking run only on the starts that
+    # need them, never on a stack of none
+    g, _ = get_scenario(name).build_game()
+    sizes = {"_stabilities": [], "_solve": [], "_armijo": []}
+
+    def sized(f, at):
+        def call(*args):
+            sizes[f.__name__].append(len(args[at]))
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(logit, "NEWTON_STEPS", newton_steps)
+    for f, at in ((logit._stabilities, 0), (logit._solve, 0), (logit._armijo, 2)):
+        monkeypatch.setattr(logit, f.__name__, sized(f, at))
+    gd.bifurcation_scan(g, np.geomspace(2.0, 1e-3, 25), multistart=8,
+                        rng=np.random.default_rng(11))
+    assert all(sizes.values()) and min(map(min, sizes.values())) >= 1
 
 
 class StartsRecorded(Exception):
@@ -405,6 +433,7 @@ def test_census_keeps_the_points_of_the_generator_rule(n_etas, multistart, shape
         starts = indexed_starts(monkeypatch)
         sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.5, n_etas), multistart,
                                     rng=np.random.default_rng(0))
+        sweep.results   # built on first read, while the start indices are recorded
     index = {id(r): j for j, r in enumerate(results)}
     for k, kept in enumerate(sweep.results):
         want = census_rule(results[k * m:(k + 1) * m])

@@ -365,6 +365,29 @@ def test_sample_configurations_equal_single_draws(name):
     assert many_rng.random() == one_rng.random() == oracle_rng.random()
 
 
+RNG_CALLERS = {
+    "sample_configurations": lambda g, rg, rng: gd.sample_configurations(g, rng, 3),
+    "bifurcation_scan": lambda g, rg, rng: gd.bifurcation_scan(g, [1.0, 0.5], rng=rng),
+    "contraction_margin": lambda g, rg, rng: gd.contraction_margin(g, 1.0, rng=rng),
+    "high_noise_threshold": lambda g, rg, rng: gd.high_noise_threshold(g, rng=rng),
+    "exact_target_check": lambda g, rg, rng: gd.exact_target_check(0.5, g, rng=rng),
+    "monotonicity_check": lambda g, rg, rng: gd.monotonicity_check(0.5, g, rng=rng),
+    "potential_symmetry_check": lambda g, rg, rng: gd.potential_symmetry_check(g, rng=rng),
+    "decoupled_check": lambda g, rg, rng: gd.decoupled_check(0.5, rg, rng=rng),
+}
+
+
+@pytest.mark.parametrize("call", RNG_CALLERS.values(), ids=RNG_CALLERS)
+@pytest.mark.parametrize("rng", [5, np.random.RandomState(0)], ids=["int", "RandomState"])
+def test_sampling_callers_name_an_rng_that_is_no_generator(call, rng):
+    # before any draw; an int used to die as "'int' object has no attribute
+    # 'exponential'", and a legacy RandomState drew other starts
+    g, rg = get_scenario("series2").build_game()
+    with pytest.raises(TypeError, match=f"^rng must be a numpy.random.Generator, "
+                                        f"got {type(rng).__name__}$"):
+        call(g, rg, rng)
+
+
 def test_vertex_and_monomorphic_enumeration():
     g, _ = get_scenario("parallel3").build_game()
     x = gd.vertex_configuration(g, ["r1", "r3"])
