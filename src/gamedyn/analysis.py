@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .game import (
     sample_configurations,
     validate_configuration,
 )
-from .logit import fixed_point, fixed_points, FixedPointResult, FixedPointStack
+from .logit import fixed_point, fixed_points, FixedPointResult
 from .dynamics import Trajectory
 
 log = logging.getLogger(__name__)
@@ -132,19 +131,11 @@ def dedup_curves(curves) -> list[EquilibriumCurve]:
 
 @dataclass(frozen=True)
 class NoiseSweep:
-    """Multistart fixed-point census per eta. results, a tuple per eta of its
-    counted FixedPointResults, is built from _stack on first read and kept."""
+    """Multistart fixed-point census per eta: distinct and stable points counted."""
 
     etas: np.ndarray
     n_fixed_points: np.ndarray
     n_stable: np.ndarray
-    _stack: FixedPointStack
-    _counted: np.ndarray
-
-    @cached_property
-    def results(self) -> tuple:
-        return tuple(tuple(self._stack[k * len(c) + i] for i in np.flatnonzero(c))
-                     for k, c in enumerate(self._counted))
 
 
 def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
@@ -155,8 +146,8 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     not yet matched is a new point and matches every start within
     SAME_POINT_L1 of it. All starts, drawn eta by eta, are one fixed_points
     call (Newton restarting unstable landings, then damped Picard as the last
-    resort), one eta per start; the count reads its arrays, and results are
-    built only when the sweep's results are read."""
+    resort), one eta per start; the count reads its arrays and builds no
+    FixedPointResult."""
     etas = _check_grid(eta_grid)
     if not isinstance(multistart, (int, np.integer)) or multistart < 4:
         raise ValueError(f"multistart must be an integer of at least 4, got {multistart!r}")
@@ -165,19 +156,19 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     m, (S, P) = multistart + len(vertices), game.mask.shape
     draws = sample_configurations(game, rng, len(etas) * multistart).reshape(len(etas), -1, S, P)
     seeds = np.concatenate([draws, np.broadcast_to(vertices, (len(etas), len(vertices), S, P))], 1)
-    results = fixed_points(game, np.repeat(etas, m), seeds.reshape(-1, S, P))
+    stack = fixed_points(game, np.repeat(etas, m), seeds.reshape(-1, S, P))
     # all etas in lockstep: each round finds the next point of every eta that
     # has an unmatched counted start, with one l1 distance over its m starts
-    X = results.x.reshape(len(etas), m, -1)
-    todo = (results.converged & (results.residual <= 1e-8)).reshape(len(etas), m)
+    X = stack.x.reshape(len(etas), m, -1)
+    todo = (stack.converged & (stack.residual <= 1e-8)).reshape(len(etas), m)
     counted = np.zeros_like(todo)
     while todo.any():
         ks = np.flatnonzero(todo.any(axis=1))
         first = todo[ks].argmax(axis=1)
         counted[ks, first] = True
         todo[ks] &= np.abs(X[ks] - X[ks, first][:, None]).sum(axis=2) > SAME_POINT_L1
-    stable = counted & (results.spectral_abscissa.reshape(counted.shape) < 0.0)
-    return NoiseSweep(etas, counted.sum(axis=1), stable.sum(axis=1), results, counted)
+    stable = counted & (stack.spectral_abscissa.reshape(counted.shape) < 0.0)
+    return NoiseSweep(etas, counted.sum(axis=1), stable.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ everything downstream.
 from __future__ import annotations
 
 import logging
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ MAX_ITER = 10 ** 5
 NEWTON_STEPS = 100
 # largest l1 residual tolerance a solve accepts, per unit of mass (at least 1)
 TOL_BOUND = 1e-6
+# the eta bracket high_noise_threshold bisects: its floor and its ceiling
+THRESHOLD_FLOOR, THRESHOLD_CEILING = 0.05, 1000.0
 
 
 def _shifted_exp(game: PopulationGame, c: np.ndarray, eta: float):
@@ -129,8 +132,8 @@ class FixedPointResult:
 @dataclass(frozen=True, slots=True)
 class FixedPointStack(Sequence):
     """fixed_points' fields as arrays over starts (stabilities NaN where not
-    converged). stack[k] builds start k's FixedPointResult, whose x is
-    fixed_point's own array (fallback_x[k]) for a fallback start."""
+    converged). stack[k], for an integer k, builds start k's FixedPointResult
+    from row k of the arrays, with a copy of x[k]."""
 
     x: np.ndarray                       # (N, S, P)
     residual: np.ndarray
@@ -139,18 +142,17 @@ class FixedPointStack(Sequence):
     eta: np.ndarray
     l1_log_norm: np.ndarray
     spectral_abscissa: np.ndarray
-    fallback_x: dict
 
     def __len__(self) -> int:
         return len(self.x)
 
     def __getitem__(self, k) -> FixedPointResult:
-        k = range(len(self.x))[k]
+        k = range(len(self.x))[operator.index(k)]
         mu, a = self.l1_log_norm[k].item(), self.spectral_abscissa[k].item()
         return FixedPointResult(
-            self.fallback_x[k] if k in self.fallback_x else self.x[k].copy(),
-            self.residual[k].item(), self.iterations[k].item(), self.converged[k].item(),
-            self.eta[k].item(), StabilityInfo(mu, a, a < 0.0) if self.converged[k] else None)
+            self.x[k].copy(), self.residual[k].item(), self.iterations[k].item(),
+            self.converged[k].item(), self.eta[k].item(),
+            StabilityInfo(mu, a, a < 0.0) if self.converged[k] else None)
 
 
 def _column_measure(M: np.ndarray):
@@ -387,14 +389,14 @@ def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
             d[:, js, qs] = _solve(J[go] - eye, -G[go])
             X[live] = _armijo(game, el[go], Xl[go], d, r[go])
         live = np.sort(np.concatenate([live, ks]))
-    converged, fallback_x = kept.copy(), {}
+    converged = kept.copy()
     for k in np.flatnonzero(~kept).tolist():
         r = fixed_point(game, float(etas[k, 0, 0]), X0[k])
-        X[k] = fallback_x[k] = r.x
+        X[k] = r.x
         residual[k], steps[k], converged[k] = r.residual, r.iterations, r.converged
         mu[k], abscissa[k] = (r.stability.l1_log_norm, r.stability.spectral_abscissa
                               ) if r.converged else (np.nan, np.nan)
-    return FixedPointStack(X, residual, steps, converged, etas[:, 0, 0], mu, abscissa, fallback_x)
+    return FixedPointStack(X, residual, steps, converged, etas[:, 0, 0], mu, abscissa)
 
 
 def _margin_of(game: PopulationGame, rng: np.random.Generator | None):
@@ -423,25 +425,21 @@ def contraction_margin(game: PopulationGame, eta: float,
     return _margin_of(game, rng)(eta)
 
 
-def high_noise_threshold(game: PopulationGame, eta_lo: float = 0.05,
-                         eta_hi: float = 1000.0,
-                         rng: np.random.Generator | None = None) -> float:
+def high_noise_threshold(game: PopulationGame, rng: np.random.Generator | None = None) -> float:
     """Smallest tested eta whose sampled contraction margin is negative.
 
-    Bisects log(eta) on the certification predicate down to a bracket ratio
-    of 1.01, reusing one set of 200 sampled points (plus the vertices) across
-    all margin evaluations so the predicate is a fixed function of eta.
-    Returns eta_lo outright when even eta_lo certifies.
+    Bisects log(eta) from THRESHOLD_FLOOR to THRESHOLD_CEILING on the
+    certification predicate down to a bracket ratio of 1.01, reusing one set
+    of 200 sampled points (plus the vertices) across all margin evaluations,
+    so the predicate is a fixed function of eta. Returns the floor outright
+    when it certifies; raises ValueError when not even the ceiling does.
     """
-    if not (0 < eta_lo < eta_hi):
-        raise ValueError("need 0 < eta_lo < eta_hi")
     margin = _margin_of(game, rng)
-    if margin(eta_lo) < 0.0:
-        return float(eta_lo)
-    if not margin(eta_hi) < 0.0:
-        raise ValueError(f"margin not certified even at eta_hi={eta_hi}; "
-                         "widen the bracket upward")
-    lo, hi = float(eta_lo), float(eta_hi)
+    if margin(THRESHOLD_FLOOR) < 0.0:
+        return THRESHOLD_FLOOR
+    if not margin(THRESHOLD_CEILING) < 0.0:
+        raise ValueError(f"margin not certified even at the ceiling eta = {THRESHOLD_CEILING:g}")
+    lo, hi = THRESHOLD_FLOOR, THRESHOLD_CEILING
     while hi / lo > 1.01:
         mid = float(np.sqrt(lo * hi))
         if margin(mid) < 0.0:

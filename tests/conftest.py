@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, note, strategies as st
 
 import gamedyn as gd
+from gamedyn.analysis import SAME_POINT_L1
 from gamedyn.game import central_difference
 
 SCENARIO_DIR = Path(gd.__file__).resolve().parent / "scenarios"
@@ -24,6 +25,17 @@ def get_scenario(name: str) -> gd.Scenario:
     if name not in _cache:
         _cache[name] = gd.load_scenario(SCENARIO_DIR / f"{name}.scn")
     return _cache[name]
+
+
+def census_rule(results):
+    """The census's same-point rule as a generator over starts: a counted
+    start is a new point unless within SAME_POINT_L1 of a point already found."""
+    found = []
+    for r in results:
+        if (r.converged and r.residual <= 1e-8
+                and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found)):
+            found.append(r)
+    return found
 
 
 @pytest.fixture

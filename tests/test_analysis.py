@@ -11,7 +11,7 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.analysis import dedup_curves, entropy_term
 
-from conftest import get_scenario, wide_game
+from conftest import census_rule, get_scenario, wide_game
 
 
 def coordination_seeds(game):
@@ -233,9 +233,9 @@ def test_scans_name_an_eta_that_is_not_finite_and_positive(scan, grid):
 
 @pytest.mark.parametrize("newton_steps", [logit.NEWTON_STEPS, 3])
 def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newton_steps):
-    # one FixedPointResult per counted point, built on the first read of
-    # results, plus the one each fallback fixed_point solve builds; none for
-    # the starts the census only reads
+    # the census counts on the solver's arrays: the only FixedPointResults
+    # built are the ones each fallback fixed_point solve builds, none for the
+    # points the census counts or the starts it only reads
     g, _ = get_scenario("coordination").build_game()
     built, fallbacks = [], []
     real_result, real_fixed_point = logit.FixedPointResult, logit.fixed_point
@@ -255,10 +255,7 @@ def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newto
                                 rng=np.random.default_rng(3))
     assert len(fallbacks) == (0 if newton_steps > 3 else 20)
     assert len(built) == len(fallbacks)     # the scan itself builds none
-    results = sweep.results
-    assert len(built) == sweep.n_fixed_points.sum() + len(fallbacks) < 5 * 8
-    assert sweep.results is results         # a second read builds none
-    assert len(built) == sweep.n_fixed_points.sum() + len(fallbacks)
+    assert 0 < sweep.n_fixed_points.sum() < 5 * 8
 
 
 @pytest.mark.parametrize("name, newton_steps", [
@@ -362,32 +359,6 @@ def test_census_corrector_counts(monkeypatch):
     np.testing.assert_array_equal(sweep.n_stable, [1, 1, 2, 2, 2])
 
 
-def indexed_starts(monkeypatch):
-    """Record the start index of every result read out of a FixedPointStack,
-    keyed by the id of the result built."""
-    starts = {}
-    real = logit.FixedPointStack.__getitem__
-
-    def recorded(self, k):
-        r = real(self, k)
-        starts[id(r)] = k
-        return r
-
-    monkeypatch.setattr(logit.FixedPointStack, "__getitem__", recorded)
-    return starts
-
-
-def census_rule(results):
-    """The census's same-point rule as a generator over starts: a counted
-    start is a new point unless within SAME_POINT_L1 of a point already found."""
-    found = []
-    for r in results:
-        if (r.converged and r.residual <= 1e-8
-                and all(np.abs(r.x - f.x).sum() > analysis.SAME_POINT_L1 for f in found)):
-            found.append(r)
-    return found
-
-
 # each start of a drawn census stack: a fresh point (about half its entries
 # 0), or an earlier start of its eta moved by an l1 step a few ulps below, at
 # or above SAME_POINT_L1, in one entry (one that was 0 moves by the step
@@ -426,42 +397,39 @@ def test_census_keeps_the_points_of_the_generator_rule(n_etas, multistart, shape
         results.append(gd.FixedPointResult(x, residual, 0, converged, 1.0, info))
     fields = [np.array([getattr(r, f) for r in results])
               for f in ("x", "residual", "iterations", "converged", "eta")]
+    # each start stable or not, as its spectral abscissa's sign says
     stack = logit.FixedPointStack(*fields, np.full(len(results), -1.0),
-                                  np.full(len(results), -1.0), {})
+                                  rng.choice([-1.0, 1.0], len(results)))
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(analysis, "fixed_points", lambda game, eta, x0s: stack)
-        starts = indexed_starts(monkeypatch)
         sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.5, n_etas), multistart,
                                     rng=np.random.default_rng(0))
-        sweep.results   # built on first read, while the start indices are recorded
-    index = {id(r): j for j, r in enumerate(results)}
-    for k, kept in enumerate(sweep.results):
-        want = census_rule(results[k * m:(k + 1) * m])
-        assert [starts[id(r)] for r in kept] == [index[id(r)] for r in want]
-    assert sweep.n_fixed_points.tolist() == [len(f) for f in sweep.results]
+    found = [census_rule([stack[j] for j in range(k * m, (k + 1) * m)])
+             for k in range(n_etas)]
+    assert sweep.n_fixed_points.tolist() == [len(f) for f in found]
+    assert sweep.n_stable.tolist() == [sum(r.stability.locally_stable for r in f)
+                                       for f in found]
 
 
 @pytest.mark.parametrize("name", ["coordination", "wheatstone"])
 def test_census_results_equal_lone_solves_in_every_field(monkeypatch, name):
-    # a counted point is its start's own fixed_points result, not one that
-    # its stack-mates or the same-point rule touched
+    # each start of the census's one stack, and so each point it counts, is
+    # its start's own fixed_points result, untouched by its stack-mates
     g, _ = get_scenario(name).build_game()
     solves = {}
     real = analysis.fixed_points
 
     def recorded(game, eta, x0s):
-        solves.update(eta=eta, x0s=x0s, results=real(game, eta, x0s))
-        return solves["results"]
+        solves.update(eta=eta, x0s=x0s, stack=real(game, eta, x0s))
+        return solves["stack"]
 
     monkeypatch.setattr(analysis, "fixed_points", recorded)
-    starts = indexed_starts(monkeypatch)
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
-    kept = [r for found in sweep.results for r in found]
-    assert len(kept) == sweep.n_fixed_points.sum() >= 5
-    for r in kept:
-        j = starts[id(r)]
-        alone = real(g, solves["eta"][j], [solves["x0s"][j]])[0]
+    m = 6 + len(gd.monomorphic_vertices(g))
+    assert len(solves["stack"]) == 5 * m and sweep.n_fixed_points.sum() >= 5
+    for eta, x0, r in zip(solves["eta"], solves["x0s"], solves["stack"]):
+        alone = real(g, eta, [x0])[0]
         assert np.array_equal(r.x, alone.x)
         assert (r.residual, r.iterations, r.converged, r.eta, r.stability) == \
             (alone.residual, alone.iterations, alone.converged, alone.eta, alone.stability)

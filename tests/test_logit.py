@@ -11,8 +11,8 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
-from conftest import (ALL_SCENARIOS, CallableCostField, get_scenario, note_game,
-                      small_potential_game, wide_game)
+from conftest import (ALL_SCENARIOS, CallableCostField, census_rule, get_scenario,
+                      note_game, small_potential_game, wide_game)
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -337,26 +337,48 @@ def assert_same_result(a, b):
         (b.residual, b.iterations, b.converged, b.eta, b.stability)
 
 
+def test_fixed_point_stack_takes_integer_indices_only():
+    # a start is indexed by an integer, negative and numpy ones included;
+    # a slice is refused by name
+    g, _ = get_scenario("coordination").build_game()
+    u = gd.uniform_configuration(g)
+    stack = gd.fixed_points(g, [0.45, 0.6], [u, u])
+    assert stack[-1].eta == 0.6 and stack[np.int64(0)].eta == 0.45
+    assert_same_result(stack[-2], stack[0])
+    with pytest.raises(TypeError, match="'slice' object cannot be interpreted as an integer"):
+        stack[0:2]
+    with pytest.raises(IndexError):
+        stack[2]
+
+
 REAL_FIXED_POINT = logit.fixed_point
 
 
 def record_fallbacks(monkeypatch):
-    """Record what each fixed_point solve that fixed_points makes returns,
-    (x, residual, iterations, converged), in the order the solves run."""
+    """Record each fixed_point solve that fixed_points makes, in the order the
+    solves run: the (eta, x0) it receives and the result it returns."""
     runs = []
 
-    def recorded(*args):
-        r = REAL_FIXED_POINT(*args)
-        runs.append((r.x, r.residual, r.iterations, r.converged))
+    def recorded(game, eta, x0):
+        r = REAL_FIXED_POINT(game, eta, x0)
+        runs.append((eta, np.array(x0), r))
         return r
 
     monkeypatch.setattr(logit, "fixed_point", recorded)
     return runs
 
 
-def fell_back(many, fallbacks):
-    """Which results of fixed_points came from its fallback fixed_point solves."""
-    return [any(r.x is f[0] for f in fallbacks) for r in many]
+def fell_back(etas, seeds, fallbacks):
+    """Which starts of fixed_points fell back to fixed_point. The fallback
+    solves run in start order, so a start fell back when it is the next
+    recorded solve's (eta, x0); every solve must match a start."""
+    out = []
+    for eta, x0 in zip(np.broadcast_to(etas, len(seeds)), seeds):
+        i = sum(out)
+        out.append(bool(i < len(fallbacks) and fallbacks[i][0] == eta
+                        and np.array_equal(fallbacks[i][1], x0)))
+    assert sum(out) == len(fallbacks)
+    return out
 
 
 def assert_matches_single_solves(game, eta, seeds, many, fallbacks, same_point=True):
@@ -364,8 +386,7 @@ def assert_matches_single_solves(game, eta, seeds, many, fallbacks, same_point=T
     when same_point; a fallback is fixed_point's own result, bit for bit,
     and any other result is a converged, stable corrector solve."""
     assert len(many) == len(seeds)
-    from_fallback = fell_back(many, fallbacks)
-    assert sum(from_fallback) == len(fallbacks)
+    from_fallback = fell_back(eta, seeds, fallbacks)
     for x0, r, fell in zip(seeds, many, from_fallback):
         single = gd.fixed_point(game, eta, x0)
         assert r.converged == single.converged
@@ -405,10 +426,11 @@ def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
     fallbacks = record_fallbacks(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
         many = gd.fixed_points(g, 0.01, seeds)
-    assert many[0].x is fallbacks[0][0] and many[0].iterations == 600
+    assert fell_back(0.01, seeds, fallbacks)[0] and many[0].iterations == 600
+    assert_same_result(many[0], fallbacks[0][2])
     assert not many[0].converged and many[1].converged and many[1].iterations == 0
     failed = sum(not r.converged for r in many)
-    assert failed == sum(not f[3] for f in fallbacks) >= 1
+    assert failed == sum(not f[2].converged for f in fallbacks) >= 1
     assert sum("no convergence" in m for m in caplog.messages) == failed
     assert_matches_single_solves(g, 0.01, seeds, many, fallbacks)
 
@@ -467,15 +489,23 @@ def coordination_share(eta, lo, hi):
 
 
 @pytest.mark.parametrize("eta, n_stable", [(0.55, 1), (0.45, 2)])
-def test_census_counts_coordination_fork(eta, n_stable):
+def test_census_counts_coordination_fork(eta, n_stable, monkeypatch):
     # the map's slope at the symmetric point is 1/(2 eta): one stable point
     # above eta = 1/2, two stable vertices' branches (and an unstable middle)
-    # below it
+    # below it; the points counted are read off the census's own stack
     g, _ = get_scenario("coordination").build_game()
+    stacks, real = [], analysis.fixed_points
+
+    def recorded(*args):
+        stacks.append(real(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(analysis, "fixed_points", recorded)
     sweep = gd.bifurcation_scan(g, [eta], rng=np.random.default_rng(4))
     assert sweep.n_stable[0] == n_stable
-    stable = sorted(float(r.x[0, 0]) for r in sweep.results[0]
+    stable = sorted(float(r.x[0, 0]) for r in census_rule(stacks[0])
                     if r.stability.locally_stable)
+    assert len(stable) == n_stable
     brackets = [(0.0, 1.0)] if n_stable == 1 else [(0.0, 0.5 - 1e-3), (0.5 + 1e-3, 1.0)]
     for x, (lo, hi) in zip(stable, brackets):
         assert abs(x - coordination_share(eta, lo, hi)) <= 1e-10
@@ -488,7 +518,8 @@ def test_uniform_coordination_start_falls_back_from_the_unstable_point(monkeypat
     x0 = gd.uniform_configuration(g)
     fallbacks = record_fallbacks(monkeypatch)
     r, = gd.fixed_points(g, 0.45, [x0])
-    assert len(fallbacks) == 1 and r.x is fallbacks[0][0]
+    assert fell_back(0.45, [x0], fallbacks) == [True]
+    assert_same_result(r, fallbacks[0][2])
     assert r.converged and not r.stability.locally_stable
     assert_same_result(r, gd.fixed_point(g, 0.45, x0))
 
@@ -547,7 +578,7 @@ def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
         many = gd.fixed_points(g, etas, seeds)
     warned = [m for m in caplog.messages if "no convergence" in m]
-    from_fallback = fell_back(many, fallbacks)
+    from_fallback = fell_back(etas, seeds, fallbacks)
     assert from_fallback == [True] * 6 + [False] + [True] * 2
     assert [r.iterations for r in many] == [185, 53, 106, 36, 190, 139, 0, 30, 190]
     caplog.clear()
@@ -579,7 +610,7 @@ def test_fallback_stack_equals_fixed_point_on_a_wide_game(cap, monkeypatch):
     monkeypatch.setattr(logit, "MAX_ITER", cap)
     fallbacks = record_fallbacks(monkeypatch)
     many = gd.fixed_points(g, etas, seeds)
-    assert fell_back(many, fallbacks) == [True] * len(seeds)
+    assert fell_back(etas, seeds, fallbacks) == [True] * len(seeds)
     assert all(r.converged == (cap > 20) for r in many)
     for eta, x0, r in zip(etas, seeds, many):
         assert_same_result(r, gd.fixed_point(g, eta, x0))
@@ -633,7 +664,8 @@ def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatc
     fallbacks = record_fallbacks(monkeypatch)
     many = gd.fixed_points(g, etas, seeds)
     assert len(fallbacks) == 4 and sum(etas == 0.37) == 4
-    assert [r.eta for r, fell in zip(many, fell_back(many, fallbacks)) if fell] == [0.37] * 4
+    from_fallback = fell_back(etas, seeds, fallbacks)
+    assert [r.eta for r, fell in zip(many, from_fallback) if fell] == [0.37] * 4
     for eta, x0, r in zip(etas, seeds, many):
         assert r.eta == eta
         assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
@@ -795,10 +827,20 @@ def test_high_noise_threshold_brackets_the_flip(rng):
 
 def test_high_noise_threshold_returns_floor_when_easy():
     g, _ = get_scenario("pigou").build_game()      # certified at every eta
-    assert gd.high_noise_threshold(g, eta_lo=0.05) == 0.05
+    assert gd.high_noise_threshold(g) == 0.05
 
 
-def test_high_noise_threshold_rejects_bad_bracket():
+def test_high_noise_threshold_names_the_ceiling_it_cannot_certify(monkeypatch):
+    # a margin that no eta certifies: the search stops at the ceiling and
+    # names it, after probing only the floor and the ceiling
     g, _ = get_scenario("coordination").build_game()
-    with pytest.raises(ValueError, match="widen the bracket"):
-        gd.high_noise_threshold(g, eta_lo=0.01, eta_hi=0.02)
+    probed = []
+
+    def margin(eta):
+        probed.append(eta)
+        return 1.0
+
+    monkeypatch.setattr(logit, "_margin_of", lambda game, rng: margin)
+    with pytest.raises(ValueError, match="^margin not certified even at the ceiling eta = 1000$"):
+        gd.high_noise_threshold(g)
+    assert probed == [0.05, 1000.0]
