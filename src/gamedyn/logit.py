@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
+    ConfigurationError,
     PopulationGame,
     evaluate_costs,
     validate_configuration,
@@ -28,8 +29,8 @@ log = logging.getLogger(__name__)
 
 # damped steps before damped_iteration gives up
 MAX_ITER = 10 ** 5
-# corrector steps before a fixed_points start falls back to fixed_point
-NEWTON_STEPS = 100
+# steps, Newton or damped, before a fixed_points start stops unconverged
+NEWTON_STEPS = 1000
 # largest l1 residual tolerance a solve accepts, per unit of mass (at least 1)
 TOL_BOUND = 1e-6
 # the eta bracket high_noise_threshold bisects: its floor and its ceiling
@@ -117,9 +118,9 @@ class StabilityInfo:
 
 @dataclass(frozen=True, slots=True)
 class FixedPointResult:
-    """A solve's best point (fixed_point's, or a FixedPointStack entry). iterations
-    counts corrector steps for the starts fixed_points keeps from its corrector,
-    and damped_iteration steps for every fixed_point solve."""
+    """A solve's point: fixed_point's best iterate, or a FixedPointStack entry.
+    iterations counts damped_iteration steps for fixed_point, and corrector
+    steps, Newton or damped, for every fixed_points start."""
 
     x: np.ndarray
     residual: float
@@ -322,27 +323,26 @@ def _restarts(game: PopulationGame, M: np.ndarray, X: np.ndarray, X0: np.ndarray
 
 
 def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
-    """Fixed points from each start in x0s: a stacked Newton corrector, with
-    fixed_point as the last resort.
+    """Fixed points from each start of a stack x0s (N, S, P), by one stacked
+    Newton corrector; eta is one value or one per start.
 
-    eta is one value or one per start. Newton runs on G(x) = F(x) - x over
-    game.valid_pairs for all unfinished starts at once; each step makes one
-    _noise_free_parts and _jacobians stack, then runs _stabilities on the
-    starts done and np.linalg.solve on J - I of those going on, if any.
-    Each population's rows of J sum to zero, so the step keeps the masses;
-    _armijo damps and clips it. A start converges at fixed_point's tolerance
-    (_tolerance). Only converged, locally stable results are kept, with
-    iterations counting every corrector step. A start's first unstable landing
-    skips the step's update and rejoins the next step's stack at its _restarts
-    point. Every other start (no side, unstable twice, stalled, singular, past
-    TOL_BOUND, or not done within NEWTON_STEPS) is re-solved from x0 by one
-    fixed_point call, in start order, with fixed_point's own warning; its
-    fields fill the arrays of the FixedPointStack returned, which builds a
-    result only when indexed. No result depends on stack-mates, not even in
-    the last bit of its residual; where several stable points coexist, a start
-    may reach another one than Picard would.
+    Each step makes one _noise_free_parts and _jacobians stack over the live
+    starts, runs _stabilities on those that land (at _tolerance) and solves
+    J - I on those going on; rows of J sum to zero per population, so the
+    step keeps the masses, and _armijo damps and clips it. Where it finds no
+    step, or J - I is singular, a start steps to x + lam (F - x) instead, at
+    damped_iteration's cap lam = min(0.5, 1.5/(1 + rho)), rho the l1 column
+    norm of J. iterations counts steps of either kind. A first unstable
+    landing goes on from its _restarts point; one with no side to restart
+    on, a second one or one at the last step is kept, converged. A start
+    past TOL_BOUND, or out of NEWTON_STEPS, ends unconverged at its last
+    iterate and warns once, in start order. No result depends on its
+    stack-mates, not even in the last bit of its residual.
     """
     X0 = validate_configuration(game, np.array(x0s, dtype=float))
+    if X0.ndim != 3:
+        raise ConfigurationError(f"x0s has shape {X0.shape}, expected a stack (N, S, P) "
+                                 f"of starts with (S, P) = {game.mask.shape}")
     X, eta = X0.copy(), np.array(eta, dtype=float)   # copies: the stack returned keeps both
     if eta.ndim > 1 or eta.size not in (1, len(X)):
         raise ValueError(f"eta must be one value or one per start, got {eta.size} "
@@ -350,52 +350,52 @@ def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
     etas = np.broadcast_to(eta, len(X))[:, None, None]
     qs, js = np.nonzero(game.mask.T)
     eye = np.eye(len(qs))
-    # per start, as of its last landing; a kept start's point stays put in X
-    kept, restarted = np.zeros((2, len(X)), dtype=bool)
+    # per start, as of its last step; a start off the stack stays put in X
+    converged, restarted = np.zeros((2, len(X)), dtype=bool)
     residual, mu, abscissa = np.zeros((3, len(X)))
     steps = np.zeros(len(X), dtype=int)
     live = np.arange(len(X))
     for step in range(NEWTON_STEPS + 1):
-        live = live[np.isfinite(X[live]).all(axis=(1, 2))]
         if not len(live):
             break
         Xl, el = X[live], etas[live]   # gathered once for the whole step
         C, D = _noise_free_parts(game, Xl)
         J = _jacobians(game, C, D, el)
-        G = (softmax_target(game, C, el) - Xl)[:, js, qs]
+        F = softmax_target(game, C, el)
+        G = (F - Xl)[:, js, qs]
         # summed C-contiguous, so each row sums in the order it does alone
         r = np.abs(np.ascontiguousarray(G)).sum(axis=1)
         tol = _tolerance(game, C, el[:, 0, 0])
+        residual[live], steps[live] = r, step
         done = r <= tol
+        converged[live[done]] = True
         if done.any():
-            residual[live[done]], steps[live[done]] = r[done], step
             mu[live[done]], abscissa[live[done]] = _stabilities(J[done])
-        stable = done & (abscissa[live] < 0.0)
-        kept[live[stable]] = True
-        if step == NEWTON_STEPS:
-            break
-        # first unstable landings restart; a NaN restart drops out next step
-        u = done & ~stable & ~restarted[live]
+        # first unstable landings restart, unless they have no side (NaN)
+        u = done & ~(abscissa[live] < 0.0) & ~restarted[live] & (step < NEWTON_STEPS)
         ks = live[u]
-        restarted[ks] = True
         if len(ks):
-            X[ks] = _restarts(game, J[u] - eye, Xl[u], X0[ks])
-        # a start past TOL_BOUND (NaN tol) is neither done nor goes on: its
-        # fixed_point fallback stops at once
-        go = r > tol
-        live = live[go]
-        if len(live):
-            d = np.zeros((len(live),) + game.mask.shape)
+            R = _restarts(game, J[u] - eye, Xl[u], X0[ks])
+            side = ~np.isnan(R).any(axis=(1, 2))
+            ks = ks[side]
+            X[ks], restarted[ks], converged[ks] = R[side], True, False
+        # a start past TOL_BOUND (NaN tol) neither lands nor goes on
+        go = (r > tol) & (step < NEWTON_STEPS)
+        if go.any():
+            d = np.zeros((go.sum(),) + game.mask.shape)
             d[:, js, qs] = _solve(J[go] - eye, -G[go])
-            X[live] = _armijo(game, el[go], Xl[go], d, r[go])
-        live = np.sort(np.concatenate([live, ks]))
-    converged = kept.copy()
-    for k in np.flatnonzero(~kept).tolist():
-        r = fixed_point(game, float(etas[k, 0, 0]), X0[k])
-        X[k] = r.x
-        residual[k], steps[k], converged[k] = r.residual, r.iterations, r.converged
-        mu[k], abscissa[k] = (r.stability.l1_log_norm, r.stability.spectral_abscissa
-                              ) if r.converged else (np.nan, np.nan)
+            X[live[go]] = Y = _armijo(game, el[go], Xl[go], d, r[go])
+            # a NaN row: no step found, so one damped step at damped_iteration's cap
+            for k in np.flatnonzero(go)[np.isnan(Y[:, js[0], qs[0]])].tolist():
+                lam = min(0.5, 1.5 / (1.0 + float(np.abs(J[k]).sum(axis=0).max())))
+                X[live[k]] = Xl[k] + lam * (F[k] - Xl[k])
+        live = np.sort(np.concatenate([live[go], ks]))
+    mu[~converged] = abscissa[~converged] = np.nan
+    for k in np.flatnonzero(~converged).tolist():
+        log.warning("fixed_points: start %d, no convergence after %d steps (eta=%g, residual="
+                    "%.3e, roundoff floor=%.3e, bound=%.3e)", k, steps[k], etas[k, 0, 0],
+                    residual[k], residual_floor(game, evaluate_costs(game, X[k]), etas[k, 0, 0]),
+                    TOL_BOUND * max(1.0, game.total_mass()))
     return FixedPointStack(X, residual, steps, converged, etas[:, 0, 0], mu, abscissa)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, note, strategies as st
 
 import gamedyn as gd
+from gamedyn import logit
 from gamedyn.analysis import SAME_POINT_L1
 from gamedyn.game import central_difference
 
@@ -36,6 +37,18 @@ def census_rule(results):
                 and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found)):
             found.append(r)
     return found
+
+
+def count_picard(monkeypatch):
+    """Count, from here on, the calls to damped Picard: logit.fixed_point and
+    logit.damped_iteration, each wrapped by name."""
+    calls = []
+    for name in ("fixed_point", "damped_iteration"):
+        def counted(*args, real=getattr(logit, name)):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(logit, name, counted)
+    return calls
 
 
 @pytest.fixture

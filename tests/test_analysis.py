@@ -11,7 +11,7 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.analysis import dedup_curves, entropy_term
 
-from conftest import census_rule, get_scenario, wide_game
+from conftest import census_rule, count_picard, get_scenario, wide_game
 
 
 def coordination_seeds(game):
@@ -233,28 +233,29 @@ def test_scans_name_an_eta_that_is_not_finite_and_positive(scan, grid):
 
 @pytest.mark.parametrize("newton_steps", [logit.NEWTON_STEPS, 3])
 def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newton_steps):
-    # the census counts on the solver's arrays: the only FixedPointResults
-    # built are the ones each fallback fixed_point solve builds, none for the
-    # points the census counts or the starts it only reads
+    # the census counts on the solver's arrays: no FixedPointResult is built,
+    # not for the points the census counts, the starts it only reads, nor
+    # the 18 starts a cap of 3 steps stops, and no start calls damped Picard
     g, _ = get_scenario("coordination").build_game()
-    built, fallbacks = [], []
-    real_result, real_fixed_point = logit.FixedPointResult, logit.fixed_point
+    built, stacks = [], []
+    real_result, real_solve = logit.FixedPointResult, analysis.fixed_points
 
     def counted_result(*args):
         built.append(1)
         return real_result(*args)
 
-    def counted_fixed_point(*args):
-        fallbacks.append(1)
-        return real_fixed_point(*args)
+    def recorded(*args):
+        stacks.append(real_solve(*args))
+        return stacks[-1]
 
     monkeypatch.setattr(logit, "NEWTON_STEPS", newton_steps)
     monkeypatch.setattr(logit, "FixedPointResult", counted_result)
-    monkeypatch.setattr(logit, "fixed_point", counted_fixed_point)
+    monkeypatch.setattr(analysis, "fixed_points", recorded)
+    picard = count_picard(monkeypatch)
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
-    assert len(fallbacks) == (0 if newton_steps > 3 else 20)
-    assert len(built) == len(fallbacks)     # the scan itself builds none
+    assert not built and not picard
+    assert (~stacks[0].converged).sum() == (0 if newton_steps > 3 else 18)
     assert 0 < sweep.n_fixed_points.sum() < 5 * 8
 
 
@@ -324,10 +325,10 @@ def test_census_corrector_counts(monkeypatch):
     # stack for all 5 etas, its corrector steps (one _noise_free_parts stack
     # each) and their trial evaluations (one softmax per step for the
     # residual, the rest Armijo rounds). Three starts land on the unstable
-    # symmetric point; each restarts once inside the corrector, and none
-    # falls back to fixed_point
+    # symmetric point; each restarts once inside the corrector, and no start
+    # calls damped Picard
     g, _ = get_scenario("coordination").build_game()
-    maps, softmaxes, stacks, solves, fallbacks, pushed = [], [], [], [], [], []
+    maps, softmaxes, stacks, solves, pushed = [], [], [], [], []
     real_map, real_softmax, real_parts, real_restarts, real_solves = (
         logit.logit_map, logit.softmax_target, logit._noise_free_parts,
         logit._restarts, analysis.fixed_points)
@@ -346,13 +347,13 @@ def test_census_corrector_counts(monkeypatch):
     monkeypatch.setattr(logit, "softmax_target", counted(softmaxes, real_softmax))
     monkeypatch.setattr(logit, "_noise_free_parts", counted(stacks, real_parts))
     monkeypatch.setattr(logit, "_restarts", recorded_restarts)
-    monkeypatch.setattr(logit, "fixed_point", counted(fallbacks, logit.fixed_point))
+    picard = count_picard(monkeypatch)
     monkeypatch.setattr(analysis, "fixed_points", counted(solves, real_solves))
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
     steps = len(stacks)
     trials = len(softmaxes) - steps
-    assert (len(solves), steps, trials, len(fallbacks)) == (1, 9, 9, 0)
+    assert (len(solves), steps, trials, len(picard)) == (1, 9, 9, 0)
     # the restarted starts, by the corrector step at which they landed
     assert pushed == [2, 3, 3]
     assert not maps

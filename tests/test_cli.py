@@ -77,7 +77,7 @@ def test_run_matches_the_table(tmp_path, key):
 
 
 # The bifurcation command's counts (n_fixed_points, n_stable) per grid eta, in
-# runs of equal rows, the same at every CLI seed from 1 to 20. The table pins
+# runs of equal rows, the same at every CLI seed from 1 to 40. The table pins
 # whole files at five seeds.
 CENSUS_COUNTS = {
     "constant": [((1, 1), 30)],
@@ -94,12 +94,12 @@ CENSUS_COUNTS = {
 @pytest.mark.parametrize("name", sorted(CENSUS_COUNTS))
 def test_bifurcation_counts_are_pinned(name):
     # the counts must not depend on which random starts the census draws; the
-    # scan runs as the command runs it, on one game built once (~7 s in all)
+    # scan runs as the command runs it, on one game built once (~14 s in all)
     scn = get_scenario(name)
     game, _ = scn.build_game()
     grid, multistart = scn.noise_grid(steps=25), scn.run_int("multistart", 8)
     want = [row for row, times in CENSUS_COUNTS[name] for _ in range(times)]
-    for seed in range(1, 21):
+    for seed in range(1, 41):
         sweep = gd.bifurcation_scan(game, grid, multistart, rng=cli._derive_rng(seed, 1))
         assert list(zip(sweep.n_fixed_points.tolist(), sweep.n_stable.tolist())) == want, seed
 

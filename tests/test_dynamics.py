@@ -269,14 +269,12 @@ def test_reduced_fixed_point_matches_scalar_oracle():
 ])
 def test_reduced_fixed_point_iteration_counts(name, eta, w0, cap, iterations,
                                               converged, monkeypatch):
-    # exact corrector steps of the one fixed_points solve; cap bounds both
-    # the corrector and its damped-Picard fallback, so a cap of 2 stops pigou
-    # in the fallback
+    # exact corrector steps of the one fixed_points solve; a cap of 2 steps
+    # stops pigou, which needs 4
     g, _ = get_scenario(name).build_game()
     sys = gd.ReducedSystem(g, eta)
     w0 = gd.uniform_configuration(g).sum(axis=1) if w0 is None else np.array(w0)
     monkeypatch.setattr(logit, "NEWTON_STEPS", cap)
-    monkeypatch.setattr(logit, "MAX_ITER", cap)
     fp = sys.fixed_point(w0)
     assert fp.iterations == iterations and fp.converged is converged
 

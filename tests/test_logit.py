@@ -1,6 +1,7 @@
 """Logit map, Jacobian, fixed points, contraction margins, basin estimates."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import gamedyn as gd
 from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
-from conftest import (ALL_SCENARIOS, CallableCostField, census_rule, get_scenario,
-                      note_game, small_potential_game, wide_game)
+from conftest import (ALL_SCENARIOS, CallableCostField, census_rule, count_picard,
+                      get_scenario, note_game, small_potential_game, wide_game)
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -319,8 +320,8 @@ def test_bundled_floors_stay_far_below_the_tolerance_bound():
 
 def test_results_do_not_alias_the_start():
     # the uniform start is already a fixed point: at eta 0.45 fixed_point
-    # stops at it, and at eta 0.3, where it is unstable, the fallback of
-    # fixed_points stops at it too; neither result may be x0 itself
+    # stops at it, and at eta 0.3, where it is unstable with no side to
+    # restart on, fixed_points keeps it too; neither result may be x0 itself
     g, _ = get_scenario("coordination").build_game()
     for solve in (lambda x0: gd.fixed_point(g, 0.45, x0),
                   lambda x0: gd.fixed_points(g, 0.3, [x0])[0]):
@@ -351,107 +352,86 @@ def test_fixed_point_stack_takes_integer_indices_only():
         stack[2]
 
 
-REAL_FIXED_POINT = logit.fixed_point
+def corrector_solve(game, eta, x0s):
+    """fixed_points(game, eta, x0s), checked to call no damped Picard: the
+    corrector finishes every start itself."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_picard(monkeypatch)
+        stack = gd.fixed_points(game, eta, x0s)
+    assert not calls
+    return stack
 
 
-def record_fallbacks(monkeypatch):
-    """Record each fixed_point solve that fixed_points makes, in the order the
-    solves run: the (eta, x0) it receives and the result it returns."""
-    runs = []
-
-    def recorded(game, eta, x0):
-        r = REAL_FIXED_POINT(game, eta, x0)
-        runs.append((eta, np.array(x0), r))
-        return r
-
-    monkeypatch.setattr(logit, "fixed_point", recorded)
-    return runs
-
-
-def fell_back(etas, seeds, fallbacks):
-    """Which starts of fixed_points fell back to fixed_point. The fallback
-    solves run in start order, so a start fell back when it is the next
-    recorded solve's (eta, x0); every solve must match a start."""
-    out = []
-    for eta, x0 in zip(np.broadcast_to(etas, len(seeds)), seeds):
-        i = sum(out)
-        out.append(bool(i < len(fallbacks) and fallbacks[i][0] == eta
-                        and np.array_equal(fallbacks[i][1], x0)))
-    assert sum(out) == len(fallbacks)
-    return out
-
-
-def assert_matches_single_solves(game, eta, seeds, many, fallbacks, same_point=True):
-    """fixed_points' contract: fixed_point's flags, with x within 1e-9 l1
-    when same_point; a fallback is fixed_point's own result, bit for bit,
-    and any other result is a converged, stable corrector solve."""
+def assert_matches_single_solves(game, eta, seeds, many):
+    """fixed_points' contract: fixed_point's flags, with x within 1e-9 l1,
+    and each start's result is its lone fixed_points solve in every field."""
     assert len(many) == len(seeds)
-    from_fallback = fell_back(eta, seeds, fallbacks)
-    for x0, r, fell in zip(seeds, many, from_fallback):
+    for x0, r in zip(seeds, many):
         single = gd.fixed_point(game, eta, x0)
-        assert r.converged == single.converged
+        assert r.converged == single.converged and r.eta == eta
         assert (r.stability is None) == (single.stability is None)
         if r.stability is not None:
             assert r.stability.locally_stable == single.stability.locally_stable
-        if fell:
-            assert_same_result(r, single)
-        else:
-            assert r.converged and r.stability.locally_stable and r.eta == eta
-            assert r.iterations <= logit.NEWTON_STEPS
-        if same_point:
-            assert float(np.abs(r.x - single.x).sum()) <= 1e-9
+        assert r.iterations <= logit.NEWTON_STEPS
+        assert_same_result(r, gd.fixed_points(game, eta, [x0])[0])
+        assert float(np.abs(r.x - single.x).sum()) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_fixed_points_match_single_solves(name, monkeypatch):
+def test_fixed_points_match_single_solves(name):
     g, _ = get_scenario(name).build_game()
     rng = np.random.default_rng(11)
     seeds = ([gd.sample_configuration(g, rng) for _ in range(3)]
              + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
     for eta in (1.0, 0.1):
-        fallbacks = record_fallbacks(monkeypatch)
-        many = gd.fixed_points(g, eta, seeds)
-        assert_matches_single_solves(g, eta, seeds, many, fallbacks)
+        many = corrector_solve(g, eta, seeds)
+        assert_matches_single_solves(g, eta, seeds, many)
 
 
 def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
-    # with 3 corrector steps the uniform start (11 steps) falls back, and
-    # its damping run stops at a cap of 600 of its 10202 steps; a start at
-    # the solution converges at once
+    # with 3 steps every start but the one at the solution (0 steps) stops
+    # short of the 7 to 38 it needs: each comes back unconverged at its last
+    # iterate, as it does alone, and warns once, by its index, in start order
     g, _ = get_scenario("wheatstone").build_game()
     x_star = gd.fixed_points(g, 0.01, [gd.uniform_configuration(g)])[0].x
     seeds = [gd.uniform_configuration(g), x_star] + gd.monomorphic_vertices(g)
     monkeypatch.setattr(logit, "NEWTON_STEPS", 3)
-    monkeypatch.setattr(logit, "MAX_ITER", 600)
-    fallbacks = record_fallbacks(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-        many = gd.fixed_points(g, 0.01, seeds)
-    assert fell_back(0.01, seeds, fallbacks)[0] and many[0].iterations == 600
-    assert_same_result(many[0], fallbacks[0][2])
-    assert not many[0].converged and many[1].converged and many[1].iterations == 0
-    failed = sum(not r.converged for r in many)
-    assert failed == sum(not f[2].converged for f in fallbacks) >= 1
-    assert sum("no convergence" in m for m in caplog.messages) == failed
-    assert_matches_single_solves(g, 0.01, seeds, many, fallbacks)
+        many = corrector_solve(g, 0.01, seeds)
+    assert [(r.converged, r.iterations) for r in many] == [(False, 3), (True, 0)] + [(False, 3)] * 9
+    floor = [residual_floor(g, gd.evaluate_costs(g, r.x), 0.01) for r in many]
+    assert [m for m in caplog.messages if "no convergence" in m] == [
+        f"fixed_points: start {k}, no convergence after 3 steps (eta=0.01, residual="
+        f"{r.residual:.3e}, roundoff floor={floor[k]:.3e}, bound=4.000e-06)"
+        for k, r in enumerate(many) if not r.converged]
+    for x0, r in zip(seeds, many):
+        assert r.residual == pytest.approx(np.abs(gd.logit_map(g, r.x, 0.01) - r.x).sum(),
+                                           rel=1e-12)
+        assert_same_result(r, gd.fixed_points(g, 0.01, [x0])[0])
 
 
-@pytest.mark.parametrize("steps, n_fallbacks", [(0, 7), (1, 7), (3, 4), (4, 1)])
-def test_fixed_points_respect_the_step_cap(steps, n_fallbacks, monkeypatch):
+@pytest.mark.parametrize("steps, n_unfinished", [(0, 7), (1, 7), (3, 4), (4, 1)])
+def test_fixed_points_respect_the_step_cap(steps, n_unfinished, monkeypatch):
+    # the starts that end on no stable point: the uniform one, kept at once on
+    # the unstable symmetric point, and those the cap stops, each at the cap
     g, _ = get_scenario("coordination").build_game()
     rng = np.random.default_rng(5)
     seeds = ([gd.sample_configuration(g, rng) for _ in range(4)]
              + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
     monkeypatch.setattr(logit, "NEWTON_STEPS", steps)
-    fallbacks = record_fallbacks(monkeypatch)
-    many = gd.fixed_points(g, 0.3, seeds)
-    assert len(fallbacks) == n_fallbacks
-    assert_matches_single_solves(g, 0.3, seeds, many, fallbacks, same_point=False)
+    many = corrector_solve(g, 0.3, seeds)
+    assert sum(not (r.converged and r.stability.locally_stable) for r in many) == n_unfinished
+    assert many[4].converged and many[4].iterations == 0
+    for x0, r in zip(seeds, many):
+        assert r.iterations == steps if not r.converged else r.iterations <= steps
+        assert_same_result(r, gd.fixed_points(g, 0.3, [x0])[0])
     # two stable points coexist at eta = 0.3, and Newton's basins are not
     # damped Picard's: from the second start (share 0.71 of a1, where the map
     # is steeper than 1) the corrector crosses the unstable middle to the a2
-    # side in 4 steps, while Picard goes to the a1 side
+    # side at its first step and lands there at its fourth, while Picard goes
+    # to the a1 side
     assert seeds[1][0, 0] > 0.5 and gd.fixed_point(g, 0.3, seeds[1]).x[0, 0] > 0.5
-    assert (many[1].x[0, 0] > 0.5) == (steps < 4)
+    assert (many[1].x[0, 0] > 0.5) == (steps == 0)
 
 
 @pytest.mark.parametrize("x0", [
@@ -460,16 +440,14 @@ def test_fixed_points_respect_the_step_cap(steps, n_fallbacks, monkeypatch):
     [[0.7555950004661288, 0.931222741572553],
      [0.24440499953387126, 0.06877725842744696]],
 ], ids=["census-seed-11", "census-seed-3"])
-def test_fixed_points_converge_where_picard_stalls_on_tolls(x0, monkeypatch):
+def test_fixed_points_converge_where_picard_stalls_on_tolls(x0):
     # starts from the tolls census on which damped Picard stalls (residual
     # ~1 after 1e5 steps); the corrector converges to the stable equilibrium
-    # (from the seed-3 start only after 53 steps) without a fallback
+    # (from the seed-3 start only after 53 steps) without calling it
     g, _ = get_scenario("tolls").build_game()
     eta = 0.0012151833063783375
     x0 = np.array(x0)
-    fallbacks = record_fallbacks(monkeypatch)
-    r, = gd.fixed_points(g, eta, [x0])
-    assert not fallbacks
+    r, = corrector_solve(g, eta, [x0])
     assert r.converged and r.stability.locally_stable
     assert r.iterations <= logit.NEWTON_STEPS
 
@@ -511,16 +489,15 @@ def test_census_counts_coordination_fork(eta, n_stable, monkeypatch):
         assert abs(x - coordination_share(eta, lo, hi)) <= 1e-10
 
 
-def test_uniform_coordination_start_falls_back_from_the_unstable_point(monkeypatch):
-    # the corrector stops at once on the symmetric point, which is unstable at
-    # eta = 0.45, so the start is re-solved by fixed_point's damping
+def test_uniform_coordination_start_stays_on_the_unstable_point():
+    # the corrector lands at once on the symmetric point, which is unstable
+    # at eta = 0.45; the start has no side to restart on, so it is kept
+    # there, converged at 0 steps, as damped Picard keeps it
     g, _ = get_scenario("coordination").build_game()
     x0 = gd.uniform_configuration(g)
-    fallbacks = record_fallbacks(monkeypatch)
-    r, = gd.fixed_points(g, 0.45, [x0])
-    assert fell_back(0.45, [x0], fallbacks) == [True]
-    assert_same_result(r, fallbacks[0][2])
-    assert r.converged and not r.stability.locally_stable
+    r, = corrector_solve(g, 0.45, [x0])
+    assert r.converged and not r.stability.locally_stable and r.iterations == 0
+    assert np.array_equal(r.x, x0)
     assert_same_result(r, gd.fixed_point(g, 0.45, x0))
 
 
@@ -546,10 +523,9 @@ def test_unstable_landings_restart_on_the_side_of_their_start(eta, monkeypatch):
     g, _ = get_scenario("coordination").build_game()
     share = np.random.default_rng(17).uniform(0.3, 0.7, 40)
     seeds = [np.array([[s], [1.0 - s]]) for s in share]
-    fallbacks = record_fallbacks(monkeypatch)
     restarted = record_restarts(monkeypatch)
-    many = gd.fixed_points(g, eta, seeds)
-    assert not fallbacks and len(restarted) >= 4
+    many = corrector_solve(g, eta, seeds)
+    assert len(restarted) >= 4
     for x0, r in zip(seeds, many):
         if not any(np.array_equal(x0, x) for x in restarted):
             continue
@@ -563,57 +539,67 @@ def test_unstable_landings_restart_on_the_side_of_their_start(eta, monkeypatch):
         assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-8
 
 
+def force_no_newton_step(monkeypatch, etas):
+    """Make _armijo find no step for every start at one of etas, so each of
+    them takes the corrector's fallback, a damped step, at every step."""
+    real = logit._armijo
+
+    def forced(game, eta, X, d, r):
+        out = real(game, eta, X, d, r)
+        out[np.isin(eta[:, 0, 0], etas)] = np.nan
+        return out
+
+    monkeypatch.setattr(logit, "_armijo", forced)
+
+
 def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
-    # with no corrector steps every start but the uniform one at eta 0.8 (a
-    # stable fixed point) falls back; the fallback solves at four etas end at
-    # different steps, and a cap of 190 stops the two slowest
+    # with no Newton step every start goes by damped steps alone; at four
+    # etas they land at different steps, most of them at damped Picard's
+    # own count and all on its point, and a cap of 190 stops the two slowest
     g, _ = get_scenario("coordination").build_game()
     rng = np.random.default_rng(5)
     seeds = ([gd.sample_configuration(g, rng) for _ in range(6)]
              + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
     etas = np.resize([0.45, 0.3, 0.8, 0.2], len(seeds))
-    monkeypatch.setattr(logit, "NEWTON_STEPS", 0)
-    monkeypatch.setattr(logit, "MAX_ITER", 190)
-    fallbacks = record_fallbacks(monkeypatch)
+    force_no_newton_step(monkeypatch, etas)
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 190)
     with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-        many = gd.fixed_points(g, etas, seeds)
+        many = corrector_solve(g, etas, seeds)
     warned = [m for m in caplog.messages if "no convergence" in m]
-    from_fallback = fell_back(etas, seeds, fallbacks)
-    assert from_fallback == [True] * 6 + [False] + [True] * 2
-    assert [r.iterations for r in many] == [185, 53, 106, 36, 190, 139, 0, 30, 190]
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-        lone = [gd.fixed_point(g, eta, x0) for eta, x0 in zip(etas, seeds)]
-    # one warning per failed fallback, in start order, each fixed_point's own
-    assert warned == [m for m in caplog.messages if "no convergence" in m]
-    assert len(warned) == 2 == sum(not r.converged for r in many)
-    for eta, x0, r, single, fell in zip(etas, seeds, many, lone, from_fallback):
-        alone = gd.fixed_points(g, eta, [x0])[0]
-        if fell:
-            assert_same_result(r, single)
-            assert_same_result(r, alone)
-        else:
-            assert_same_result(r, alone)
+    assert [r.iterations for r in many] == [185, 53, 106, 36, 190, 62, 0, 30, 190]
+    assert [m.split(",")[0] for m in warned] == ["fixed_points: start 4", "fixed_points: start 8"]
+    assert [r.converged for r in many] == [True] * 4 + [False] + [True] * 3 + [False]
+    for k, (eta, x0, r) in enumerate(zip(etas, seeds, many)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+            assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
+        # alone, a stopped start warns as it does in the stack, as start 0
+        assert [m.replace("start 0,", f"start {k},") for m in caplog.messages] == \
+            [m for m in warned if m.startswith(f"fixed_points: start {k},")]
+        if r.converged:
+            assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-9
 
 
-@pytest.mark.parametrize("cap", [logit.MAX_ITER, 20])
+@pytest.mark.parametrize("cap", [10 ** 5, 20])
 def test_fallback_stack_equals_fixed_point_on_a_wide_game(cap, monkeypatch):
-    # with no corrector steps every start falls back; a configuration of the
-    # generated game holds 18 entries, and the fallbacks at two etas must
-    # give fixed_point's result bit for bit, zero-mass population and masked
-    # entry included, both converged and stopped by a cap of 20 steps
+    # with no Newton step every start goes by damped steps alone; a
+    # configuration of the generated game holds 18 entries, and at two etas
+    # each start must give its lone solve bit for bit, zero-mass population
+    # and masked entry included, and land within 1e-9 of fixed_point's point,
+    # both under a cap that never binds (the slowest takes 406 steps) and
+    # stopped by one of 20 steps
     g = wide_game()
     rng = np.random.default_rng(9)
     seeds = [gd.sample_configuration(g, rng) for _ in range(7)] + [gd.uniform_configuration(g)]
     etas = np.resize([0.5, 0.05], len(seeds))
-    monkeypatch.setattr(logit, "NEWTON_STEPS", 0)
-    monkeypatch.setattr(logit, "MAX_ITER", cap)
-    fallbacks = record_fallbacks(monkeypatch)
-    many = gd.fixed_points(g, etas, seeds)
-    assert fell_back(etas, seeds, fallbacks) == [True] * len(seeds)
+    force_no_newton_step(monkeypatch, etas)
+    monkeypatch.setattr(logit, "NEWTON_STEPS", cap)
+    many = corrector_solve(g, etas, seeds)
     assert all(r.converged == (cap > 20) for r in many)
     for eta, x0, r in zip(etas, seeds, many):
-        assert_same_result(r, gd.fixed_point(g, eta, x0))
+        assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
+        if r.converged:
+            assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -635,10 +621,8 @@ def test_fixed_points_match_single_solves_on_small_games(game, eta, seed):
     rng = np.random.default_rng(seed)
     seeds = ([gd.sample_configuration(game, rng) for _ in range(3)]
              + [gd.uniform_configuration(game)] + gd.monomorphic_vertices(game))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        fallbacks = record_fallbacks(monkeypatch)
-        many = gd.fixed_points(game, eta, seeds)
-    assert_matches_single_solves(game, eta, seeds, many, fallbacks)
+    many = corrector_solve(game, eta, seeds)
+    assert_matches_single_solves(game, eta, seeds, many)
 
 
 def force_singular(monkeypatch, eta_bad):
@@ -654,23 +638,24 @@ def force_singular(monkeypatch, eta_bad):
 
 
 def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatch):
-    # the starts at eta 0.37 meet a singular J - I at their first step and
-    # fall back alone; their stack-mates at other etas go on with Newton
+    # the starts at eta 0.37 meet a singular J - I at every step and take a
+    # damped step each time, at the cap 0.5 of J = I, which lands none of them
+    # within 60 steps; their stack-mates at other etas go on with Newton
     g, _ = get_scenario("wheatstone").build_game()
     rng = np.random.default_rng(7)
     seeds = [gd.sample_configuration(g, rng) for _ in range(6)] + gd.monomorphic_vertices(g)
     etas = np.resize([1.0, 0.37, 0.3, 2.0], len(seeds))
     force_singular(monkeypatch, 0.37)
-    fallbacks = record_fallbacks(monkeypatch)
-    many = gd.fixed_points(g, etas, seeds)
-    assert len(fallbacks) == 4 and sum(etas == 0.37) == 4
-    from_fallback = fell_back(etas, seeds, fallbacks)
-    assert [r.eta for r, fell in zip(many, from_fallback) if fell] == [0.37] * 4
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 60)
+    many = corrector_solve(g, etas, seeds)
+    assert [r.eta for r in many if not r.converged] == [0.37] * 4 == list(etas[etas == 0.37])
     for eta, x0, r in zip(etas, seeds, many):
         assert r.eta == eta
         assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
-        if eta != 0.37:
-            assert r.iterations <= logit.NEWTON_STEPS and r.stability.locally_stable
+        if eta == 0.37:
+            assert r.iterations == 60 and not np.array_equal(r.x, x0)
+        else:
+            assert r.iterations <= 8 and r.stability.locally_stable
 
 
 @settings(max_examples=40, deadline=None)
@@ -698,6 +683,18 @@ def test_fixed_points_reject_a_bad_start_or_eta():
         gd.fixed_points(g, 0.5, seeds)
     with pytest.raises(ValueError, match="eta must be positive"):
         gd.fixed_points(g, [0.5, 0.0], seeds[:2])
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2, 2, 1)], ids=["(2, 1)", "(1, 2, 2, 1)"])
+def test_fixed_points_name_a_misshaped_start_stack(shape):
+    # one (S, P) start, or a stack of stacks, is named with the stack shape
+    # expected rather than failing inside numpy
+    g, _ = get_scenario("pigou").build_game()
+    x0s = np.broadcast_to(gd.uniform_configuration(g), shape)
+    with pytest.raises(gd.ConfigurationError, match=rf"^x0s has shape {re.escape(str(shape))}, "
+                                                    r"expected a stack \(N, S, P\) of starts "
+                                                    r"with \(S, P\) = \(2, 1\)$"):
+        gd.fixed_points(g, 0.5, x0s)
 
 
 @pytest.mark.parametrize("eta, size", [([0.5, 0.4, 0.3], 3), ([[0.5, 0.4]], 2), ([], 0)],
@@ -799,7 +796,7 @@ def test_threshold_makes_one_cost_jacobian_pass(monkeypatch):
 def test_census_makes_every_cost_jacobian_call_inside_its_one_solve(monkeypatch,
                                                                     n_etas):
     # the census makes one solver call for all etas, and every cost-Jacobian
-    # call (corrector steps and fallbacks) is made inside it
+    # call is made inside it
     g, _ = get_scenario("coordination").build_game()
     calls = count_calls(monkeypatch, logit, "cost_jacobian")
     solver_calls = []

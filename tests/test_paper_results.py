@@ -131,17 +131,17 @@ def test_high_noise_threshold_is_within_the_bound_on_table_curves(game):
 def stable_game(draw):
     """Stable (monotone) games that are not potential games: on n = S * P
     entries, 2-4 actions and 1-2 populations with masses U(0.2, 2), the
-    costs are c(x) = M x + b with M = (s A A^T + K - K^T) / n, so that
+    costs are c(x) = M x + b with M = s A A^T / n + K - K^T, so that
     (x - y) . (c(x) - c(y)) = s |A^T (x - y)|^2 / n >= 0. A and K are
-    standard normal, s = 10^U(-1, 1) and b is U(0, 3). K - K^T is scaled by
-    1/n: unscaled, 2 games in 40 sent 72 starts at eta >= 1e-2 to damped
-    Picard, each stalling for its 1e5 steps, up to 122 s a game."""
+    standard normal, s = 10^U(-1, 1) and b is U(0, 3). The skew part K - K^T
+    is not scaled down, so it often outweighs the symmetric one and the map
+    spirals round its fixed point."""
     S, P = draw(st.integers(2, 4)), draw(st.integers(1, 2))
     masses = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=P, max_size=P)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = S * P
     A, K = rng.standard_normal((2, n, n))
-    M = (10.0 ** rng.uniform(-1.0, 1.0) * A @ A.T + K - K.T) / n
+    M = 10.0 ** rng.uniform(-1.0, 1.0) * A @ A.T / n + K - K.T
     b = rng.uniform(0.0, 3.0, n)
     return gd.PopulationGame(
         populations=[f"p{p}" for p in range(P)], masses=masses,
@@ -154,12 +154,11 @@ def stable_game(draw):
 @given(stable_game(), st.integers(0, 2 ** 32 - 1))
 def test_stable_games_have_one_stable_equilibrium_at_every_noise_level(game, seed):
     """The logit equilibrium of a stable game is unique and globally stable
-    at every eta (Hofbauer and Sandholm 2009): at 12 etas the census counts
-    one fixed point, and it is stable.
-
-    eta is held to [1e-2, 2]. Down to 1e-3 the counts held on 300 games,
-    but in one of them two starts stalled in damped Picard for 22 s."""
-    sweep = gd.bifurcation_scan(game, np.geomspace(2.0, 1e-2, 12), multistart=4,
+    at every eta (Hofbauer and Sandholm 2009): at 12 etas from 2 down to
+    1e-3 the census counts one fixed point, and it is stable. The count
+    reads the starts that land; one that meets the corrector's step cap
+    first is left out of it."""
+    sweep = gd.bifurcation_scan(game, np.geomspace(2.0, 1e-3, 12), multistart=4,
                                 rng=np.random.default_rng(seed))
     assert sweep.n_fixed_points.tolist() == [1] * 12
     assert sweep.n_stable.tolist() == [1] * 12
