@@ -26,7 +26,7 @@ from .game import (
     uniform_configuration,
     vertex_configuration,
 )
-from .logit import fixed_point
+from .logit import fixed_points
 from .dynamics import (
     Trajectory,
     exact_target_check,
@@ -131,7 +131,7 @@ def _cmd_fixed_point(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     game, _ = scn.build_game()
     eta = scn.eta()
     x0 = scn.initial_configuration(game, _derive_rng(seed, 0))
-    result = fixed_point(game, eta, x0)
+    result = fixed_points(game, eta, [x0])[0]
     path = out / "fixed_point.csv"
     write_fixed_point_csv(path, result, game)
     if not result.converged:
@@ -236,7 +236,7 @@ def _cmd_verify(scn: Scenario, out: Path, seed: int, quiet: bool) -> None:
     lines.append(f"{'PASS' if ok else 'FAIL'} trajectory_validity "
                  f"drift={traj.mass_drift:.3e} min_entry={traj.min_entry:.3e}")
 
-    fp = fixed_point(game, eta, x0)
+    fp = fixed_points(game, eta, [x0])[0]
     required_ok &= fp.converged
     lines.append(f"{'PASS' if fp.converged else 'FAIL'} fixed_point "
                  f"residual={fp.residual:.3e}")

@@ -20,7 +20,7 @@ import gamedyn as gd
 from gamedyn import cli, logit
 
 import cli_table
-from conftest import SCENARIO_DIR, get_scenario
+from conftest import ALL_SCENARIOS, SCENARIO_DIR, count_picard, get_scenario
 
 
 def short_pigou(tmp_path, x0="vertex:r2", horizon="1"):
@@ -234,16 +234,35 @@ def test_main_exit_1_on_bad_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_exit_2_on_unconverged_solve(tmp_path, monkeypatch, capsys):
+def test_main_exit_2_on_unconverged_solve(tmp_path, monkeypatch, capsys, caplog):
     scn_path = SCENARIO_DIR / "pigou.scn"
-    monkeypatch.setattr(logit, "MAX_ITER", 1)
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 0)
     code = cli.main(["fixed-point", "--scenario", str(scn_path),
                      "--out", str(tmp_path), "--quiet"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+    warned = [m for m in caplog.messages if "no convergence" in m]
+    assert len(warned) == 1
+    assert warned[0].startswith("fixed_points: start 0, no convergence after 0 steps")
     # the partial result is still written for inspection
     lines = (tmp_path / "fixed_point.csv").read_text().splitlines()
     assert lines[1].split(",")[3] == "0"
+
+
+@pytest.mark.parametrize("eta", [None, "1e-3", "1e-4"])
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_single_solves_hold_at_small_noise(tmp_path, monkeypatch, capsys, caplog, name, eta):
+    # fixed-point and verify solve on the corrector down to eta = 1e-4 and
+    # never reach damped Picard, which stops unconverged after 100,000 steps
+    # on wheatstone at 1e-3 and on wheatstone and parallel3 at 1e-4
+    path = SCENARIO_DIR / f"{name}.scn" if eta is None else scenario_file(tmp_path, name, eta=eta)
+    picard = count_picard(monkeypatch)
+    for command in ("fixed-point", "verify"):
+        code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path / command),
+                         "--quiet"])
+        assert code == 0, command
+    assert capsys.readouterr().err == "" and not caplog.messages
+    assert not picard
 
 
 def no_branch_converges(tmp_path, monkeypatch, capsys, command, name):
