@@ -145,9 +145,9 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     A solve counts at an l1 residual <= 1e-8; per eta, the first counted start
     not yet matched is a new point and matches every start within
     SAME_POINT_L1 of it. All starts, drawn eta by eta, are one fixed_points
-    call (Newton restarting unstable landings, a damped step where it finds
-    no step), one eta per start; the count reads its arrays and builds no
-    FixedPointResult."""
+    call (Newton in log-weights, restarting unstable landings; a start that
+    finds no step goes on from its map image), one eta per start; the count
+    reads its arrays and builds no FixedPointResult."""
     etas = _check_grid(eta_grid)
     if not isinstance(multistart, (int, np.integer)) or multistart < 4:
         raise ValueError(f"multistart must be an integer of at least 4, got {multistart!r}")

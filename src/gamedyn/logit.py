@@ -22,14 +22,13 @@ from .game import (
     sample_configurations,
     monomorphic_vertices,
     cost_jacobian,
-    rescale_to_masses,
 )
 
 log = logging.getLogger(__name__)
 
 # damped steps before damped_iteration gives up
 MAX_ITER = 10 ** 5
-# steps, Newton or damped, before a fixed_points start stops unconverged
+# corrector steps before a fixed_points start stops unconverged
 NEWTON_STEPS = 1000
 # largest l1 residual tolerance a solve accepts, per unit of mass (at least 1)
 TOL_BOUND = 1e-6
@@ -120,7 +119,7 @@ class StabilityInfo:
 class FixedPointResult:
     """A solve's point: fixed_point's best iterate, or a FixedPointStack entry.
     iterations counts damped_iteration steps for fixed_point, and corrector
-    steps, Newton or damped, for every fixed_points start."""
+    steps for every fixed_points start."""
 
     x: np.ndarray
     residual: float
@@ -275,27 +274,49 @@ def fixed_point(game: PopulationGame, eta: float, x0) -> FixedPointResult:
                             local_stability(game, x, eta) if converged else None)
 
 
-def _armijo(game: PopulationGame, eta: np.ndarray, X, d, r) -> np.ndarray:
-    """Damped Newton points X + t*d, t = 1, 1/2, ... per slice, at its eta (N,1,1).
+def _points(game: PopulationGame, Z: np.ndarray):
+    """Log-weights Z (N,S,P), -inf off the mask, in their gauge (each population's
+    largest 0, so that exp keeps its digits), and the points m softmax(Z)."""
+    Z = Z - np.maximum.reduce(Z, -2, keepdims=True)
+    e = np.exp(Z)
+    return Z, game.masses * e / np.add.reduce(e, -2, keepdims=True)
 
-    Each trial is clipped so that no entry shrinks by more than 100x, then its
-    columns are rescaled to the masses. A slice takes the first t whose l1
-    residual is at most (1 - 1e-4 t) times r (Armijo); one that finds none
-    down to t = 1e-8 comes back as NaN. All slices left try the same t; a
-    round over all of them (the first, if d is finite) reads a basic slice.
-    """
-    out = np.full_like(X, np.nan)
+
+def _images(game: PopulationGame, C: np.ndarray, eta) -> tuple[np.ndarray, np.ndarray]:
+    """_points of the map images at costs C (N,S,P) and etas (N,1,1): -C/eta, but no
+    log-weight more than 36 (exp(-36) ~ eps) below its population's largest, since
+    Newton in log-weights only halves the log-odds of one that lies deeper."""
+    W = np.where(game.mask, C, np.inf) / eta
+    W = np.minimum(W - np.minimum.reduce(W, -2, keepdims=True), 36.0)
+    return _points(game, np.where(game.mask, -W, -np.inf))
+
+
+def _armijo(game: PopulationGame, eta: np.ndarray, Z, C, A, qs, js):
+    """Damped Newton steps Z + t d in log-weights, A d = -R, as _points; NaN where none is
+    found. R is Z + C/eta (etas (N,1,1)) on the valid pairs centred per population, 0 at
+    a fixed point; A leaves the centring out, which moves d by one constant per population.
+    A slice takes the first t = 1, 1/2, ... down to 1e-8 that cuts |R|_2 by a factor
+    1 - 1e-4 t (Armijo); all slices left try the same t, and a round over all of them
+    (the first, if d is finite) reads a basic slice."""
+    def residuals(Z, C, eta):
+        W = Z + C / eta if game._full_mask else np.where(game.mask, Z + C / eta, 0.0)
+        return (W - np.add.reduce(W, -2, keepdims=True) / np.add.reduce(game.mask, 0))[:, js, qs]
+
+    R, d = residuals(Z, C, eta), np.zeros_like(Z)
+    d[:, js, qs] = _solve(A, -R)
+    r = np.sqrt(np.add.reduce(R * R, 1))
+    out, X = np.full_like(Z, np.nan), np.full_like(Z, np.nan)
     t = 1.0
     todo = np.flatnonzero(np.isfinite(d).all(axis=(1, 2)))
     while len(todo):
-        at = slice(None) if len(todo) == len(X) else todo
-        Y = rescale_to_masses(game, np.maximum(X[at] + t * d[at], X[at] / 100.0))
-        rt = np.abs(softmax_target(game, evaluate_costs(game, Y), eta[at]) - Y).sum((1, 2))
-        good = rt <= (1.0 - 1e-4 * t) * r[at]
-        out[todo[good]] = Y[good]
+        at = slice(None) if len(todo) == len(Z) else todo
+        Y, Xt = _points(game, Z[at] + t * d[at])
+        Rt = residuals(Y, evaluate_costs(game, Xt), eta[at])
+        good = np.sqrt(np.add.reduce(Rt * Rt, 1)) <= (1.0 - 1e-4 * t) * r[at]
+        out[todo[good]], X[todo[good]] = Y[good], Xt[good]
         t *= 0.5
         todo = todo[~good & (t >= 1e-8)]
-    return out
+    return out, X
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,14 +328,14 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
                 np.concatenate([_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(A))]))
 
 
-def _restarts(game: PopulationGame, M: np.ndarray, X: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    """Unstable points X, moved in place halfway to the polytope boundary
-    along v, the eigenvector of M = J - I with the largest real part of
-    eigenvalue, signed by v.(x0 - x); NaN where that is 0 or NaN. Each
-    population's rows of J sum to zero, so v keeps the masses."""
+def _restarts(game: PopulationGame, J: np.ndarray, X: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """Unstable points X, moved in place halfway to the polytope boundary along v,
+    the eigenvector of the logit Jacobian J with the largest real part of eigenvalue,
+    signed by v.(x0 - x); NaN where that is 0 or NaN. Each population's rows of J
+    sum to zero, so v keeps the masses; fixed_points goes on from their map images."""
     qs, js = np.nonzero(game.mask.T)
     x = X[:, js, qs]
-    w, V = np.linalg.eig(M)
+    w, V = np.linalg.eig(J)
     v = np.take_along_axis(V, w.real.argmax(axis=1)[:, None, None], axis=2)[..., 0].real
     v *= np.sign((v * (X0[:, js, qs] - x)).sum(axis=1))[:, None]
     t = np.fmin.reduce(np.divide(x, -v, out=np.full_like(x, np.nan), where=v < 0), axis=1)
@@ -323,72 +344,73 @@ def _restarts(game: PopulationGame, M: np.ndarray, X: np.ndarray, X0: np.ndarray
 
 
 def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
-    """Fixed points from each start of a stack x0s (N, S, P), by one stacked
-    Newton corrector; eta is one value or one per start.
+    """Fixed points from each start of a stack x0s (N, S, P), by one stacked Newton
+    corrector in log-weights z = log(x/m), which have no boundary; eta is one value or
+    one per start.
 
-    Each step makes one _noise_free_parts and _jacobians stack over the live
-    starts, runs _stabilities on those that land (at _tolerance) and solves
-    J - I on those going on; rows of J sum to zero per population, so the
-    step keeps the masses, and _armijo damps and clips it. Where it finds no
-    step, or J - I is singular, a start steps to x + lam (F - x) instead, at
-    damped_iteration's cap lam = min(0.5, 1.5/(1 + rho)), rho the l1 column
-    norm of J. iterations counts steps of either kind. A first unstable
-    landing goes on from its _restarts point; one with no side to restart
-    on, a second one or one at the last step is kept, converged. A start
-    past TOL_BOUND, or out of NEWTON_STEPS, ends unconverged at its last
-    iterate and warns once, in start order. No result depends on its
-    stack-mates, not even in the last bit of its residual.
+    Each start begins at its map image (_images). Each step makes one _noise_free_parts
+    stack over the live starts and runs _jacobians and _stabilities on those that land
+    (at _tolerance); the others take an _armijo step, or go to their map image where
+    it finds none. A first unstable landing goes on from the map image of its _restarts
+    point; one with no side to restart on, a second one or one at the last step is kept,
+    converged. A start past TOL_BOUND, or out of NEWTON_STEPS, ends unconverged at its
+    last point and warns once, in start order. No result depends on its stack-mates,
+    not even in the last bit of its residual.
     """
     X0 = validate_configuration(game, np.array(x0s, dtype=float))
     if X0.ndim != 3:
         raise ConfigurationError(f"x0s has shape {X0.shape}, expected a stack (N, S, P) "
                                  f"of starts with (S, P) = {game.mask.shape}")
-    X, eta = X0.copy(), np.array(eta, dtype=float)   # copies: the stack returned keeps both
-    if eta.ndim > 1 or eta.size not in (1, len(X)):
+    eta = np.array(eta, dtype=float)   # a copy: the stack returned keeps it
+    if eta.ndim > 1 or eta.size not in (1, len(X0)):
         raise ValueError(f"eta must be one value or one per start, got {eta.size} "
-                         f"(shape {eta.shape}) for {len(X)} starts")
-    etas = np.broadcast_to(eta, len(X))[:, None, None]
+                         f"(shape {eta.shape}) for {len(X0)} starts")
+    etas = np.broadcast_to(eta, len(X0))[:, None, None]
+    if not np.all(etas > 0):
+        raise ValueError("eta must be positive")
     qs, js = np.nonzero(game.mask.T)
-    eye = np.eye(len(qs))
+    eye, block = np.eye(len(qs)), qs[:, None] == qs
+    m = np.where(game.masses > 0, game.masses, 1.0)[qs]
     # per start, as of its last step; a start off the stack stays put in X
-    converged, restarted = np.zeros((2, len(X)), dtype=bool)
-    residual, mu, abscissa = np.zeros((3, len(X)))
-    steps = np.zeros(len(X), dtype=int)
-    live = np.arange(len(X))
+    converged, restarted = np.zeros((2, len(X0)), dtype=bool)
+    residual, mu, abscissa = np.zeros((3, len(X0)))
+    steps = np.zeros(len(X0), dtype=int)
+    Z, X = _images(game, evaluate_costs(game, X0), etas)   # log-weights and points
+    live = np.arange(len(X0))
     for step in range(NEWTON_STEPS + 1):
         if not len(live):
             break
         Xl, el = X[live], etas[live]   # gathered once for the whole step
         C, D = _noise_free_parts(game, Xl)
-        J = _jacobians(game, C, D, el)
-        F = softmax_target(game, C, el)
-        G = (F - Xl)[:, js, qs]
         # summed C-contiguous, so each row sums in the order it does alone
-        r = np.abs(np.ascontiguousarray(G)).sum(axis=1)
+        r = np.abs(np.ascontiguousarray((softmax_target(game, C, el) - Xl)[:, js, qs])).sum(axis=1)
         tol = _tolerance(game, C, el[:, 0, 0])
         residual[live], steps[live] = r, step
         done = r <= tol
         converged[live[done]] = True
         if done.any():
-            mu[live[done]], abscissa[live[done]] = _stabilities(J[done])
+            J = _jacobians(game, C[done], D[done], el[done])   # only where it lands
+            mu[live[done]], abscissa[live[done]] = _stabilities(J)
         # first unstable landings restart, unless they have no side (NaN)
         u = done & ~(abscissa[live] < 0.0) & ~restarted[live] & (step < NEWTON_STEPS)
         ks = live[u]
         if len(ks):
-            R = _restarts(game, J[u] - eye, Xl[u], X0[ks])
+            R = _restarts(game, J[u[done]], Xl[u], X0[ks])
             side = ~np.isnan(R).any(axis=(1, 2))
             ks = ks[side]
-            X[ks], restarted[ks], converged[ks] = R[side], True, False
+            Z[ks], X[ks] = _images(game, evaluate_costs(game, R[side]), etas[ks])
+            restarted[ks], converged[ks] = True, False
         # a start past TOL_BOUND (NaN tol) neither lands nor goes on
         go = (r > tol) & (step < NEWTON_STEPS)
         if go.any():
-            d = np.zeros((go.sum(),) + game.mask.shape)
-            d[:, js, qs] = _solve(J[go] - eye, -G[go])
-            X[live[go]] = Y = _armijo(game, el[go], Xl[go], d, r[go])
-            # a NaN row: no step found, so one damped step at damped_iteration's cap
-            for k in np.flatnonzero(go)[np.isnan(Y[:, js[0], qs[0]])].tolist():
-                lam = min(0.5, 1.5 / (1.0 + float(np.abs(J[k]).sum(axis=0).max())))
-                X[live[k]] = Xl[k] + lam * (F[k] - Xl[k])
+            kg, eg = live[go], el[go]
+            # Newton matrices I + D (dx/dz) / eta, dx/dz = x_a (delta_ab - x_b / m) per population
+            x = Xl[go][:, js, qs]
+            A = eye + D[go][:, qs, js] @ (x[:, :, None] * (eye - block * (x / m)[:, None, :])) / eg
+            Z[kg], X[kg] = _armijo(game, eg, Z[kg], C[go], A, qs, js)
+            no = np.isnan(X[kg, 0, 0])   # no step found, or a singular matrix
+            if no.any():
+                Z[kg[no]], X[kg[no]] = _images(game, C[go][no], eg[no])
         live = np.sort(np.concatenate([live[go], ks]))
     mu[~converged] = abscissa[~converged] = np.nan
     for k in np.flatnonzero(~converged).tolist():

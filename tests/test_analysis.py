@@ -235,7 +235,7 @@ def test_scans_name_an_eta_that_is_not_finite_and_positive(scan, grid):
 def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newton_steps):
     # the census counts on the solver's arrays: no FixedPointResult is built,
     # not for the points the census counts, the starts it only reads, nor
-    # the 18 starts a cap of 3 steps stops, and no start calls damped Picard
+    # the 20 starts a cap of 3 steps stops, and no start calls damped Picard
     g, _ = get_scenario("coordination").build_game()
     built, stacks = [], []
     real_result, real_solve = logit.FixedPointResult, analysis.fixed_points
@@ -255,7 +255,7 @@ def test_census_builds_a_result_only_for_each_point_it_counts(monkeypatch, newto
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
     assert not built and not picard
-    assert (~stacks[0].converged).sum() == (0 if newton_steps > 3 else 18)
+    assert (~stacks[0].converged).sum() == (0 if newton_steps > 3 else 20)
     assert 0 < sweep.n_fixed_points.sum() < 5 * 8
 
 
@@ -323,14 +323,15 @@ def test_bifurcation_scan_counts_coordination_fork(rng):
 def test_census_corrector_counts(monkeypatch):
     # exact work of the census on the coordination grid: one fixed_points
     # stack for all 5 etas, its corrector steps (one _noise_free_parts stack
-    # each) and their trial evaluations (one softmax per step for the
-    # residual, the rest Armijo rounds). Three starts land on the unstable
+    # and one softmax, for the landing test, each) and its trial points (one
+    # _points stack for the starts' map images, one for each step's restarts
+    # and the rest Armijo rounds). Three starts land on the unstable
     # symmetric point; each restarts once inside the corrector, and no start
     # calls damped Picard
     g, _ = get_scenario("coordination").build_game()
-    maps, softmaxes, stacks, solves, pushed = [], [], [], [], []
-    real_map, real_softmax, real_parts, real_restarts, real_solves = (
-        logit.logit_map, logit.softmax_target, logit._noise_free_parts,
+    maps, softmaxes, points, stacks, solves, pushed = [], [], [], [], [], []
+    real_map, real_softmax, real_points, real_parts, real_restarts, real_solves = (
+        logit.logit_map, logit.softmax_target, logit._points, logit._noise_free_parts,
         logit._restarts, analysis.fixed_points)
 
     def counted(calls, fn):
@@ -345,6 +346,7 @@ def test_census_corrector_counts(monkeypatch):
 
     monkeypatch.setattr(logit, "logit_map", counted(maps, real_map))
     monkeypatch.setattr(logit, "softmax_target", counted(softmaxes, real_softmax))
+    monkeypatch.setattr(logit, "_points", counted(points, real_points))
     monkeypatch.setattr(logit, "_noise_free_parts", counted(stacks, real_parts))
     monkeypatch.setattr(logit, "_restarts", recorded_restarts)
     picard = count_picard(monkeypatch)
@@ -352,8 +354,7 @@ def test_census_corrector_counts(monkeypatch):
     sweep = gd.bifurcation_scan(g, np.geomspace(1.0, 0.2, 5), multistart=6,
                                 rng=np.random.default_rng(3))
     steps = len(stacks)
-    trials = len(softmaxes) - steps
-    assert (len(solves), steps, trials, len(picard)) == (1, 9, 9, 0)
+    assert (len(solves), steps, len(softmaxes) - steps, len(points), len(picard)) == (1, 9, 0, 20, 0)
     # the restarted starts, by the corrector step at which they landed
     assert pushed == [2, 3, 3]
     assert not maps

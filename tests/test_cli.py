@@ -413,16 +413,23 @@ def test_main_exit_2_past_the_tolerance_bound(tmp_path, capsys, caplog, eta):
 
 def test_bifurcation_exit_2_where_no_solve_is_trusted(tmp_path, capsys):
     # past the tolerance bound every start stops, so a zero count would claim
-    # "no fixed point" where the logit map always has one; the table is kept
+    # "no fixed point" where the logit map always has one; the table is kept.
+    # The 18 zeros are the etas below 2.4e-7: below 5.7e-8 pigou's roundoff
+    # floor passes the bound, and at the two etas above that (2.3e-7, 1.1e-7)
+    # every start lands, at its tolerance of 2.5e-7 or 5.1e-7, but at a
+    # residual of 1.2e-8, above the 1e-8 that counts; each larger eta counts
+    # its one point
     path = scenario_file(tmp_path, "pigou", eta_lo="1e-12")
     out = tmp_path / "out"
     code = cli.main(["bifurcation", "--scenario", str(path), "--out", str(out), "--quiet"])
     assert code == 2
     lines = (out / "bifurcation.csv").read_text().splitlines()[1:]
     zeros = [ln.split(",")[0] for ln in lines if ln.endswith(",0,0")]
-    assert len(lines) == 40 and len(zeros) == 17
+    assert len(lines) == 40 and len(zeros) == 18
+    assert lines[-18:] == [f"{eta},0,0" for eta in zeros]
+    assert float(zeros[0]) < 2.4e-7 < float(lines[-19].split(",")[0])
     err = capsys.readouterr().err
-    assert (f"no solve could be trusted at 17 of 40 etas, the largest "
+    assert (f"no solve could be trusted at 18 of 40 etas, the largest "
             f"eta={float(zeros[0]):g}") in err
 
 
@@ -574,7 +581,7 @@ OVERFLOW_RUNS = [
       for command in ("simulate", "fixed-point", "classify")],
     ("pigou", "e1", "r1", "simulate", 0, ""),
     ("pigou", "e1", "r1", "fixed-point", 2,
-     "numerical failure: fixed-point solve stalled at residual 2.000e+00 (eta=0.25)\n"),
+     "numerical failure: fixed-point solve stalled at residual 4.540e-16 (eta=0.25)\n"),
 ]
 
 
@@ -584,7 +591,10 @@ def test_link_cost_overflow(tmp_path, capsys, name, link, x0, command, code, err
     # a cost of 1e308 per unit overflows at a flow above 1. The route cost
     # A.T @ tau(y) then multiplies inf by 0, which leaves NaN on every route,
     # yet the error names the route through the overflowing link; on pigou the
-    # logit weight exp(-inf) = 0 is right. numpy's warnings stay off stderr
+    # start's map image has r1 as deep as a start goes, 36 log-units below r2,
+    # where r1 still costs 2.3e92: that puts the roundoff floor past the bound,
+    # so the solve stops at its first step, with a residual of 4.5e-16 that it
+    # cannot trust. numpy's warnings stay off stderr
     path = scenario_file(tmp_path, name, x0=f"vertex:{x0}")
     text, n = re.subn(rf"^{link}, all, affine, .*$", f"{link}, all, affine, 1e308, 0",
                       path.read_text(), flags=re.M)

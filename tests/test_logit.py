@@ -390,7 +390,7 @@ def test_fixed_points_match_single_solves(name):
 
 def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
     # with 3 steps every start but the one at the solution (0 steps) stops
-    # short of the 7 to 38 it needs: each comes back unconverged at its last
+    # short of the 8 to 15 it needs: each comes back unconverged at its last
     # iterate, as it does alone, and warns once, by its index, in start order
     g, _ = get_scenario("wheatstone").build_game()
     x_star = gd.fixed_points(g, 0.01, [gd.uniform_configuration(g)])[0].x
@@ -410,10 +410,11 @@ def test_fixed_points_warn_once_per_failed_fallback(caplog, monkeypatch):
         assert_same_result(r, gd.fixed_points(g, 0.01, [x0])[0])
 
 
-@pytest.mark.parametrize("steps, n_unfinished", [(0, 7), (1, 7), (3, 4), (4, 1)])
+@pytest.mark.parametrize("steps, n_unfinished", [(0, 7), (1, 7), (3, 4), (4, 3)])
 def test_fixed_points_respect_the_step_cap(steps, n_unfinished, monkeypatch):
     # the starts that end on no stable point: the uniform one, kept at once on
-    # the unstable symmetric point, and those the cap stops, each at the cap
+    # the unstable symmetric point, those the cap stops, each at the cap, and
+    # one the cap of 3 keeps on the unstable point it lands on at its last step
     g, _ = get_scenario("coordination").build_game()
     rng = np.random.default_rng(5)
     seeds = ([gd.sample_configuration(g, rng) for _ in range(4)]
@@ -425,13 +426,17 @@ def test_fixed_points_respect_the_step_cap(steps, n_unfinished, monkeypatch):
     for x0, r in zip(seeds, many):
         assert r.iterations == steps if not r.converged else r.iterations <= steps
         assert_same_result(r, gd.fixed_points(g, 0.3, [x0])[0])
-    # two stable points coexist at eta = 0.3, and Newton's basins are not
-    # damped Picard's: from the second start (share 0.71 of a1, where the map
-    # is steeper than 1) the corrector crosses the unstable middle to the a2
-    # side at its first step and lands there at its fourth, while Picard goes
-    # to the a1 side
+    # two stable points coexist at eta = 0.3. From the second start (share 0.71
+    # of a1, where the map is steeper than 1) the corrector lands on the
+    # unstable middle at its third step and restarts on its start's side; it
+    # lands on the a1 side at its eighth, where damped Picard goes too
     assert seeds[1][0, 0] > 0.5 and gd.fixed_point(g, 0.3, seeds[1]).x[0, 0] > 0.5
-    assert (many[1].x[0, 0] > 0.5) == (steps == 0)
+    if steps == 3:
+        assert many[1].converged and not many[1].stability.locally_stable
+        assert abs(many[1].x[0, 0] - 0.5) <= 1e-12
+    monkeypatch.setattr(logit, "NEWTON_STEPS", 1000)
+    r = gd.fixed_points(g, 0.3, seeds[1:2])[0]
+    assert r.converged and r.stability.locally_stable and r.iterations == 8 and r.x[0, 0] > 0.5
 
 
 @pytest.mark.parametrize("x0", [
@@ -539,67 +544,21 @@ def test_unstable_landings_restart_on_the_side_of_their_start(eta, monkeypatch):
         assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-8
 
 
-def force_no_newton_step(monkeypatch, etas):
-    """Make _armijo find no step for every start at one of etas, so each of
-    them takes the corrector's fallback, a damped step, at every step."""
-    real = logit._armijo
-
-    def forced(game, eta, X, d, r):
-        out = real(game, eta, X, d, r)
-        out[np.isin(eta[:, 0, 0], etas)] = np.nan
-        return out
-
-    monkeypatch.setattr(logit, "_armijo", forced)
-
-
-def test_fallback_stack_equals_lone_solves(caplog, monkeypatch):
-    # with no Newton step every start goes by damped steps alone; at four
-    # etas they land at different steps, most of them at damped Picard's
-    # own count and all on its point, and a cap of 190 stops the two slowest
-    g, _ = get_scenario("coordination").build_game()
-    rng = np.random.default_rng(5)
-    seeds = ([gd.sample_configuration(g, rng) for _ in range(6)]
-             + [gd.uniform_configuration(g)] + gd.monomorphic_vertices(g))
-    etas = np.resize([0.45, 0.3, 0.8, 0.2], len(seeds))
-    force_no_newton_step(monkeypatch, etas)
-    monkeypatch.setattr(logit, "NEWTON_STEPS", 190)
-    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-        many = corrector_solve(g, etas, seeds)
-    warned = [m for m in caplog.messages if "no convergence" in m]
-    assert [r.iterations for r in many] == [185, 53, 106, 36, 190, 62, 0, 30, 190]
-    assert [m.split(",")[0] for m in warned] == ["fixed_points: start 4", "fixed_points: start 8"]
-    assert [r.converged for r in many] == [True] * 4 + [False] + [True] * 3 + [False]
-    for k, (eta, x0, r) in enumerate(zip(etas, seeds, many)):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
-            assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
-        # alone, a stopped start warns as it does in the stack, as start 0
-        assert [m.replace("start 0,", f"start {k},") for m in caplog.messages] == \
-            [m for m in warned if m.startswith(f"fixed_points: start {k},")]
-        if r.converged:
-            assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-9
-
-
-@pytest.mark.parametrize("cap", [10 ** 5, 20])
-def test_fallback_stack_equals_fixed_point_on_a_wide_game(cap, monkeypatch):
-    # with no Newton step every start goes by damped steps alone; a
-    # configuration of the generated game holds 18 entries, and at two etas
-    # each start must give its lone solve bit for bit, zero-mass population
-    # and masked entry included, and land within 1e-9 of fixed_point's point,
-    # both under a cap that never binds (the slowest takes 406 steps) and
-    # stopped by one of 20 steps
+def test_wide_game_stack_equals_lone_solves():
+    # a configuration of the generated game holds 18 entries; at two etas each
+    # start lands, gives its lone solve bit for bit, keeps the zero-mass
+    # population and the masked entry at 0, and lands within 1e-9 of damped
+    # Picard's point
     g = wide_game()
     rng = np.random.default_rng(9)
     seeds = [gd.sample_configuration(g, rng) for _ in range(7)] + [gd.uniform_configuration(g)]
     etas = np.resize([0.5, 0.05], len(seeds))
-    force_no_newton_step(monkeypatch, etas)
-    monkeypatch.setattr(logit, "NEWTON_STEPS", cap)
     many = corrector_solve(g, etas, seeds)
-    assert all(r.converged == (cap > 20) for r in many)
     for eta, x0, r in zip(etas, seeds, many):
+        assert r.converged and r.stability.locally_stable
         assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
-        if r.converged:
-            assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-9
+        assert not r.x[:, 1].any() and r.x[5, 2] == 0.0
+        assert float(np.abs(r.x - gd.fixed_point(g, eta, x0).x).sum()) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -626,35 +585,41 @@ def test_fixed_points_match_single_solves_on_small_games(game, eta, seed):
 
 
 def force_singular(monkeypatch, eta_bad):
-    """Make J = I, so J - I is singular, in every _jacobians slice at eta_bad."""
-    real = logit._jacobians
+    """Make every Newton matrix that _armijo gets at eta_bad 0, so it is singular."""
+    real = logit._armijo
 
-    def forced(game, c, D, eta):
-        J = real(game, c, D, eta)
-        J[np.broadcast_to(np.equal(eta, eta_bad), (len(J), 1, 1))[:, 0, 0]] = np.eye(J.shape[-1])
-        return J
+    def forced(game, eta, Z, C, A, *pairs):
+        A = np.where(np.equal(eta, eta_bad), 0.0, A)
+        return real(game, eta, Z, C, A, *pairs)
 
-    monkeypatch.setattr(logit, "_jacobians", forced)
+    monkeypatch.setattr(logit, "_armijo", forced)
 
 
-def test_fixed_points_keep_each_start_independent_of_a_singular_slice(monkeypatch):
-    # the starts at eta 0.37 meet a singular J - I at every step and take a
-    # damped step each time, at the cap 0.5 of J = I, which lands none of them
-    # within 60 steps; their stack-mates at other etas go on with Newton
+def test_fixed_points_keep_each_start_independent_of_a_singular_slice(caplog, monkeypatch):
+    # the starts at eta 0.37 meet a singular Newton matrix at every step, so
+    # each steps to its map image instead: there undamped Picard, which on
+    # wheatstone at 0.37 cycles with the whole mass of p1 moving, so each stops
+    # at the step cap, unconverged, and warns once; their stack-mates at other
+    # etas land stable as they do alone and as they do with no singular slice
+    # among them
     g, _ = get_scenario("wheatstone").build_game()
     rng = np.random.default_rng(7)
     seeds = [gd.sample_configuration(g, rng) for _ in range(6)] + gd.monomorphic_vertices(g)
     etas = np.resize([1.0, 0.37, 0.3, 2.0], len(seeds))
+    free = gd.fixed_points(g, etas, seeds)
     force_singular(monkeypatch, 0.37)
-    monkeypatch.setattr(logit, "NEWTON_STEPS", 60)
-    many = corrector_solve(g, etas, seeds)
+    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+        many = corrector_solve(g, etas, seeds)
     assert [r.eta for r in many if not r.converged] == [0.37] * 4 == list(etas[etas == 0.37])
-    for eta, x0, r in zip(etas, seeds, many):
+    assert [m.split(",")[0] for m in caplog.messages] == [
+        f"fixed_points: start {k}" for k in np.flatnonzero(etas == 0.37)]
+    for eta, x0, r, alone in zip(etas, seeds, many, free):
         assert r.eta == eta
         assert_same_result(r, gd.fixed_points(g, eta, [x0])[0])
         if eta == 0.37:
-            assert r.iterations == 60 and not np.array_equal(r.x, x0)
+            assert r.iterations == logit.NEWTON_STEPS and r.residual > 1e-3
         else:
+            assert_same_result(r, alone)
             assert r.iterations <= 8 and r.stability.locally_stable
 
 

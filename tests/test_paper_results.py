@@ -5,11 +5,15 @@ one stable logit equilibrium of a stable game at every noise level and the
 stable logit equilibrium near each strict Nash vertex at low noise.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import root
 
 import gamedyn as gd
+from gamedyn import analysis, logit
 
 from conftest import ALL_SCENARIOS, CallableCostField, get_scenario
 
@@ -157,18 +161,87 @@ def affine_game(masses, M, b):
                                 masses=masses))
 
 
+def census_with_stack(game, etas, rng):
+    """bifurcation_scan(game, etas, multistart=4, rng=rng), and the fixed_points
+    stack it counted on."""
+    stacks, real = [], analysis.fixed_points
+
+    def recorded(*args):
+        stacks.append(real(*args))
+        return stacks[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(analysis, "fixed_points", recorded)
+        sweep = gd.bifurcation_scan(game, etas, multistart=4, rng=rng)
+    return sweep, stacks[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(stable_game(), st.integers(0, 2 ** 32 - 1))
 def test_stable_games_have_one_stable_equilibrium_at_every_noise_level(game, seed):
     """The logit equilibrium of a stable game is unique and globally stable
-    at every eta (Hofbauer and Sandholm 2009): at 12 etas from 2 down to
-    1e-3 the census counts one fixed point, and it is stable. The count
-    reads the starts that land; one that meets the corrector's step cap
-    first is left out of it."""
-    sweep = gd.bifurcation_scan(game, np.geomspace(2.0, 1e-3, 12), multistart=4,
-                                rng=np.random.default_rng(seed))
-    assert sweep.n_fixed_points.tolist() == [1] * 12
-    assert sweep.n_stable.tolist() == [1] * 12
+    at every eta (Hofbauer and Sandholm 2009): at 14 etas from 2 down to
+    1e-4 every start of the census lands, and the census counts one fixed
+    point, which is stable."""
+    sweep, stack = census_with_stack(game, np.geomspace(2.0, 1e-4, 14),
+                                     np.random.default_rng(seed))
+    assert stack.converged.all()
+    assert sweep.n_fixed_points.tolist() == [1] * 14
+    assert sweep.n_stable.tolist() == [1] * 14
+
+
+def drawn_stable_game(k: int):
+    """Stable game k, drawn as stable_game draws one, from one
+    numpy.random.default_rng([2026, k]): S = integers(2, 5), P = integers(1, 3),
+    the P masses U(0.2, 2), A and K as one standard normal (2, n, n) draw,
+    s = 10^U(-1, 1) and b U(0, 3). Returns the game and the generator, which
+    its census goes on with."""
+    rng = np.random.default_rng([2026, k])
+    S, P = rng.integers(2, 5), rng.integers(1, 3)
+    masses = rng.uniform(0.2, 2.0, P)
+    A, K = rng.standard_normal((2, S * P, S * P))
+    M = 10.0 ** rng.uniform(-1.0, 1.0) * A @ A.T / (S * P) + K - K.T
+    return affine_game(masses, M, rng.uniform(0.0, 3.0, S * P)), rng
+
+
+@pytest.mark.parametrize("k", [23, 156, 199, 223, 319, 321, 356])
+def test_census_lands_every_start_on_the_stall_games(k):
+    """The seven drawn stable games (of k = 0...399) on which a corrector that
+    stepped in x, clipped at x/100, stopped 106 census starts at its 1000-step
+    cap, all at eta <= 0.0317: every start of the census down to 1e-3 lands,
+    and each eta counts one stable point."""
+    game, rng = drawn_stable_game(k)
+    sweep, stack = census_with_stack(game, np.geomspace(2.0, 1e-3, 12), rng)
+    assert stack.converged.all()
+    assert sweep.n_fixed_points.tolist() == sweep.n_stable.tolist() == [1] * 12
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 7])
+def test_corrector_points_are_scipy_roots(k):
+    """An independent oracle: scipy's hybr root of the log-weight equations
+    z_ip + c_ip(x)/eta = z_0p + c_0p(x)/eta, with z_0p = 0 and
+    x = m softmax(z), from z = 0 at eta = 0.1 and warm down to 1e-3, lies
+    within 1e-8 (l1) of the corrector's point from the uniform start."""
+    game, _ = drawn_stable_game(k)
+    S, P = game.mask.shape
+
+    def point(u):
+        z = np.vstack([np.zeros((1, P)), u.reshape(S - 1, P)])
+        e = np.exp(z - z.max(axis=0))
+        return game.masses * e / e.sum(axis=0), z
+
+    u = np.zeros((S - 1) * P)
+    for eta in (0.1, 0.01, 1e-3):
+        def equations(u):
+            x, z = point(u)
+            w = z + gd.evaluate_costs(game, x) / eta
+            return (w[1:] - w[0]).ravel()
+
+        u = root(equations, u, method="hybr", options={"xtol": 1e-13}).x
+        x = point(u)[0]
+        assert float(np.abs(gd.logit_map(game, x, eta) - x).sum()) <= 1e-9
+        r = gd.fixed_points(game, eta, [gd.uniform_configuration(game)])[0]
+        assert r.converged and float(np.abs(r.x - x).sum()) <= 1e-8
 
 
 @st.composite
@@ -221,3 +294,34 @@ def test_strict_nash_vertices_are_stable_logit_equilibria_at_low_noise(drawn):
                 r = gd.fixed_points(game, eta, [e])[0]
                 assert r.converged and r.stability.locally_stable
                 assert float(np.abs(r.x - e).sum()) <= bound
+
+
+def drawn_general_game(k: int):
+    """General game k, drawn as affine_cost_game draws one, from one
+    numpy.random.default_rng([2026, k]): S = integers(2, 5), P = integers(1, 3),
+    the P masses U(0.2, 2), M standard normal (n, n) and b U(0, 3). Returns the
+    game and the generator, which its census goes on with."""
+    rng = np.random.default_rng([2026, k])
+    S, P = rng.integers(2, 5), rng.integers(1, 3)
+    masses = rng.uniform(0.2, 2.0, P)
+    M = rng.standard_normal((S * P, S * P))
+    return affine_game(masses, M, rng.uniform(0.0, 3.0, S * P)), rng
+
+
+def test_corrector_stops_past_a_fold_with_one_warning(caplog):
+    """Game drawn_general_game(1241): the vertex with both populations on a3
+    is strict with gap alpha = 0.00255, and at eta = alpha/10 a fold has
+    removed the fixed point near it (see
+    test_strict_nash_vertices_are_stable_logit_equilibria_at_low_noise). From
+    that vertex the corrector does not land: where its line search finds no
+    step it steps to the map image, and it stops at the step cap, unconverged,
+    with one warning."""
+    game, _ = drawn_general_game(1241)
+    e = gd.vertex_configuration(game, ["a3"] * 2)
+    alpha = gd.classify_equilibrium(game, e).cost_gap_alpha
+    assert game.mask.shape == (4, 2) and alpha == pytest.approx(0.00255, abs=1e-5)
+    with caplog.at_level(logging.WARNING, logger="gamedyn.logit"):
+        r = gd.fixed_points(game, alpha / 10, [e])[0]
+    assert not r.converged and r.iterations == logit.NEWTON_STEPS == 1000
+    assert [m.split(" (")[0] for m in caplog.messages] == [
+        "fixed_points: start 0, no convergence after 1000 steps"]
