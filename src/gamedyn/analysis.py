@@ -24,7 +24,7 @@ from .dynamics import Trajectory
 
 log = logging.getLogger(__name__)
 
-# l1 distance at or below which two fixed points (or branches, pointwise) are one
+# l1 at or below which two fixed points (or branches, pointwise) are one, in every caller
 SAME_POINT_L1 = 1e-5
 # uphill step of V + eta * entropy that lyapunov_check forgives, per unit of 1 + |V|
 LYAPUNOV_TOL = 1e-8
@@ -63,12 +63,12 @@ def continuation_sweep(game: PopulationGame, eta_grid, seeds) -> list[Equilibriu
 
     Each grid point is one fixed_point solve from a warm start, the secant
     prediction from the last two points. When the solver lands on a locally
-    unstable point, a retry pulled 1e-3 of the way toward the seed decides
-    whether this branch actually forks off (pitchforks leave the symmetric
-    point unstable; an exactly symmetric iterate would never leave it).
-    Branches identical along the whole grid (within SAME_POINT_L1 pointwise)
-    are merged. A seed that fails at the first eta gives no branch, so the
-    list is empty when every seed fails there.
+    unstable point, a retry pulled 1e-3 of the way toward the seed is taken
+    where it converges more than SAME_POINT_L1 away: the branch forks off there
+    (pitchforks leave the symmetric point unstable; an exactly symmetric
+    iterate would never leave it). Branches identical along the whole grid
+    (within SAME_POINT_L1 pointwise) are merged. A seed that fails at the
+    first eta gives no branch, so the list is empty when every seed fails there.
     """
     grid = _check_grid(eta_grid)
     curves = [_trace_branch(game, grid, seed, si) for si, seed in enumerate(seeds)]
@@ -99,7 +99,7 @@ def _trace_branch(game: PopulationGame, grid, seed,
             # the symmetric point, so probe once from 1e-3 of the way to the seed
             x_n = _project_configuration(game, 0.999 * x_init + 1e-3 * seed)
             r2 = fixed_point(game, eta, x_n)
-            if r2.converged and float(np.abs(r2.x - r.x).sum()) > 1e-6:
+            if r2.converged and float(np.abs(r2.x - r.x).sum()) > SAME_POINT_L1:
                 r = r2
         if not r.converged:
             log.warning("continuation seed %d: solver stalled at eta=%g "
@@ -142,8 +142,8 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
                      rng: np.random.Generator | None = None) -> NoiseSweep:
     """Count distinct (stable) fixed points at each eta on a decreasing grid.
 
-    A solve counts at an l1 residual <= 1e-8; per eta, the first counted start
-    not yet matched is a new point and matches every start within
+    A start counts where fixed_points converged it; per eta, the first counted
+    start not yet matched is a new point and matches every start within
     SAME_POINT_L1 of it. All starts, drawn eta by eta, are one fixed_points
     call (Newton in log-weights, restarting unstable landings; a start that
     finds no step goes on from its map image), one eta per start; the count
@@ -160,7 +160,7 @@ def bifurcation_scan(game: PopulationGame, eta_grid, multistart: int = 8,
     # all etas in lockstep: each round finds the next point of every eta that
     # has an unmatched counted start, with one l1 distance over its m starts
     X = stack.x.reshape(len(etas), m, -1)
-    todo = (stack.converged & (stack.residual <= 1e-8)).reshape(len(etas), m)
+    todo = stack.converged.reshape(len(etas), m).copy()
     counted = np.zeros_like(todo)
     while todo.any():
         ks = np.flatnonzero(todo.any(axis=1))

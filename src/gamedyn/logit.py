@@ -418,7 +418,10 @@ def fixed_points(game: PopulationGame, eta, x0s) -> FixedPointStack:
                     "%.3e, roundoff floor=%.3e, bound=%.3e)", k, steps[k], etas[k, 0, 0],
                     residual[k], residual_floor(game, evaluate_costs(game, X[k]), etas[k, 0, 0]),
                     TOL_BOUND * max(1.0, game.total_mass()))
-    return FixedPointStack(X, residual, steps, converged, etas[:, 0, 0], mu, abscissa)
+    out = X, residual, steps, converged, etas[:, 0, 0], mu, abscissa
+    for a in out:
+        a.setflags(write=False)
+    return FixedPointStack(*out)
 
 
 def _margin_of(game: PopulationGame, rng: np.random.Generator | None):

@@ -29,12 +29,12 @@ def get_scenario(name: str) -> gd.Scenario:
 
 
 def census_rule(results):
-    """The census's same-point rule as a generator over starts: a counted
-    start is a new point unless within SAME_POINT_L1 of a point already found."""
+    """The census's same-point rule as a generator over starts: a converged
+    start, whatever its residual, is a new point unless within SAME_POINT_L1
+    of a point already found."""
     found = []
     for r in results:
-        if (r.converged and r.residual <= 1e-8
-                and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found)):
+        if r.converged and all(np.abs(r.x - f.x).sum() > SAME_POINT_L1 for f in found):
             found.append(r)
     return found
 

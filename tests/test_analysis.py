@@ -131,6 +131,32 @@ def test_continuation_warm_start_counts(monkeypatch, name, solves, iterations, b
     assert len(curves) == branches
 
 
+@pytest.mark.parametrize("off, taken", [(5e-6, False), (2e-5, True)])
+def test_nudge_retry_is_a_new_point_only_past_same_point_l1(monkeypatch, off, taken):
+    # the retry after the first unstable landing comes back converged `off`
+    # (l1) from that landing: the branch takes it only past SAME_POINT_L1,
+    # the one rule by which two fixed points are the same
+    g, _ = get_scenario("coordination").build_game()
+    real, calls, landing = analysis.fixed_point, [], []
+
+    def solve(game, eta, x0):
+        calls.append(eta)
+        if landing and len(calls) == landing[0] + 1:
+            r = landing[1]
+            return dataclasses.replace(r, x=r.x + np.array([[off / 2], [-off / 2]]))
+        r = real(game, eta, x0)
+        if not landing and r.converged and not r.stability.locally_stable:
+            landing.extend([len(calls), r])
+        return r
+
+    monkeypatch.setattr(analysis, "fixed_point", solve)
+    [c] = gd.continuation_sweep(g, np.geomspace(1.0, 0.2, 6), [gd.uniform_configuration(g)])
+    k = int(np.flatnonzero(c.etas == landing[1].eta)[0])
+    assert len(calls) > landing[0] + 1 and calls[landing[0]] == landing[1].eta
+    kept = c.points[k] - landing[1].x
+    assert np.abs(kept).sum() == pytest.approx(off if taken else 0.0, abs=1e-12)
+
+
 def test_a_zero_mass_column_stays_zero_down_the_sweep(monkeypatch):
     # wide_game's p2 has zero mass; every secant prediction is rescaled onto
     # the masses, and p2's column comes out zero at every grid point
@@ -364,8 +390,8 @@ def test_census_corrector_counts(monkeypatch):
 # each start of a drawn census stack: a fresh point (about half its entries
 # 0), or an earlier start of its eta moved by an l1 step a few ulps below, at
 # or above SAME_POINT_L1, in one entry (one that was 0 moves by the step
-# exactly) or split over two; with a residual on either side of the 1e-8 that
-# counts
+# exactly) or split over two; with residuals from 0 to 1, since a converged
+# start counts whatever its residual
 START_KINDS = st.tuples(
     st.sampled_from(["fresh", "near", "near", "split"]),
     st.integers(-4, 4),

@@ -414,22 +414,23 @@ def test_main_exit_2_past_the_tolerance_bound(tmp_path, capsys, caplog, eta):
 def test_bifurcation_exit_2_where_no_solve_is_trusted(tmp_path, capsys):
     # past the tolerance bound every start stops, so a zero count would claim
     # "no fixed point" where the logit map always has one; the table is kept.
-    # The 18 zeros are the etas below 2.4e-7: below 5.7e-8 pigou's roundoff
-    # floor passes the bound, and at the two etas above that (2.3e-7, 1.1e-7)
-    # every start lands, at its tolerance of 2.5e-7 or 5.1e-7, but at a
-    # residual of 1.2e-8, above the 1e-8 that counts; each larger eta counts
-    # its one point
+    # The 16 zeros are the etas below 5.7e-8, where pigou's roundoff floor
+    # passes the bound. Each larger eta counts its one point, the census
+    # counting every start that fixed_points converged: at the two just above
+    # (2.3e-7, 1.1e-7) the starts land within their tolerance of 2.5e-7 or
+    # 5.1e-7, at residuals of 1.2e-8 or more
     path = scenario_file(tmp_path, "pigou", eta_lo="1e-12")
     out = tmp_path / "out"
     code = cli.main(["bifurcation", "--scenario", str(path), "--out", str(out), "--quiet"])
     assert code == 2
     lines = (out / "bifurcation.csv").read_text().splitlines()[1:]
     zeros = [ln.split(",")[0] for ln in lines if ln.endswith(",0,0")]
-    assert len(lines) == 40 and len(zeros) == 18
-    assert lines[-18:] == [f"{eta},0,0" for eta in zeros]
-    assert float(zeros[0]) < 2.4e-7 < float(lines[-19].split(",")[0])
+    assert len(lines) == 40 and len(zeros) == 16
+    assert lines[-16:] == [f"{eta},0,0" for eta in zeros]
+    assert all(ln.endswith(",1,1") for ln in lines[:-16])
+    assert float(zeros[0]) < 5.7e-8 and float(lines[-17].split(",")[0]) > 1.1e-7
     err = capsys.readouterr().err
-    assert (f"no solve could be trusted at 18 of 40 etas, the largest "
+    assert (f"no solve could be trusted at 16 of 40 etas, the largest "
             f"eta={float(zeros[0]):g}") in err
 
 

@@ -352,6 +352,22 @@ def test_fixed_point_stack_takes_integer_indices_only():
         stack[2]
 
 
+def test_fixed_point_stack_is_read_only():
+    # a caller that reshapes a field gets a view, and writing into it must
+    # not silently rewrite the stack
+    g, _ = get_scenario("coordination").build_game()
+    u = gd.uniform_configuration(g)
+    stack = gd.fixed_points(g, [0.45, 0.6], [u, u])
+    for name in ("x", "residual", "iterations", "converged", "eta", "l1_log_norm",
+                 "spectral_abscissa"):
+        assert not getattr(stack, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        stack.converged.reshape(1, 2)[0, 0] = False
+    with pytest.raises(ValueError, match="read-only"):
+        stack.x[0, 0, 0] = 1.0
+    assert stack.converged.all() and stack[0].x[0, 0] == 0.5
+
+
 def corrector_solve(game, eta, x0s):
     """fixed_points(game, eta, x0s), checked to call no damped Picard: the
     corrector finishes every start itself."""
