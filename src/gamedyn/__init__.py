@@ -1,7 +1,6 @@
 """Population games, noisy best-response dynamics, and routing on multigraphs."""
 
 from .game import (
-    AggregateCostField,
     CapabilityError,
     ConfigurationError,
     CostEvalError,
@@ -51,6 +50,7 @@ from .routing import (
     Multigraph,
     RouteError,
     RouteSet,
+    RoutingCostField,
     RoutingGame,
     TopologyClass,
     build_routing_game,

@@ -219,34 +219,11 @@ class CostField:
     The contract is ``__call__``, ``jacobian`` and ``per_action_aggregate``.
     The last marks fields whose costs depend on the configuration only
     through the per-action total mass w, entrywise (cost of action i is a
-    function of w_i alone).
+    function of w_i alone). Curve games use ``routing.RoutingCostField``,
+    which sets it from its incidence; this default serves custom fields.
     """
 
     per_action_aggregate = False
-
-
-class AggregateCostField(CostField):
-    """Costs c_ip = f_ip(w_i) given by one scalar curve per valid entry."""
-
-    per_action_aggregate = True
-
-    def __init__(self, fns):
-        self.curves = CurveGrid([[f if f is not None else ScalarFn.constant(0.0)
-                                  for f in row] for row in fns])
-
-    def __call__(self, x):
-        return self.curves(np.add.reduce(x, -1))
-
-    def flows(self, x):
-        """(actions, populations) flow of each population through each curve row."""
-        return np.asarray(x, dtype=float)
-
-    def jacobian(self, x):
-        slopes = self.curves.slopes(np.asarray(x, dtype=float).sum(axis=-1))
-        D = np.zeros(slopes.shape + slopes.shape[-2:])
-        for i in range(slopes.shape[-2]):
-            D[..., i, :, i, :] = slopes[..., i, :, None]  # d c_ip / d x_iq for every q
-        return D
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +306,9 @@ class PopulationGame:
 def evaluate_costs(game: PopulationGame, x: np.ndarray) -> np.ndarray:
     """Cost matrix at x, or the stack (..., S, P) of them at a stack of
     configurations; raises CostEvalError naming the first infinite entry, or
-    else the first NaN (an infinite link cost times a zero incidence leaves
-    NaN on every route of its population)."""
+    else the first NaN (where the incidence is not the identity, an infinite
+    link cost times a zero incidence leaves NaN on every route of its
+    population)."""
     x = np.asarray(x, dtype=float)
     c = np.asarray(game.costs(x), dtype=float)
     shape = x.shape[:-2] + game.mask.shape

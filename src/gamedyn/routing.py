@@ -184,28 +184,40 @@ class LinkCostMatrix(CurveGrid):
 class RoutingCostField(CostField):
     """Route costs c = A^T tau(A x 1) with analytic partials.
 
-    Carries the per-action aggregate capability exactly when no link lies on
-    two routes (each link flow then equals its route's total), the test
-    classify_topology uses for "parallel".
+    An explicit game is the identity incidence, one link per action, which
+    skips both products. Carries the per-action aggregate capability exactly
+    when no link lies on two routes (each link flow then equals its route's
+    total), the test classify_topology uses for "parallel".
     """
 
-    def __init__(self, incidence: np.ndarray, curves: LinkCostMatrix):
+    def __init__(self, incidence: np.ndarray, curves: CurveGrid):
         self.A = np.asarray(incidence, dtype=float)
+        if len(curves.fns) != len(self.A):
+            raise ValueError(f"curve grid has {len(curves.fns)} rows for {len(self.A)} links")
         self.curves = curves
         self.per_action_aggregate = bool(self.A.sum(axis=1).max() <= 1)
+        self._identity = np.array_equal(self.A, np.eye(self.A.shape[1]))
 
     def __call__(self, x):
+        w = np.add.reduce(x, -1)
+        if self._identity:
+            return self.curves(w)
         # a column per configuration, so a stack makes the same BLAS call per slice
-        y = (self.A @ np.add.reduce(x, -1)[..., None])[..., 0]
-        return self.A.T @ self.curves(y)
+        return self.A.T @ self.curves((self.A @ w[..., None])[..., 0])
 
     def flows(self, x):
         """(links, populations) flow of each population through each link."""
         return self.A @ np.asarray(x, dtype=float)
 
     def jacobian(self, x):
-        y = (self.A @ np.asarray(x, dtype=float).sum(axis=-1)[..., None])[..., 0]
-        T = self.curves.slopes(y)  # (..., E, P)
+        w = np.asarray(x, dtype=float).sum(axis=-1)
+        if self._identity:
+            slopes = self.curves.slopes(w)
+            D = np.zeros(slopes.shape + slopes.shape[-2:])
+            for i in range(slopes.shape[-2]):
+                D[..., i, :, i, :] = slopes[..., i, :, None]  # d c_ip / d x_iq for every q
+            return D
+        T = self.curves.slopes((self.A @ w[..., None])[..., 0])  # (..., E, P)
         core = np.einsum("ei,ej,...ep->...ipj", self.A, self.A, T)
         # d c_ip / d x_jq does not depend on q: a read-only view, not a copy
         return np.broadcast_to(core[..., None], core.shape + (core.shape[-2],))

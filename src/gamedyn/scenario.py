@@ -30,13 +30,13 @@ import numpy as np
 
 from .game import (
     PopulationGame,
-    AggregateCostField,
+    CurveGrid,
     ScalarFn,
     uniform_configuration,
     vertex_configuration,
     sample_configuration,
 )
-from .routing import Multigraph, LinkCostMatrix, RoutingGame, build_routing_game
+from .routing import Multigraph, LinkCostMatrix, RoutingCostField, RoutingGame, build_routing_game
 
 
 class ScenarioError(ValueError):
@@ -320,7 +320,7 @@ class Scenario:
         try:
             return PopulationGame(populations=pops, masses=masses,
                                   actions=tuple(actions), mask=mask,
-                                  costs=AggregateCostField(grid))
+                                  costs=RoutingCostField(np.eye(len(actions)), CurveGrid(grid)))
         except ValueError as e:
             raise ScenarioError(f"{self.path}: {e}") from None
 

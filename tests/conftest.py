@@ -56,6 +56,12 @@ def rng():
     return np.random.default_rng(20260825)
 
 
+def explicit_costs(grid) -> gd.RoutingCostField:
+    """An explicit game's cost field as the scenario loader builds it: the
+    curve grid on the identity incidence, one link per action."""
+    return gd.RoutingCostField(np.eye(len(grid)), gd.CurveGrid(grid))
+
+
 def wide_game() -> gd.PopulationGame:
     """A generated game wider than any bundled one: 6 actions and 3
     populations, the second of zero mass, with entry (a6, p3) masked. A
@@ -65,11 +71,11 @@ def wide_game() -> gd.PopulationGame:
     rng = np.random.default_rng(2027)
     mask = np.ones((6, 3), dtype=bool)
     mask[5, 2] = False
-    grid = [[gd.ScalarFn.affine(*rng.uniform(0.2, 2.0, 2)) if mask[i, p] else None
-             for p in range(3)] for i in range(6)]
+    grid = [[gd.ScalarFn.affine(*rng.uniform(0.2, 2.0, 2)) if mask[i, p]
+             else gd.ScalarFn.constant(0.0) for p in range(3)] for i in range(6)]
     return gd.PopulationGame(populations=("p1", "p2", "p3"), masses=np.array([1.0, 0.0, 2.0]),
                              actions=tuple(f"a{i + 1}" for i in range(6)), mask=mask,
-                             costs=gd.AggregateCostField(grid))
+                             costs=explicit_costs(grid))
 
 
 @st.composite
@@ -89,19 +95,17 @@ def small_potential_game(draw):
     for i in range(S):
         f = gd.ScalarFn.affine(draw(st.floats(0.0, 3.0, **number)),
                                draw(st.floats(-1.0, 2.0, **number)))
-        grid.append([f.shifted(draw(st.floats(-1.0, 1.0, **number))) if mask[i, p] else None
-                     for p in range(P)])
+        grid.append([f.shifted(draw(st.floats(-1.0, 1.0, **number))) if mask[i, p]
+                     else gd.ScalarFn.constant(0.0) for p in range(P)])
     return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
                              actions=[f"a{i}" for i in range(S)], mask=mask,
-                             costs=gd.AggregateCostField(grid))
+                             costs=explicit_costs(grid))
 
 
 def note_game(game):
     """Report a drawn explicit game with a failing example, in a form that
     rebuilds it (the game's own repr names no curve)."""
-    curves = [[f if on else None for f, on in zip(row, mask_row)]
-              for row, mask_row in zip(game.costs.curves.fns, game.mask)]
-    note(f"curves={curves!r}")
+    note(f"curves={game.costs.curves.fns!r}")
     note(f"mask={game.mask.tolist()!r}")
     note(f"masses={game.masses.tolist()!r}")
 

@@ -583,15 +583,20 @@ OVERFLOW_RUNS = [
     ("pigou", "e1", "r1", "simulate", 0, ""),
     ("pigou", "e1", "r1", "fixed-point", 2,
      "numerical failure: fixed-point solve stalled at residual 4.540e-16 (eta=0.25)\n"),
+    *[("wheatstone", "e4", "r2", command, 2,
+       "numerical failure: non-finite cost for action 'r2', population 'p1'\n")
+      for command in ("simulate", "fixed-point", "classify")],
 ]
 
 
 @pytest.mark.parametrize("name, link, x0, command, code, err", OVERFLOW_RUNS,
                          ids=[f"{run[0]}-{run[3]}" for run in OVERFLOW_RUNS])
 def test_link_cost_overflow(tmp_path, capsys, name, link, x0, command, code, err):
-    # a cost of 1e308 per unit overflows at a flow above 1. The route cost
-    # A.T @ tau(y) then multiplies inf by 0, which leaves NaN on every route,
-    # yet the error names the route through the overflowing link; on pigou the
+    # a cost of 1e308 per unit overflows at a flow above 1. Where the
+    # incidence is not the identity (wheatstone), the route cost A.T @ tau(y)
+    # then multiplies inf by 0, which leaves NaN on every other route, r1
+    # among them, yet the error names r2, the route through the overflowing
+    # link; a parallel network skips that product and makes no NaN. On pigou the
     # start's map image has r1 as deep as a start goes, 36 log-units below r2,
     # where r1 still costs 2.3e92: that puts the roundoff floor past the bound,
     # so the solve stops at its first step, with a residual of 4.5e-16 that it
@@ -669,6 +674,19 @@ def test_import_loads_only_numpy_outside_the_stdlib():
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['numpy']"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps package functions and methods by name, so a
+    # renamed one fails here instead of dropping out of `--trace 1`. It runs
+    # in a fresh interpreter, so this test session stays unwrapped
+    src = str(Path(gd.__file__).resolve().parents[1])
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([perfbench, src])))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -11,7 +11,8 @@ import gamedyn as gd
 from gamedyn import dynamics, logit
 from gamedyn.logit import softmax_target
 
-from conftest import ALL_SCENARIOS, get_scenario, note_game, small_potential_game, wide_game
+from conftest import (ALL_SCENARIOS, explicit_costs, get_scenario, note_game,
+                      small_potential_game, wide_game)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +223,16 @@ def test_reduced_system_capability_gates():
 @pytest.mark.parametrize("name", ["constant", "coordination", "pigou", "parallel3",
                                   "homogeneous", "tolls"])
 def test_reduced_target_is_the_softmax_of_the_aggregate_costs(name):
-    # the aggregate costs by their own formulas, curves(w) per action or
-    # A^T tau(A w) over routes, against the logit map at the lifted w
+    # the aggregate costs by their own formula, A^T tau(A w) over links (one
+    # link per action in an explicit game), against the logit map at the lifted w
     g, _ = get_scenario(name).build_game()
-    A = getattr(g.costs, "A", None)
+    A = g.costs.A
     rng = np.random.default_rng(3)
     for eta in (0.05, 0.5, 3.0):
         sys = gd.ReducedSystem(g, eta)
         for _ in range(100):
             w = rng.uniform(0.0, 1.5 * g.total_mass(), g.n_actions)
-            c = g.costs.curves(w) if A is None else A.T @ g.costs.curves(A @ w)
+            c = A.T @ g.costs.curves(A @ w)
             assert np.array_equal(sys.target(w), softmax_target(g, c, eta))
 
 
@@ -240,8 +241,8 @@ def test_reduced_solves_name_an_infinite_cost():
     # non-finite entry as the full-state solver does
     g = gd.PopulationGame(populations=("p1",), masses=np.array([2.0]), actions=("a1", "a2"),
                           mask=np.ones((2, 1), dtype=bool),
-                          costs=gd.AggregateCostField([[gd.ScalarFn.affine(1e308, 0.0)],
-                                                       [gd.ScalarFn.affine(1.0, 0.0)]]))
+                          costs=explicit_costs([[gd.ScalarFn.affine(1e308, 0.0)],
+                                                [gd.ScalarFn.affine(1.0, 0.0)]]))
     w0 = np.array([2.0, 0.0])
     for run in (lambda: gd.ReducedSystem(g, 0.5).fixed_point(w0),
                 lambda: gd.recover_configuration_limit(g, 0.5, w0),

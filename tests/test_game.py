@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import gamedyn as gd
 from gamedyn.game import NASH_TOL, central_difference
 
-from conftest import ALL_SCENARIOS, CallableCostField, get_scenario, wide_game
+from conftest import ALL_SCENARIOS, CallableCostField, explicit_costs, get_scenario, wide_game
 
 
 def make_game(fns, masses=(1.0,), mask=None, actions=None):
@@ -23,7 +23,7 @@ def make_game(fns, masses=(1.0,), mask=None, actions=None):
     return gd.PopulationGame(populations=tuple(f"p{q + 1}" for q in range(P)),
                              masses=np.asarray(masses, dtype=float),
                              actions=actions, mask=np.asarray(mask, dtype=bool),
-                             costs=gd.AggregateCostField(fns))
+                             costs=explicit_costs(fns))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_game_shape_validation():
     with pytest.raises(ValueError, match="masses"):
         gd.PopulationGame(populations=("p1",), masses=np.array([1.0, 2.0]),
                           actions=("a", "b"), mask=np.ones((2, 1), dtype=bool),
-                          costs=gd.AggregateCostField([[aff], [aff]]))
+                          costs=explicit_costs([[aff], [aff]]))
     with pytest.raises(ValueError, match="mask"):
         make_game([[aff], [aff]], mask=np.ones((3, 1), dtype=bool))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -174,7 +174,8 @@ STACK_GAMES = {
     "affine": lambda: get_scenario("parallel3").build_game()[0],
     "affine-aggregate": lambda: make_game(
         [[gd.ScalarFn.affine(1.0, 0.0), gd.ScalarFn.affine(2.0, 0.5)],
-         [gd.ScalarFn.affine(0.5, 1.0), None], [gd.ScalarFn.constant(1.5)] * 2],
+         [gd.ScalarFn.affine(0.5, 1.0), gd.ScalarFn.constant(0.0)],
+         [gd.ScalarFn.constant(1.5)] * 2],
         masses=(1.0, 2.0), mask=[[True, True], [True, False], [True, True]]),
     # flows fall below, inside and above the table's breakpoints
     "table": lambda: make_game([[TAB, gd.ScalarFn.affine(2.0, 0.1)], [TAB, TAB],

@@ -13,7 +13,7 @@ from gamedyn import analysis, logit
 from gamedyn.logit import residual_floor, softmax_target
 
 from conftest import (ALL_SCENARIOS, CallableCostField, census_rule, count_picard,
-                      get_scenario, note_game, small_potential_game, wide_game)
+                      explicit_costs, get_scenario, note_game, small_potential_game, wide_game)
 
 
 def pigou_flow_oracle(eta: float) -> float:
@@ -48,7 +48,7 @@ def masked_game():
     return gd.PopulationGame(
         populations=("p1", "p2", "p3"), masses=np.array([1.0, 2.0, 0.0]),
         actions=("a1", "a2"), mask=np.array([[True, False, True], [True, True, True]]),
-        costs=gd.AggregateCostField([[aff, aff, aff], [aff, aff, aff]]))
+        costs=explicit_costs([[aff, aff, aff], [aff, aff, aff]]))
 
 
 def test_logit_map_masked_entries_stay_zero():
@@ -261,11 +261,11 @@ def test_fixed_point_reports_nonconvergence(caplog, monkeypatch):
 def explicit_game(masses, mask, slopes, intercepts):
     """An explicit game with affine curve slopes[i][p] * w_i + intercepts[i][p]."""
     S, P = np.shape(mask)
-    grid = [[gd.ScalarFn.affine(slopes[i][p], intercepts[i][p]) if mask[i][p] else None
-             for p in range(P)] for i in range(S)]
+    grid = [[gd.ScalarFn.affine(slopes[i][p], intercepts[i][p]) if mask[i][p]
+             else gd.ScalarFn.constant(0.0) for p in range(P)] for i in range(S)]
     return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
                              actions=[f"a{i}" for i in range(S)], mask=np.array(mask),
-                             costs=gd.AggregateCostField(grid))
+                             costs=explicit_costs(grid))
 
 
 def two_cycle_cases():

@@ -15,7 +15,7 @@ from scipy.optimize import root
 import gamedyn as gd
 from gamedyn import analysis, logit
 
-from conftest import ALL_SCENARIOS, CallableCostField, get_scenario
+from conftest import ALL_SCENARIOS, CallableCostField, explicit_costs, get_scenario
 
 
 @st.composite
@@ -117,7 +117,7 @@ def table_curve_game(draw):
     return gd.PopulationGame(
         populations=[f"p{p}" for p in range(P)], masses=masses,
         actions=[f"a{i}" for i in range(S)], mask=np.ones((S, P), dtype=bool),
-        costs=gd.AggregateCostField(grid))
+        costs=explicit_costs(grid))
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gamedyn as gd
 
-from conftest import ALL_SCENARIOS, CallableCostField, get_scenario
+from conftest import ALL_SCENARIOS, CallableCostField, explicit_costs, get_scenario
 
 AFF = gd.ScalarFn.affine
 
@@ -103,17 +103,20 @@ def test_intercepts_only_explicit_game_has_potential(tmp_path, rng):
         assert_gradient_is_costs(game, V, gd.sample_configuration(game, rng))
 
 
+OFF = gd.ScalarFn.constant(0.0)
+
+
 def masked_game(curves):
-    """Explicit game on actions a1, a2 with None for an action a population lacks."""
-    mask = np.array([[f is not None for f in row] for row in curves])
+    """Explicit game on actions a1, a2 with OFF for an action a population lacks."""
+    mask = np.array([[f is not OFF for f in row] for row in curves])
     return gd.PopulationGame(populations=("p1", "p2"), masses=np.array([1.0, 1.5]),
                              actions=("a1", "a2"), mask=mask,
-                             costs=gd.AggregateCostField(curves))
+                             costs=explicit_costs(curves))
 
 
 @pytest.mark.parametrize("curves", [
-    [[AFF(1, 0), AFF(1, 0)], [AFF(2, 0), None]],         # p2 lacks a2
-    [[AFF(1, 0), AFF(1, 0.5)], [None, AFF(2, -0.25)]],   # p1, the first, lacks a2
+    [[AFF(1, 0), AFF(1, 0)], [AFF(2, 0), OFF]],          # p2 lacks a2
+    [[AFF(1, 0), AFF(1, 0.5)], [OFF, AFF(2, -0.25)]],    # p1, the first, lacks a2
 ], ids=["second-lacks", "first-lacks"])
 def test_masked_explicit_game_has_potential(curves, rng):
     game = masked_game(curves)
@@ -127,7 +130,7 @@ def test_potential_capability_gates():
     slopes_differ = gd.PopulationGame(
         populations=("p1", "p2"), masses=np.array([1.0, 1.0]),
         actions=("a1", "a2"), mask=np.ones((2, 2), dtype=bool),
-        costs=gd.AggregateCostField([
+        costs=explicit_costs([
             [gd.ScalarFn.affine(1.0, 0.0), gd.ScalarFn.affine(2.0, 0.0)],
             [gd.ScalarFn.constant(1.0), gd.ScalarFn.constant(1.0)],
         ]))
@@ -187,12 +190,12 @@ def offset_game(draw, min_pops=1):
         f0 = draw(base_curve())
         kappas = [0.0] + draw(st.lists(st.floats(-2, 2, **finite),
                                        min_size=P - 1, max_size=P - 1))
-        grid.append([f0.shifted(kappa) if mask[k, p] else None
+        grid.append([f0.shifted(kappa) if mask[k, p] else gd.ScalarFn.constant(0.0)
                      for p, kappa in enumerate(kappas)])
     masses = draw(st.lists(st.floats(0.2, 2, **finite), min_size=P, max_size=P))
     game = gd.PopulationGame(populations=tuple(f"p{p}" for p in range(P)),
                              masses=np.array(masses), actions=tuple(f"a{i}" for i in range(S)),
-                             mask=mask, costs=gd.AggregateCostField(grid))
+                             mask=mask, costs=explicit_costs(grid))
     return game, grid
 
 
@@ -219,7 +222,7 @@ def test_perturbed_slope_breaks_potential(drawn, data):
                   gd.ScalarFn("table", xs=f.xs, ys=f.ys + delta * f.xs))
     game = gd.PopulationGame(populations=game.populations, masses=game.masses,
                              actions=game.actions, mask=game.mask,
-                             costs=gd.AggregateCostField(grid))
+                             costs=explicit_costs(grid))
     with pytest.raises(gd.CapabilityError):
         gd.potential(game)
     symmetric, worst = gd.potential_symmetry_check(game)

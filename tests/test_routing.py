@@ -6,12 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gamedyn as gd
 import gamedyn.routing as routing
 from gamedyn.routing import LinkCostMatrix, marginal_stage_configuration
 
-from conftest import get_scenario
+from conftest import ALL_SCENARIOS, explicit_costs, get_scenario
 
 AFF = gd.ScalarFn.affine
 CONST = gd.ScalarFn.constant
@@ -105,6 +106,70 @@ def test_link_cost_matrix_shape_check():
         LinkCostMatrix(("e1", "e2"), ("p1",), [[AFF(1, 0)]])
 
 
+def test_curve_grid_must_match_the_incidence():
+    # one row for two actions would be broadcast to both
+    with pytest.raises(ValueError, match="curve grid has 1 rows for 2 links"):
+        routing.RoutingCostField(np.eye(2), gd.CurveGrid([[AFF(1, 0)]]))
+
+
+def assert_field_is_the_product_formula(field, x):
+    """field(x) and field.jacobian(x) equal A^T tau(A w) and the einsum of the
+    partials, computed here, array for array."""
+    A, curves = field.A, field.curves
+    y = (A @ np.add.reduce(x, -1)[..., None])[..., 0]
+    assert np.array_equal(field(x), A.T @ curves(y))
+    core = np.einsum("ei,ej,...ep->...ipj", A, A, curves.slopes(y))
+    assert np.array_equal(field.jacobian(x),
+                          np.broadcast_to(core[..., None], core.shape + (core.shape[-2],)))
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_cost_field_is_the_product_formula(name, rng):
+    # explicit games and parallel networks have the identity incidence, and
+    # skip both products; wheatstone and series2 compute them
+    game, _ = get_scenario(name).build_game()
+    assert game.costs._identity == (name not in ("series2", "wheatstone"))
+    for x in (gd.uniform_configuration(game), gd.sample_configurations(game, rng, 7),
+              gd.sample_configurations(game, rng, 6).reshape((2, 3) + game.mask.shape)):
+        assert_field_is_the_product_formula(game.costs, x)
+
+
+@st.composite
+def masked_table_game(draw):
+    """Explicit games of up to 3 populations and 4 actions, one population
+    maybe of zero mass, with a table curve per available entry (so the grid
+    evaluates curve by curve) and an explicit constant 0 per masked one."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    P, S = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    mask = np.array(draw(st.lists(st.lists(st.booleans(), min_size=P, max_size=P),
+                                  min_size=S, max_size=S)))
+    mask[0], mask[:, 0] = True, True     # no empty action set, no unused action
+    grid = []
+    for i in range(S):
+        row = []
+        for p in range(P):
+            n = draw(st.integers(2, 4))
+            xs = np.cumsum(draw(st.lists(st.floats(0.1, 1.5, **finite), min_size=n, max_size=n)))
+            ys = draw(st.lists(st.floats(-3, 3, **finite), min_size=n, max_size=n))
+            row.append(gd.ScalarFn.table(list(zip(xs - 0.5, ys))) if mask[i, p]
+                       else gd.ScalarFn.constant(0.0))
+        grid.append(row)
+    masses = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=P, max_size=P))
+    masses[0] = max(masses[0], 0.5)
+    return gd.PopulationGame(populations=[f"p{p}" for p in range(P)], masses=np.array(masses),
+                             actions=[f"a{i}" for i in range(S)], mask=mask,
+                             costs=explicit_costs(grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_table_game(), st.integers(0, 2 ** 32 - 1))
+def test_identity_path_is_the_product_formula_on_table_curves(game, seed):
+    assert game.costs._identity and not game.costs.curves._affine
+    X = gd.sample_configurations(game, np.random.default_rng(seed), 6)
+    for x in (X[0], X, X.reshape((3, 2) + game.mask.shape)):
+        assert_field_is_the_product_formula(game.costs, x)
+
+
 def test_tolls_scenario_shifts_by_population_sensitivity():
     # tolls.scn: common curves y on e1 and e2, omega = (0, 1), alpha = (1, 2)
     _, rg = get_scenario("tolls").build_game()
@@ -133,7 +198,7 @@ def test_tolls_scenario_shifts_by_population_sensitivity():
 def test_classify_topology_bundled(name, kind, n_stages):
     game, rg = get_scenario(name).build_game()
     if rg is None:
-        # explicit costs are per-action curves: aggregate by construction
+        # an explicit game has one link per action: no link lies on two routes
         assert kind is None and game.costs.per_action_aggregate
         return
     assert rg.topology.kind == kind
